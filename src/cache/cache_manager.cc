@@ -30,8 +30,8 @@ std::uint32_t CacheManager::size_bucket(std::uint32_t pages) const {
 }
 
 std::uint64_t CacheManager::expected_version(Lpn lpn) const {
-  const auto it = last_version_.find(lpn);
-  return it == last_version_.end() ? 0 : it->second;
+  const std::uint64_t version = last_version_.get(lpn);
+  return version == kNoVersion ? 0 : version;
 }
 
 void CacheManager::sample_metadata() {
@@ -95,7 +95,7 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
       // rewrite. Roll the oracle back to what flash now holds (nothing)
       // and flush the block without this page; later reads of it verify
       // against the loss, not the vanished data.
-      last_version_[lpn] = ftl_.version_of(lpn);
+      last_version_.set(lpn, ftl_.version_of(lpn));
       continue;
     }
     flush.push_back(FlushPage{lpn, rr.version});
@@ -183,7 +183,8 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
     const Lpn lpn = req.lpn + i;
     ++metrics_.page_lookups;
     sample_metadata();
-    const std::uint64_t version = ++last_version_[lpn];
+    const std::uint64_t version = expected_version(lpn) + 1;
+    last_version_.set(lpn, version);
 
     const auto it = pages_.find(lpn);
     if (it != pages_.end()) {
@@ -339,7 +340,7 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
       // back to what flash now holds (nothing) so later reads verify
       // against the loss instead of the vanished write, and surface the
       // failure to the session's shed-vs-error handling.
-      last_version_[lpn] = ftl_.version_of(lpn);
+      last_version_.set(lpn, ftl_.version_of(lpn));
       if (data_lost != nullptr) *data_lost = true;
     }
     SimTime cand = rr.complete;
@@ -511,7 +512,7 @@ SimTime CacheManager::power_loss(SimTime at, FaultInjector& fault) {
         // verify against the surviving data instead of the lost write.
         ++lost_dirty;
         --dirty_pages_;
-        last_version_[lpn] = ftl_.version_of(lpn);
+        last_version_.set(lpn, ftl_.version_of(lpn));
       }
       retire_entry(lpn, it->second);
       pages_.erase(it);
@@ -636,7 +637,7 @@ void CacheMetrics::deserialize(SnapshotReader& r) {
 
 void CacheManager::serialize(SnapshotWriter& w) const {
   w.tag("cache");
-  // Page table and write oracle in sorted LPN order: the hash maps iterate
+  // Page table in sorted LPN order: the hash map iterates
   // nondeterministically, but equal logical state must produce equal bytes.
   std::vector<Lpn> lpns;
   lpns.reserve(pages_.size());
@@ -651,14 +652,12 @@ void CacheManager::serialize(SnapshotWriter& w) const {
     w.b(e.dirty);
     w.b(e.reused);
   }
-  lpns.clear();
-  for (const auto& [lpn, version] : last_version_) lpns.push_back(lpn);
-  std::sort(lpns.begin(), lpns.end());
-  w.u64(lpns.size());
-  for (const Lpn lpn : lpns) {
+  // The write oracle iterates in ascending LPN order already.
+  w.u64(last_version_.size());
+  last_version_.for_each([&](Lpn lpn, std::uint64_t version) {
     w.u64(lpn);
-    w.u64(last_version_.at(lpn));
-  }
+    w.u64(version);
+  });
   metrics_.serialize(w);
   w.u64(lookup_since_sample_);
   policy_->serialize(w);
@@ -683,13 +682,22 @@ void CacheManager::deserialize(SnapshotReader& r) {
     if (e.dirty) ++dirty_pages_;  // derived, not stored
   }
   const std::uint64_t oracle = r.count(16);
-  last_version_.reserve(oracle);
   for (std::uint64_t i = 0; i < oracle; ++i) {
     const Lpn lpn = r.u64();
     const std::uint64_t version = r.u64();
-    if (!last_version_.emplace(lpn, version).second) {
-      throw SnapshotError("cache snapshot repeats an oracle entry");
+    const auto refuse = [lpn](const char* why) {
+      return SnapshotError(
+          "cache snapshot's write-oracle table entry for lpn " +
+          std::to_string(lpn) + why);
+    };
+    if (lpn > decltype(last_version_)::kMaxLpn) {
+      throw refuse(" is beyond the 32-bit logical page space");
     }
+    if (version == kNoVersion) {
+      throw refuse(" holds the absent sentinel as a version");
+    }
+    if (last_version_.contains(lpn)) throw refuse(" is repeated");
+    last_version_.set(lpn, version);
   }
   metrics_.deserialize(r);
   lookup_since_sample_ = r.u64();

@@ -29,6 +29,7 @@
 #include "trace/io_request.h"
 #include "util/audit.h"
 #include "util/histogram.h"
+#include "util/lpn_table.h"
 #include "util/stats.h"
 #include "util/types.h"
 
@@ -162,9 +163,10 @@ class CacheManager {
   void audit(AuditReport& report,
              AuditLevel depth = AuditLevel::kFull) const;
 
-  /// Checkpoint: page table, write oracle, metrics, and the policy's own
-  /// replacement state. deserialize() restores into a freshly constructed
-  /// manager wired to the same policy type and FTL configuration.
+  /// Checkpoint: page table (sorted by LPN), write oracle (in table
+  /// order), metrics, and the policy's own replacement state.
+  /// deserialize() restores into a freshly constructed manager wired to
+  /// the same policy type and FTL configuration.
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
 
@@ -201,7 +203,11 @@ class CacheManager {
   std::unique_ptr<WriteBufferPolicy> policy_;
   Ftl& ftl_;
   std::unordered_map<Lpn, PageEntry> pages_;
-  std::unordered_map<Lpn, std::uint64_t> last_version_;
+  // The write oracle: last written version per LPN, independent of the
+  // FTL's page versions. Absent reads as version 0; an entry rolled back
+  // to 0 (power loss, uncorrectable read) stays present.
+  static constexpr std::uint64_t kNoVersion = ~std::uint64_t{0};
+  LpnTable<std::uint64_t, kNoVersion> last_version_;
   std::uint64_t dirty_pages_ = 0;  // resident entries with dirty == true
   CacheMetrics metrics_;
   std::uint64_t lookup_since_sample_ = 0;

@@ -18,9 +18,12 @@
 // "best-effort" loaded.
 //
 // Determinism contract: serializing the same logical state always produces
-// the same bytes (containers with nondeterministic iteration order are
-// written in sorted key order), so snapshot bytes themselves can be
-// compared in tests.
+// the same bytes, so snapshot bytes themselves can be compared in tests.
+// LPN-indexed tables (util/lpn_table.h: the FTL's L2P and version tables,
+// the cache's write oracle) iterate in ascending LPN order and are written
+// as they iterate; containers with nondeterministic iteration order (the
+// cache's page table, the policies' node maps) are written in sorted key
+// order.
 #pragma once
 
 #include <cstdint>

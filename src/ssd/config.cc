@@ -28,6 +28,11 @@ void SsdConfig::validate() const {
   if (total_pages() % pages_per_block != 0) {
     fail("capacity must be a whole number of blocks");
   }
+  if (total_pages() > 0xffffffffULL) {
+    // The FTL's L2P table stores 32-bit PPNs and keeps 2^32 - 1 free as
+    // its "unmapped" sentinel.
+    fail("more than 2^32 - 1 physical pages (the L2P table's PPN limit)");
+  }
   if (total_blocks() % total_planes() != 0) {
     fail("blocks must divide evenly across planes");
   }

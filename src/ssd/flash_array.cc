@@ -1,6 +1,7 @@
 #include "ssd/flash_array.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "snapshot/snapshot.h"
 #include "util/check.h"
@@ -33,18 +34,21 @@ const FlashArray::Block& FlashArray::block_at(std::uint32_t plane,
   return planes_[plane].blocks[block];
 }
 
-void FlashArray::ensure_storage(Block& b) {
-  if (b.states) return;
-  b.states = std::make_unique<PageState[]>(cfg_.pages_per_block);
-  b.lpns = std::make_unique<std::uint32_t[]>(cfg_.pages_per_block);
-  std::fill_n(b.states.get(), cfg_.pages_per_block, PageState::kFree);
+FlashArray::PageSlot& FlashArray::valid_slot(Ppn ppn) {
+  return const_cast<PageSlot&>(std::as_const(*this).valid_slot(ppn));
 }
 
-void FlashArray::ensure_error_storage(Block& b) {
-  if (b.page_errors) return;
-  b.page_errors = std::make_unique<std::uint8_t[]>(cfg_.pages_per_block);
-  std::fill_n(b.page_errors.get(), cfg_.pages_per_block,
-              static_cast<std::uint8_t>(0));
+const FlashArray::PageSlot& FlashArray::valid_slot(Ppn ppn) const {
+  const PhysAddr a = amap_.to_addr(ppn);
+  const Block& b = block_at(amap_.plane_of(ppn), a.block);
+  REQB_CHECK_MSG(b.slots && b.slots[a.page].state == PageState::kValid,
+                 "page access on a non-valid page");
+  return b.slots[a.page];
+}
+
+void FlashArray::ensure_storage(Block& b) {
+  if (b.slots) return;
+  b.slots = std::make_unique<PageSlot[]>(cfg_.pages_per_block);
 }
 
 void FlashArray::ensure_parity_storage(Block& b) {
@@ -55,11 +59,10 @@ void FlashArray::ensure_parity_storage(Block& b) {
   std::fill_n(b.stripe_parity.get(), stripes, static_cast<std::uint8_t>(0));
 }
 
-void FlashArray::clear_integrity_state(Block& b) {
-  if (b.page_errors) {
-    std::fill_n(b.page_errors.get(), cfg_.pages_per_block,
-                static_cast<std::uint8_t>(0));
-  }
+void FlashArray::clear_pages(Block& b) {
+  // Pages at or past the write pointer were never programmed, so only the
+  // written prefix needs resetting.
+  if (b.slots) std::fill_n(b.slots.get(), b.write_ptr, PageSlot{});
   if (b.stripe_parity) {
     std::fill_n(b.stripe_parity.get(), stripes_per_block(),
                 static_cast<std::uint8_t>(0));
@@ -73,7 +76,8 @@ Ppn FlashArray::make_ppn(std::uint32_t plane, std::uint32_t block,
          page;
 }
 
-Ppn FlashArray::program(std::uint32_t plane, Lpn lpn) {
+Ppn FlashArray::program(std::uint32_t plane, Lpn lpn,
+                        std::uint64_t version) {
   REQB_CHECK_MSG(lpn <= 0xffffffffULL,
                  "flash array stores LPNs as 32-bit; footprint too large");
   Plane& pl = planes_[plane];
@@ -87,9 +91,11 @@ Ppn FlashArray::program(std::uint32_t plane, Lpn lpn) {
   Block& b = block_at(plane, pl.active);
   ensure_storage(b);
   const std::uint32_t page = b.write_ptr++;
-  REQB_DCHECK(b.states[page] == PageState::kFree);
-  b.states[page] = PageState::kValid;
-  b.lpns[page] = static_cast<std::uint32_t>(lpn);
+  PageSlot& slot = b.slots[page];
+  REQB_DCHECK(slot.state == PageState::kFree && slot.errors == 0);
+  slot.state = PageState::kValid;
+  slot.lpn = static_cast<std::uint32_t>(lpn);
+  slot.version = version;
   ++b.valid_count;
   ++pl.valid_pages;
   return make_ppn(plane, pl.active, page);
@@ -101,9 +107,9 @@ void FlashArray::invalidate(Ppn ppn) {
   const std::uint32_t block =
       a.block;  // to_addr gives block within plane already
   Block& b = block_at(plane, block);
-  REQB_CHECK_MSG(b.states && b.states[a.page] == PageState::kValid,
+  REQB_CHECK_MSG(b.slots && b.slots[a.page].state == PageState::kValid,
                  "invalidate of a non-valid page");
-  b.states[a.page] = PageState::kInvalid;
+  b.slots[a.page].state = PageState::kInvalid;
   REQB_DCHECK(b.valid_count > 0);
   --b.valid_count;
   ++b.invalid_count;
@@ -115,15 +121,17 @@ void FlashArray::invalidate(Ppn ppn) {
 PageState FlashArray::state(Ppn ppn) const {
   const PhysAddr a = amap_.to_addr(ppn);
   const Block& b = block_at(amap_.plane_of(ppn), a.block);
-  return b.states ? b.states[a.page] : PageState::kFree;
+  return b.slots ? b.slots[a.page].state : PageState::kFree;
 }
 
-Lpn FlashArray::lpn_at(Ppn ppn) const {
-  const PhysAddr a = amap_.to_addr(ppn);
-  const Block& b = block_at(amap_.plane_of(ppn), a.block);
-  REQB_CHECK_MSG(b.states && b.states[a.page] == PageState::kValid,
-                 "lpn_at on a non-valid page");
-  return b.lpns[a.page];
+Lpn FlashArray::lpn_at(Ppn ppn) const { return valid_slot(ppn).lpn; }
+
+std::uint64_t FlashArray::version_at(Ppn ppn) const {
+  return valid_slot(ppn).version;
+}
+
+void FlashArray::set_version(Ppn ppn, std::uint64_t version) {
+  valid_slot(ppn).version = version;
 }
 
 std::uint64_t FlashArray::free_blocks(std::uint32_t plane) const {
@@ -185,10 +193,10 @@ std::vector<Ppn> FlashArray::valid_pages(std::uint32_t plane,
                                          std::uint32_t block) const {
   const Block& b = block_at(plane, block);
   std::vector<Ppn> out;
-  if (!b.states) return out;
+  if (!b.slots) return out;
   out.reserve(b.valid_count);
   for (std::uint32_t p = 0; p < b.write_ptr; ++p) {
-    if (b.states[p] == PageState::kValid) {
+    if (b.slots[p].state == PageState::kValid) {
       out.push_back(make_ppn(plane, block, p));
     }
   }
@@ -202,14 +210,11 @@ void FlashArray::erase_block(std::uint32_t plane, std::uint32_t block) {
                  "erase of a block that still holds valid pages");
   REQB_CHECK_MSG(block != pl.active, "erase of the active block");
   REQB_CHECK_MSG(!b.retired, "erase of a retired block");
-  if (b.states) {
-    std::fill_n(b.states.get(), cfg_.pages_per_block, PageState::kFree);
-  }
+  clear_pages(b);
   b.write_ptr = 0;
   b.invalid_count = 0;
   b.read_count = 0;
   b.data_origin = 0;
-  clear_integrity_state(b);
   ++b.erase_count;
   ++total_erases_;
   pl.free_list.push_back(block);
@@ -288,24 +293,23 @@ std::uint8_t FlashArray::note_page_error(Ppn ppn) {
   const PhysAddr a = amap_.to_addr(ppn);
   Block& b = block_at(amap_.plane_of(ppn), a.block);
   REQB_DCHECK(a.page < b.write_ptr);
-  ensure_error_storage(b);
-  if (b.page_errors[a.page] < 0xff) ++b.page_errors[a.page];
-  return b.page_errors[a.page];
+  std::uint8_t& errors = b.slots[a.page].errors;
+  if (errors < 0xff) ++errors;
+  return errors;
 }
 
 std::uint8_t FlashArray::page_errors(Ppn ppn) const {
   const PhysAddr a = amap_.to_addr(ppn);
   const Block& b = block_at(amap_.plane_of(ppn), a.block);
-  return b.page_errors ? b.page_errors[a.page] : 0;
+  return b.slots ? b.slots[a.page].errors : 0;
 }
 
 std::uint32_t FlashArray::max_page_errors(std::uint32_t plane,
                                           std::uint32_t block) const {
   const Block& b = block_at(plane, block);
-  if (!b.page_errors) return 0;
   std::uint32_t worst = 0;
   for (std::uint32_t p = 0; p < b.write_ptr; ++p) {
-    worst = std::max<std::uint32_t>(worst, b.page_errors[p]);
+    worst = std::max<std::uint32_t>(worst, b.slots[p].errors);
   }
   return worst;
 }
@@ -366,14 +370,11 @@ bool FlashArray::retire_block(std::uint32_t plane, std::uint32_t block) {
                  "retire of a block that still holds valid pages");
   REQB_CHECK_MSG(block != pl.active, "retire of the active block");
   REQB_CHECK_MSG(!b.retired, "double retirement");
-  if (b.states) {
-    std::fill_n(b.states.get(), cfg_.pages_per_block, PageState::kFree);
-  }
+  clear_pages(b);
   b.write_ptr = 0;
   b.invalid_count = 0;
   b.read_count = 0;
   b.data_origin = 0;
-  clear_integrity_state(b);
   b.retired = true;
   ++pl.retired_count;
   ++total_retired_;
@@ -548,14 +549,6 @@ void FlashArray::audit(AuditReport& report) const {
       plane_valid += blk.valid_count;
       // Integrity state tracks programmed pages only: free and retired
       // blocks (write_ptr 0) must carry no error counts or parity bits.
-      if (blk.page_errors) {
-        for (std::uint32_t page = 0; page < cfg_.pages_per_block; ++page) {
-          REQB_AUDIT_MSG(report,
-                         blk.page_errors[page] == 0 || page < blk.write_ptr,
-                         tag + " page " + std::to_string(page) +
-                             " counts errors but was never programmed");
-        }
-      }
       if (blk.stripe_parity) {
         for (std::uint32_t s = 0; s < stripes_per_block(); ++s) {
           REQB_AUDIT_MSG(report,
@@ -566,14 +559,15 @@ void FlashArray::audit(AuditReport& report) const {
                              " has parity but incomplete data pages");
         }
       }
-      if (!blk.states) {
+      if (!blk.slots) {
         REQB_AUDIT_MSG(report, blk.write_ptr == 0 && blk.valid_count == 0,
                        tag + " has pages but no materialized storage");
         continue;
       }
       std::uint32_t valid = 0, invalid = 0;
       for (std::uint32_t page = 0; page < cfg_.pages_per_block; ++page) {
-        const PageState s = blk.states[page];
+        const PageSlot& slot = blk.slots[page];
+        const PageState s = slot.state;
         if (s == PageState::kValid) ++valid;
         if (s == PageState::kInvalid) ++invalid;
         REQB_AUDIT_MSG(report,
@@ -581,6 +575,9 @@ void FlashArray::audit(AuditReport& report) const {
                                             : s == PageState::kFree,
                        tag + " page " + std::to_string(page) +
                            " state contradicts the write pointer");
+        REQB_AUDIT_MSG(report, slot.errors == 0 || page < blk.write_ptr,
+                       tag + " page " + std::to_string(page) +
+                           " counts errors but was never programmed");
       }
       REQB_AUDIT_MSG(report,
                      valid == blk.valid_count && invalid == blk.invalid_count,
@@ -669,26 +666,20 @@ void FlashArray::serialize(SnapshotWriter& w) const {
       w.b(b.marked_bad);
       w.b(b.retired);
       // Page storage is lazily allocated; only written pages carry state.
-      for (std::uint32_t p = 0; p < b.write_ptr; ++p) {
-        w.u8(static_cast<std::uint8_t>(b.states[p]));
-        w.u32(b.lpns[p]);
-      }
-      // v6: sparse per-page error counters (ascending page order) and
+      // v6: then sparse per-page error counters (ascending page order) and
       // stripe-parity presence (ascending stripe order). Error-free,
       // parity-free blocks cost two zero counts.
       std::uint16_t error_entries = 0;
-      if (b.page_errors) {
-        for (std::uint32_t p = 0; p < b.write_ptr; ++p) {
-          error_entries += b.page_errors[p] > 0 ? 1 : 0;
-        }
+      for (std::uint32_t p = 0; p < b.write_ptr; ++p) {
+        w.u8(static_cast<std::uint8_t>(b.slots[p].state));
+        w.u32(b.slots[p].lpn);
+        error_entries += b.slots[p].errors > 0 ? 1 : 0;
       }
       w.u16(error_entries);
-      if (b.page_errors) {
-        for (std::uint32_t p = 0; p < b.write_ptr; ++p) {
-          if (b.page_errors[p] == 0) continue;
-          w.u16(static_cast<std::uint16_t>(p));
-          w.u8(b.page_errors[p]);
-        }
+      for (std::uint32_t p = 0; error_entries > 0 && p < b.write_ptr; ++p) {
+        if (b.slots[p].errors == 0) continue;
+        w.u16(static_cast<std::uint16_t>(p));
+        w.u8(b.slots[p].errors);
       }
       std::uint16_t parity_entries = 0;
       if (b.stripe_parity) {
@@ -751,8 +742,8 @@ void FlashArray::deserialize(SnapshotReader& r) {
           if (s > static_cast<std::uint8_t>(PageState::kInvalid)) {
             throw SnapshotError("flash snapshot has an invalid page state");
           }
-          b.states[p] = static_cast<PageState>(s);
-          b.lpns[p] = r.u32();
+          b.slots[p].state = static_cast<PageState>(s);
+          b.slots[p].lpn = r.u32();
         }
       }
       // v6: sparse error counters and stripe-parity bits, each refused
@@ -775,8 +766,7 @@ void FlashArray::deserialize(SnapshotReader& r) {
         if (errors == 0) {
           throw SnapshotError("flash snapshot has a zero error entry");
         }
-        ensure_error_storage(b);
-        b.page_errors[page] = errors;
+        b.slots[page].errors = errors;
       }
       const std::uint16_t parity_entries = r.u16();
       std::uint32_t last_stripe = 0;

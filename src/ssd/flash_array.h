@@ -1,6 +1,7 @@
 // NAND flash array state: planes, blocks, pages.
 //
-// Tracks page states (free/valid/invalid), per-plane free-block lists and
+// Tracks one slot per physical page (state, the LPN it holds, the version
+// of that data, its corrected-error count), per-plane free-block lists and
 // active (currently appended) blocks, erase counts, and supplies greedy GC
 // victim selection via a lazily-updated max-heap over invalid counts.
 // Purely functional state — all *timing* lives in the FTL's resource
@@ -30,16 +31,23 @@ class FlashArray {
 
   explicit FlashArray(const SsdConfig& cfg);
 
-  /// Programs `lpn` into the plane's active block (allocating a fresh block
-  /// from the free list when needed) and returns the physical page written.
-  /// Requires at least one allocatable page (callers run GC first).
-  Ppn program(std::uint32_t plane, Lpn lpn);
+  /// Programs `lpn` at `version` into the plane's active block (allocating
+  /// a fresh block from the free list when needed) and returns the
+  /// physical page written. Requires at least one allocatable page
+  /// (callers run GC first).
+  Ppn program(std::uint32_t plane, Lpn lpn, std::uint64_t version = 0);
 
   /// Marks a previously valid page invalid (its data was superseded).
   void invalidate(Ppn ppn);
 
   PageState state(Ppn ppn) const;
   Lpn lpn_at(Ppn ppn) const;
+  /// Version of the data a valid page holds (the FTL's consistency
+  /// oracle); copied with the page by every relocation.
+  std::uint64_t version_at(Ppn ppn) const;
+  /// Sets a valid page's version (snapshot restore: the FTL writes its
+  /// version table back onto the pages).
+  void set_version(Ppn ppn, std::uint64_t version);
 
   std::uint64_t free_blocks(std::uint32_t plane) const;
   /// True when the plane is at/below the configured GC threshold.
@@ -197,18 +205,28 @@ class FlashArray {
 
   /// Checkpoint: page states, free/spare lists, retirement flags, GC heap
   /// contents, wear counters, and (format v6) per-page error counters
-  /// plus stripe-parity presence. deserialize() restores into a freshly
-  /// constructed array of the same geometry and stripe wiring.
+  /// plus stripe-parity presence. Page versions are not written here: the
+  /// FTL writes them in its version table and restores them with
+  /// set_version. deserialize() restores into a freshly constructed array
+  /// of the same geometry and stripe wiring.
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
 
  private:
+  /// One physical page. The error counter (integrity; saturates at 255)
+  /// sits in what would otherwise be padding.
+  struct PageSlot {
+    std::uint64_t version = 0;
+    std::uint32_t lpn = 0;
+    PageState state = PageState::kFree;
+    std::uint8_t errors = 0;
+  };
+  static_assert(sizeof(PageSlot) == 16);
+
   struct Block {
-    std::unique_ptr<PageState[]> states;   // lazily allocated
-    std::unique_ptr<std::uint32_t[]> lpns; // lazily allocated
-    /// Corrected-error count per page (integrity); lazily allocated on
-    /// the first error, cleared by erase/retire.
-    std::unique_ptr<std::uint8_t[]> page_errors;
+    /// One slot per page; allocated when the block is first programmed,
+    /// reset (not freed) by erase/retire.
+    std::unique_ptr<PageSlot[]> slots;
     /// Parity presence per stripe (integrity); lazily allocated when the
     /// first stripe closes, cleared by erase/retire.
     std::unique_ptr<std::uint8_t[]> stripe_parity;
@@ -238,10 +256,14 @@ class FlashArray {
 
   Block& block_at(std::uint32_t plane, std::uint32_t block);
   const Block& block_at(std::uint32_t plane, std::uint32_t block) const;
+  /// The slot of a valid page (checked).
+  PageSlot& valid_slot(Ppn ppn);
+  const PageSlot& valid_slot(Ppn ppn) const;
   void ensure_storage(Block& b);
-  void ensure_error_storage(Block& b);
   void ensure_parity_storage(Block& b);
-  void clear_integrity_state(Block& b);
+  /// Returns an erased or retired block's pages and parity bits to the
+  /// unwritten state.
+  void clear_pages(Block& b);
   std::uint32_t stripes_per_block() const {
     return stripe_pages_ == 0 ? 0 : cfg_.pages_per_block / stripe_pages_;
   }

@@ -1,7 +1,9 @@
 #include "ssd/ftl.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "snapshot/snapshot.h"
 #include "util/check.h"
@@ -15,8 +17,8 @@ Ftl::Ftl(const SsdConfig& cfg)
 }
 
 std::uint64_t Ftl::version_of(Lpn lpn) const {
-  const auto it = versions_.find(lpn);
-  return it == versions_.end() ? 0 : it->second;
+  const std::uint32_t ppn = l2p_.get(lpn);
+  return ppn == kUnmapped ? 0 : array_.version_at(ppn);
 }
 
 void Ftl::add_preexisting_range(Lpn begin, Lpn end) {
@@ -37,8 +39,8 @@ bool Ftl::in_preexisting(Lpn lpn) const {
 Ftl::ReadResult Ftl::read_page(Lpn lpn, SimTime issue, OpAttribution* attr) {
   const ScopedTimer timer(profiler_, Profiler::Section::kFtlRead);
   if (attr != nullptr) *attr = OpAttribution{};  // unmapped path returns early
-  const auto it = l2p_.find(lpn);
-  if (it == l2p_.end()) {
+  const std::uint32_t mapped = l2p_.get(lpn);
+  if (mapped == kUnmapped) {
     if (in_preexisting(lpn)) {
       // Pre-conditioned data: full flash-read timing from the plane the
       // page would statically live on, version 0. No physical block
@@ -53,10 +55,11 @@ Ftl::ReadResult Ftl::read_page(Lpn lpn, SimTime issue, OpAttribution* attr) {
     ++metrics_.unmapped_reads;
     return {issue + cfg_.cache_access_latency, 0, false, false};
   }
-  const Ppn ppn = it->second;
-  // `it` may be erased by an uncorrectable read below; take the version
-  // before the call so the result reports what the host *asked for*.
-  const std::uint64_t version = version_of(lpn);
+  const Ppn ppn = mapped;
+  // An uncorrectable read below drops the mapping and invalidates the
+  // page; take the version before the call so the result reports what the
+  // host *asked for*.
+  const std::uint64_t version = array_.version_at(ppn);
   bool lost = false;
   const SimTime done = flash_read(amap_.plane_of(ppn),
                                   amap_.to_addr(ppn).block, ppn, lpn, issue,
@@ -198,12 +201,12 @@ SimTime Ftl::integrity_recover(std::uint32_t plane, std::uint32_t block,
     }
     if (!rebuilt) {
       // Tier 4: the data is gone. Drop the mapping so the device stops
-      // serving stale bytes; the host sees the loss via ReadResult.
+      // serving stale bytes (the page's version goes with it); the host
+      // sees the loss via ReadResult.
       ++m.uncorrectable;
       const std::uint8_t errs = array_.page_errors(ppn);
       array_.invalidate(ppn);
       l2p_.erase(lpn);
-      versions_.erase(lpn);
       if (lost != nullptr) *lost = true;
       if (trace_ != nullptr) {
         trace_->emit({cell_done, 0, lpn, errs, EventKind::kUncorrectable,
@@ -280,13 +283,14 @@ void Ftl::maybe_collect(std::uint32_t plane, SimTime t) {
     const std::uint32_t victim = array_.pick_gc_victim(plane);
     if (victim == FlashArray::kNoBlock) break;  // nothing reclaimable
     ++metrics_.gc_runs;
-    // Move still-valid pages within the plane (copyback: chip-internal
-    // read + program, no bus transfer), then erase.
+    // Move still-valid pages, versions included, within the plane
+    // (copyback: chip-internal read + program, no bus transfer), then
+    // erase.
     for (const Ppn old : array_.valid_pages(plane, victim)) {
       const Lpn lpn = array_.lpn_at(old);
-      const Ppn fresh = array_.program(plane, lpn);
+      const Ppn fresh = array_.program(plane, lpn, array_.version_at(old));
       array_.invalidate(old);
-      l2p_[lpn] = fresh;
+      l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
       ++metrics_.gc_page_moves;
       const SimTime begin = t;
       t = chips_[chip].acquire(t, cfg_.read_latency + cfg_.program_latency);
@@ -337,7 +341,7 @@ SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
   std::uint32_t attempt = 0;
   Ppn fresh = 0;
   for (;;) {
-    fresh = array_.program(plane, lpn);
+    fresh = array_.program(plane, lpn, version);
     t = chips_[chip].acquire(t, cfg_.program_latency);
     t = maybe_close_stripe(plane, fresh, t);
     if (attempt == 0) first_attempt_done = t;
@@ -395,14 +399,9 @@ SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
     attr->fault = done - first_attempt_done;
   }
 
-  const auto it = l2p_.find(lpn);
-  if (it != l2p_.end()) {
-    array_.invalidate(it->second);
-    it->second = fresh;
-  } else {
-    l2p_.emplace(lpn, fresh);
-  }
-  versions_[lpn] = version;
+  const std::uint32_t old = l2p_.get(lpn);
+  if (old != kUnmapped) array_.invalidate(old);
+  l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
   ++metrics_.host_page_writes;
   if (trace_ != nullptr) {
     trace_->emit({issue, done - issue, lpn, version, EventKind::kPageProgram,
@@ -478,9 +477,9 @@ void Ftl::reclaim_block(std::uint32_t plane, std::uint32_t block, SimTime t,
   std::uint64_t moved = 0;
   for (const Ppn old : array_.valid_pages(plane, block)) {
     const Lpn lpn = array_.lpn_at(old);
-    const Ppn fresh = array_.program(plane, lpn);
+    const Ppn fresh = array_.program(plane, lpn, array_.version_at(old));
     array_.invalidate(old);
-    l2p_[lpn] = fresh;
+    l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
     t = chips_[chip].acquire(t, cfg_.read_latency + cfg_.program_latency);
     array_.note_program(fresh, t);
     t = maybe_close_stripe(plane, fresh, t);
@@ -681,21 +680,20 @@ SimTime Ftl::program_page(Lpn lpn, std::uint64_t version, SimTime issue,
 
 void Ftl::audit(AuditReport& report) const {
   // L2P ↔ P2L roundtrip: every mapping must land on a valid physical page
-  // that names this very LPN, and must carry a version entry.
-  for (const auto& [lpn, ppn] : l2p_) {
+  // that names this very LPN. (The page also carries the version, so a
+  // mapped LPN cannot lack one.)
+  l2p_.for_each([&](Lpn lpn, std::uint32_t ppn) {
     const std::string tag = "lpn " + std::to_string(lpn);
     if (!REQB_AUDIT_MSG(report, array_.state(ppn) == PageState::kValid,
                         tag + " maps to ppn " + std::to_string(ppn) +
                             " which is not valid")) {
-      continue;
+      return;
     }
     REQB_AUDIT_MSG(report, array_.lpn_at(ppn) == lpn,
                    tag + " maps to ppn " + std::to_string(ppn) +
                        " which claims lpn " +
                        std::to_string(array_.lpn_at(ppn)));
-    REQB_AUDIT_MSG(report, versions_.contains(lpn),
-                   tag + " mapped without a version record");
-  }
+  });
 
   // Valid-page accounting: the flash array must hold exactly one valid
   // physical page per mapping (GC moves swap mappings atomically between
@@ -798,24 +796,18 @@ void FlashMetrics::deserialize(SnapshotReader& r) {
 
 void Ftl::serialize(SnapshotWriter& w) const {
   w.tag("ftl");
-  // Mapping tables in sorted LPN order for byte determinism.
-  std::vector<Lpn> lpns;
-  lpns.reserve(l2p_.size());
-  for (const auto& [lpn, ppn] : l2p_) lpns.push_back(lpn);
-  std::sort(lpns.begin(), lpns.end());
-  w.u64(lpns.size());
-  for (const Lpn lpn : lpns) {
+  // The L2P table, then the version table: the versions of the same
+  // mapped pages, in the same (ascending LPN) table order.
+  w.u64(l2p_.size());
+  l2p_.for_each([&](Lpn lpn, std::uint32_t ppn) {
     w.u64(lpn);
-    w.u64(l2p_.at(lpn));
-  }
-  lpns.clear();
-  for (const auto& [lpn, version] : versions_) lpns.push_back(lpn);
-  std::sort(lpns.begin(), lpns.end());
-  w.u64(lpns.size());
-  for (const Lpn lpn : lpns) {
+    w.u64(ppn);
+  });
+  w.u64(l2p_.size());
+  l2p_.for_each([&](Lpn lpn, std::uint32_t ppn) {
     w.u64(lpn);
-    w.u64(versions_.at(lpn));
-  }
+    w.u64(array_.version_at(ppn));
+  });
   w.u64(preexisting_.size());
   for (const auto& [begin, end] : preexisting_) {
     w.u64(begin);
@@ -843,23 +835,50 @@ void Ftl::deserialize(SnapshotReader& r) {
   r.tag("ftl");
   REQB_CHECK_MSG(l2p_.empty(), "deserialize into a non-fresh FTL");
   const std::uint64_t mapped = r.count(16);
-  l2p_.reserve(mapped);
+  // PPNs are range-checked after the patrol-scrub cursor below, so a
+  // snapshot taken on another geometry is named by its cursor first.
+  std::optional<std::pair<Lpn, Ppn>> outside;
   for (std::uint64_t i = 0; i < mapped; ++i) {
     const Lpn lpn = r.u64();
     const Ppn ppn = r.u64();
-    if (!l2p_.emplace(lpn, ppn).second) {
-      throw SnapshotError("FTL snapshot repeats an L2P mapping");
+    if (lpn > decltype(l2p_)::kMaxLpn) {
+      throw SnapshotError("FTL snapshot's L2P table maps lpn " +
+                          std::to_string(lpn) +
+                          ", beyond the 32-bit logical page space");
     }
+    if (l2p_.contains(lpn)) {
+      throw SnapshotError("FTL snapshot's L2P table repeats a mapping for "
+                          "lpn " + std::to_string(lpn));
+    }
+    const bool in_range = ppn < cfg_.total_pages();
+    if (!in_range && !outside) outside.emplace(lpn, ppn);
+    // An out-of-range PPN is held as 0 until that refusal.
+    l2p_.set(lpn, in_range ? static_cast<std::uint32_t>(ppn) : 0);
   }
+  // The version table must cover exactly the mapped LPNs, in the L2P
+  // table's ascending order. The versions go onto their pages once the
+  // flash array below is restored.
   const std::uint64_t versioned = r.count(16);
-  versions_.reserve(versioned);
-  for (std::uint64_t i = 0; i < versioned; ++i) {
-    const Lpn lpn = r.u64();
-    const std::uint64_t version = r.u64();
-    if (!versions_.emplace(lpn, version).second) {
-      throw SnapshotError("FTL snapshot repeats a version entry");
-    }
+  if (versioned != mapped) {
+    throw SnapshotError("FTL snapshot's version table has " +
+                        std::to_string(versioned) + " entries for " +
+                        std::to_string(mapped) + " L2P mappings");
   }
+  std::vector<std::uint64_t> versions;
+  versions.reserve(mapped);
+  l2p_.for_each([&](Lpn lpn, std::uint32_t /*ppn*/) {
+    const Lpn entry = r.u64();
+    const std::uint64_t version = r.u64();
+    if (entry != lpn) {
+      throw SnapshotError(
+          l2p_.contains(entry)
+              ? "FTL snapshot's version table is missing mapped lpn " +
+                    std::to_string(lpn)
+              : "FTL snapshot's version table has an orphan entry for "
+                "unmapped lpn " + std::to_string(entry));
+    }
+    versions.push_back(version);
+  });
   // The simulator re-registers pre-existing ranges at construction; the
   // checkpointed list replaces them wholesale so both paths agree.
   preexisting_.clear();
@@ -879,6 +898,12 @@ void Ftl::deserialize(SnapshotReader& r) {
     throw SnapshotError("FTL snapshot's patrol-scrub cursor is outside "
                         "the device geometry");
   }
+  if (outside) {
+    throw SnapshotError("FTL snapshot's L2P table maps lpn " +
+                        std::to_string(outside->first) + " to ppn " +
+                        std::to_string(outside->second) +
+                        ", outside the device geometry");
+  }
   metrics_.deserialize(r);
   if (r.u64() != channels_.size()) {
     throw SnapshotError("FTL snapshot has a different channel count");
@@ -897,6 +922,18 @@ void Ftl::deserialize(SnapshotReader& r) {
     tl.restore(next_free, busy);
   }
   array_.deserialize(r);
+  // Every mapping must land on a valid page that holds its LPN (the audit's
+  // round trip); the versions then go onto those pages.
+  std::size_t next = 0;
+  l2p_.for_each([&](Lpn lpn, std::uint32_t ppn) {
+    if (array_.state(ppn) != PageState::kValid || array_.lpn_at(ppn) != lpn) {
+      throw SnapshotError("FTL snapshot's L2P table maps lpn " +
+                          std::to_string(lpn) + " to ppn " +
+                          std::to_string(ppn) +
+                          ", which does not hold that lpn");
+    }
+    array_.set_version(ppn, versions[next++]);
+  });
 }
 
 }  // namespace reqblock

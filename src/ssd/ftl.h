@@ -6,14 +6,16 @@
 // BPLRU-style whole-block flushes), runs greedy garbage collection, and
 // charges all operation timing on per-channel / per-chip FCFS timelines.
 //
-// A per-LPN 64-bit version travels with every programmed page; it is the
-// end-to-end consistency oracle the test suite checks read-your-writes
-// against (no payload bytes are simulated).
+// The L2P map is a paged LPN table (util/lpn_table.h) of 32-bit PPNs, so
+// a lookup is two array loads and the map serializes in LPN order without
+// a sort. A 64-bit version travels with every programmed page, stored in
+// the flash array's page slot and copied by GC and refresh relocation; it
+// is the end-to-end consistency oracle the test suite checks
+// read-your-writes against (no payload bytes are simulated).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.h"
@@ -26,6 +28,7 @@
 #include "telemetry/profiler.h"
 #include "telemetry/trace_buffer.h"
 #include "util/audit.h"
+#include "util/lpn_table.h"
 #include "util/types.h"
 
 namespace reqblock {
@@ -103,6 +106,7 @@ class Ftl {
                        OpAttribution* attr = nullptr);
 
   bool is_mapped(Lpn lpn) const { return l2p_.contains(lpn); }
+  /// Version of the data flash holds for `lpn` (0 when unmapped).
   std::uint64_t version_of(Lpn lpn) const;
   std::uint64_t mapped_pages() const { return l2p_.size(); }
 
@@ -161,9 +165,9 @@ class Ftl {
   }
 
   /// Deep invariant audit: L2P↔P2L roundtrip for every mapping, total
-  /// valid-page sums against the mapping table, version coverage, resource
-  /// timeline monotonicity, and the flash array's own audit. O(mapped
-  /// pages + physical pages).
+  /// valid-page sums against the mapping table, resource timeline
+  /// monotonicity, and the flash array's own audit. O(mapped pages +
+  /// physical pages).
   void audit(AuditReport& report) const;
 
   /// Wires the run's telemetry. The trace pointer is only kept when flash
@@ -181,11 +185,14 @@ class Ftl {
   /// outlive this Ftl.
   void register_metrics(MetricsRegistry& registry) const;
 
-  /// Checkpoint: mapping tables, pre-existing ranges, allocation cursor,
-  /// patrol-scrub cursor, metrics, resource-timeline clocks, and the
-  /// flash array. deserialize()
+  /// Checkpoint: the L2P table and a version table (the versions of the
+  /// mapped pages, same LPNs in the same ascending order), pre-existing
+  /// ranges, allocation cursor, patrol-scrub cursor, metrics,
+  /// resource-timeline clocks, and the flash array. deserialize()
   /// restores into a freshly constructed Ftl of the same configuration
-  /// (telemetry/fault wiring is re-established by the caller, not stored).
+  /// (telemetry/fault wiring is re-established by the caller, not stored)
+  /// and refuses tables that disagree with each other, with the device
+  /// geometry, or with the pages they map.
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
 
@@ -252,8 +259,10 @@ class Ftl {
   std::vector<ResourceTimeline> chips_;
   bool in_preexisting(Lpn lpn) const;
 
-  std::unordered_map<Lpn, Ppn> l2p_;
-  std::unordered_map<Lpn, std::uint64_t> versions_;
+  // PPNs fit 32 bits: SsdConfig::validate caps the page count at
+  // 2^32 - 1, so no PPN equals the sentinel.
+  static constexpr std::uint32_t kUnmapped = 0xffffffffu;
+  LpnTable<std::uint32_t, kUnmapped> l2p_;
   std::vector<std::pair<Lpn, Lpn>> preexisting_;  // sorted, disjoint
   std::uint64_t rr_counter_ = 0;
   bool degraded_mode_ = false;  // end-of-life read-mostly mode (aging)

@@ -81,5 +81,22 @@ TEST(SsdConfigTest, ExperimentDefaultKeepsGeometryRatios) {
   EXPECT_LT(exp.capacity_bytes, paper.capacity_bytes);
 }
 
+TEST(SsdConfigTest, ValidationCapsPhysicalPagesAtThe32BitPpnLimit) {
+  // The L2P table stores 32-bit PPNs with 2^32 - 1 as its unmapped
+  // sentinel, so a device may hold at most 2^32 - 1 pages.
+  SsdConfig cfg = SsdConfig::paper_default();
+  cfg.page_size = 4096;
+  cfg.capacity_bytes = (1ULL << 32) * 4096;  // 2^32 pages: one too many
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.capacity_bytes = ((1ULL << 32) - 1024) * 4096;  // 16 TiB less 4 MiB
+  EXPECT_NO_THROW(cfg.validate());
+
+  // The 128 GiB paper default (33.5M pages) and the 32 GiB experiment
+  // default stay well inside the limit.
+  EXPECT_EQ(SsdConfig::paper_default().total_pages(), 33554432u);
+  EXPECT_NO_THROW(SsdConfig::paper_default().validate());
+  EXPECT_NO_THROW(SsdConfig::experiment_default().validate());
+}
+
 }  // namespace
 }  // namespace reqblock
