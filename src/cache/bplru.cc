@@ -13,24 +13,24 @@ BplruPolicy::BplruPolicy(std::uint32_t pages_per_block, BplruOptions options)
 }
 
 void BplruPolicy::on_hit(Lpn lpn, const IoRequest&, bool is_write) {
-  const auto it = blocks_.find(block_of(lpn));
-  REQB_CHECK_MSG(it != blocks_.end(), "BPLRU hit on untracked page");
-  Block& b = it->second;
+  const Slot slot = blocks_.find(block_of(lpn));
+  REQB_CHECK_MSG(slot != kNoSlot, "BPLRU hit on untracked page");
+  Block& b = blocks_[slot];
   if (is_write) {
     // A rewrite contradicts the "sequential data won't return" heuristic.
     b.sequential = false;
   }
   b.demoted = false;
-  lru_.move_to_front(&b);
+  lru_.move_to_front(slot);
 }
 
 void BplruPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
   const Lpn id = block_of(lpn);
-  auto [it, created] = blocks_.try_emplace(id);
-  Block& b = it->second;
+  const auto [slot, created] = blocks_.try_emplace(id);
+  Block& b = blocks_[slot];
   if (created) {
     b.block_id = id;
-    lru_.push_front(&b);
+    lru_.push_front(slot);
   }
   b.pages.push_back(lpn);
   ++total_pages_;
@@ -45,23 +45,24 @@ void BplruPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
     // LRU compensation: a fully sequentially written block goes straight
     // to the eviction end.
     b.demoted = true;
-    lru_.move_to_back(&b);
+    lru_.move_to_back(slot);
   } else {
     b.demoted = false;
-    lru_.move_to_front(&b);
+    lru_.move_to_front(slot);
   }
 }
 
 VictimBatch BplruPolicy::select_victim() {
   VictimBatch batch;
-  Block* victim = lru_.pop_back();
-  if (victim == nullptr) return batch;
-  batch.pages = std::move(victim->pages);
+  const Slot slot = lru_.pop_back();
+  if (slot == kNoSlot) return batch;
+  Block& victim = blocks_[slot];
+  batch.pages = std::move(victim.pages);
   batch.colocate = true;
   if (options_.page_padding) {
     // Page padding: request the block's other pages; the manager reads the
     // ones that exist on flash and rewrites the whole block together.
-    const Lpn first = victim->block_id * pages_per_block_;
+    const Lpn first = victim.block_id * pages_per_block_;
     batch.padding_reads.reserve(pages_per_block_ - batch.pages.size());
     std::vector<bool> cached(pages_per_block_, false);
     for (const Lpn lpn : batch.pages) {
@@ -72,27 +73,28 @@ VictimBatch BplruPolicy::select_victim() {
     }
   }
   total_pages_ -= batch.pages.size();
-  blocks_.erase(victim->block_id);
+  blocks_.erase_slot(slot);
   return batch;
 }
 
 bool BplruPolicy::is_sequential_demoted(Lpn block_id) const {
-  const auto it = blocks_.find(block_id);
-  return it != blocks_.end() && it->second.demoted;
+  const Slot slot = blocks_.find(block_id);
+  return slot != kNoSlot && blocks_[slot].demoted;
 }
 
 void BplruPolicy::audit(AuditReport& report) const {
+  REQB_AUDIT(report, blocks_.validate());
   REQB_AUDIT(report, lru_.validate());
   REQB_AUDIT_MSG(report, lru_.size() == blocks_.size(),
                  "LRU lists " + std::to_string(lru_.size()) +
                      " blocks, table holds " + std::to_string(blocks_.size()));
   std::size_t pages = 0;
-  for (const auto& [block_id, b] : blocks_) {
+  blocks_.for_each_unordered([&](Lpn block_id, const Block& b) {
     pages += b.pages.size();
     REQB_AUDIT_MSG(report, b.block_id == block_id,
                    "table key " + std::to_string(block_id) +
                        " holds block id " + std::to_string(b.block_id));
-    REQB_AUDIT_MSG(report, b.hook.linked(),
+    REQB_AUDIT_MSG(report, b.link.linked(),
                    "block " + std::to_string(block_id) + " not on the LRU");
     REQB_AUDIT_MSG(report, !b.pages.empty(),
                    "empty block " + std::to_string(block_id));
@@ -120,29 +122,30 @@ void BplruPolicy::audit(AuditReport& report) const {
                          std::to_string(block_id) + " but belongs to " +
                          std::to_string(block_of(lpn)));
     }
-  }
+  });
   REQB_AUDIT_MSG(report, pages == total_pages_,
                  "blocks hold " + std::to_string(pages) +
                      " pages, counter says " + std::to_string(total_pages_));
 }
 
 bool BplruPolicy::enumerate_pages(const std::function<void(Lpn)>& fn) const {
-  for (const auto& [block_id, b] : blocks_) {
+  blocks_.for_each_unordered([&](Lpn, const Block& b) {
     for (const Lpn lpn : b.pages) fn(lpn);
-  }
+  });
   return true;
 }
 
 void BplruPolicy::serialize(SnapshotWriter& w) const {
   w.tag("bplru");
   w.u64(blocks_.size());
-  lru_.for_each([&](const Block* b) {
-    w.u64(b->block_id);
-    w.u32(b->next_seq_offset);
-    w.b(b->sequential);
-    w.b(b->demoted);
-    w.u64(b->pages.size());
-    for (const Lpn lpn : b->pages) w.u64(lpn);
+  lru_.for_each([&](Slot s) {
+    const Block& b = blocks_[s];
+    w.u64(b.block_id);
+    w.u32(b.next_seq_offset);
+    w.b(b.sequential);
+    w.b(b.demoted);
+    w.u64(b.pages.size());
+    for (const Lpn lpn : b.pages) w.u64(lpn);
   });
 }
 
@@ -152,9 +155,9 @@ void BplruPolicy::deserialize(SnapshotReader& r) {
   const std::uint64_t count = r.u64();
   for (std::uint64_t i = 0; i < count; ++i) {
     const Lpn block_id = r.u64();
-    auto [it, inserted] = blocks_.try_emplace(block_id);
+    const auto [slot, inserted] = blocks_.try_emplace(block_id);
     if (!inserted) throw SnapshotError("BPLRU snapshot repeats a block");
-    Block& b = it->second;
+    Block& b = blocks_[slot];
     b.block_id = block_id;
     b.next_seq_offset = r.u32();
     b.sequential = r.b();
@@ -164,7 +167,7 @@ void BplruPolicy::deserialize(SnapshotReader& r) {
     b.pages.reserve(pages);
     for (std::uint64_t p = 0; p < pages; ++p) b.pages.push_back(r.u64());
     total_pages_ += pages;
-    lru_.push_back(&b);
+    lru_.push_back(slot);
   }
 }
 

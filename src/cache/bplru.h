@@ -17,11 +17,10 @@
 // quantifies the difference.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "cache/write_buffer.h"
-#include "util/intrusive_list.h"
+#include "util/slot_map.h"
 
 namespace reqblock {
 
@@ -74,15 +73,15 @@ class BplruPolicy final : public WriteBufferPolicy {
     std::uint32_t next_seq_offset = 0;  // sequential-write detector
     bool sequential = true;
     bool demoted = false;
-    ListHook hook;
+    SlotLink link;
   };
 
   Lpn block_of(Lpn lpn) const { return lpn / pages_per_block_; }
 
   std::uint32_t pages_per_block_;
   BplruOptions options_;
-  std::unordered_map<Lpn, Block> blocks_;
-  IntrusiveList<Block, &Block::hook> lru_;
+  SlotMap<Block> blocks_;
+  SlotList<Block, &Block::link> lru_{blocks_};
   std::size_t total_pages_ = 0;
 };
 

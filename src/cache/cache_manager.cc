@@ -1,6 +1,7 @@
 #include "cache/cache_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "snapshot/snapshot.h"
 #include "util/check.h"
@@ -63,15 +64,16 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
   std::vector<FlushPage> flush;
   flush.reserve(victim.pages.size() + victim.padding_reads.size());
   for (const Lpn lpn : victim.pages) {
-    const auto it = pages_.find(lpn);
-    REQB_CHECK_MSG(it != pages_.end(),
+    const Slot slot = pages_.find(lpn);
+    REQB_CHECK_MSG(slot != kNoSlot,
                    "policy evicted a page the cache does not hold");
-    if (it->second.dirty) {
-      flush.push_back(FlushPage{lpn, it->second.version});
+    const PageEntry& entry = pages_[slot];
+    if (entry.dirty) {
+      flush.push_back(FlushPage{lpn, entry.version});
       --dirty_pages_;
     }
-    retire_entry(lpn, it->second);
-    pages_.erase(it);
+    retire_entry(lpn, entry);
+    pages_.erase_slot(slot);
     ++metrics_.evicted_pages;
   }
   metrics_.flushed_pages += flush.size();  // dirty victim pages only
@@ -186,15 +188,16 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
     const std::uint64_t version = expected_version(lpn) + 1;
     last_version_.set(lpn, version);
 
-    const auto it = pages_.find(lpn);
-    if (it != pages_.end()) {
+    const Slot slot = pages_.find(lpn);
+    if (slot != kNoSlot) {
+      PageEntry& entry = pages_[slot];
       ++metrics_.page_hits;
       ++metrics_.write_hits;
-      ++metrics_.hits_by_req_size[size_bucket(it->second.insert_req_pages)];
-      it->second.version = version;
-      if (!it->second.dirty) ++dirty_pages_;  // clean read-admit rewritten
-      it->second.dirty = true;
-      it->second.reused = true;
+      ++metrics_.hits_by_req_size[size_bucket(entry.insert_req_pages)];
+      entry.version = version;
+      if (!entry.dirty) ++dirty_pages_;  // clean read-admit rewritten
+      entry.dirty = true;
+      entry.reused = true;
       if (trace_ != nullptr) {
         trace_->emit({issue, 0, lpn, 1, EventKind::kCacheHit,
                       kTrackManager, 0});
@@ -254,11 +257,10 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
       }
       continue;
     }
-    PageEntry entry;
+    PageEntry& entry = pages_[pages_.try_emplace(lpn).first];
     entry.version = version;
     entry.dirty = true;
     entry.insert_req_pages = req.pages;
-    pages_.emplace(lpn, entry);
     ++dirty_pages_;
     ++metrics_.inserts;
     ++metrics_.inserts_by_req_size[size_bucket(req.pages)];
@@ -298,14 +300,15 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
     ++metrics_.page_lookups;
     sample_metadata();
 
-    const auto it = pages_.find(lpn);
-    if (it != pages_.end()) {
+    const Slot slot = pages_.find(lpn);
+    if (slot != kNoSlot) {
+      PageEntry& entry = pages_[slot];
       ++metrics_.page_hits;
       ++metrics_.read_hits;
-      ++metrics_.hits_by_req_size[size_bucket(it->second.insert_req_pages)];
-      it->second.reused = true;
+      ++metrics_.hits_by_req_size[size_bucket(entry.insert_req_pages)];
+      entry.reused = true;
       if (options_.verify_consistency) {
-        REQB_CHECK_MSG(it->second.version == expected_version(lpn),
+        REQB_CHECK_MSG(entry.version == expected_version(lpn),
                        "cached version diverged from the write oracle");
       }
       if (trace_ != nullptr) {
@@ -363,11 +366,10 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
         chain.fault += evict_span.fault;
       }
       if (admitted) {
-        PageEntry entry;
+        PageEntry& entry = pages_[pages_.try_emplace(lpn).first];
         entry.version = rr.version;
         entry.dirty = false;
         entry.insert_req_pages = req.pages;
-        pages_.emplace(lpn, entry);
         ++metrics_.inserts;
         ++metrics_.inserts_by_req_size[size_bucket(req.pages)];
         if (trace_ != nullptr) {
@@ -452,9 +454,9 @@ void CacheManager::audit(AuditReport& report, AuditLevel depth) const {
   // every dirty transition (insert, rewrite of a clean page, eviction,
   // power-loss drop) must have been accounted.
   std::uint64_t dirty_recount = 0;
-  for (const auto& [lpn, entry] : pages_) {
+  pages_.for_each_unordered([&](Lpn, const PageEntry& entry) {
     if (entry.dirty) ++dirty_recount;
-  }
+  });
   REQB_AUDIT_MSG(report, dirty_recount == dirty_pages_,
                  "dirty counter " + std::to_string(dirty_pages_) +
                      " disagrees with recount " +
@@ -463,13 +465,15 @@ void CacheManager::audit(AuditReport& report, AuditLevel depth) const {
   // Every resident entry must agree with the write oracle: a dirty page
   // holds the newest version outright; a clean page was admitted from
   // flash and every later write would have flipped it dirty in place.
-  for (const auto& [lpn, entry] : pages_) {
+  pages_.for_each_unordered([&](Lpn lpn, const PageEntry& entry) {
     REQB_AUDIT_MSG(report, entry.version == expected_version(lpn),
                    "page " + std::to_string(lpn) + " cached at version " +
                        std::to_string(entry.version) + ", oracle says " +
                        std::to_string(expected_version(lpn)) +
                        (entry.dirty ? " (dirty)" : " (clean)"));
-  }
+  });
+  REQB_AUDIT_MSG(report, pages_.validate(),
+                 "resident-set index disagrees with its slab");
 
   // Exact page-set equality: the policy tracks precisely the resident set
   // (so the dirty set, a subset of residency, is fully covered by
@@ -503,10 +507,11 @@ SimTime CacheManager::power_loss(SimTime at, FaultInjector& fault) {
     REQB_CHECK_MSG(!victim.empty(),
                    "policy withheld pages while draining after power loss");
     for (const Lpn lpn : victim.pages) {
-      const auto it = pages_.find(lpn);
-      REQB_CHECK_MSG(it != pages_.end(),
+      const Slot slot = pages_.find(lpn);
+      REQB_CHECK_MSG(slot != kNoSlot,
                      "policy evicted a page the cache does not hold");
-      if (it->second.dirty) {
+      const PageEntry& entry = pages_[slot];
+      if (entry.dirty) {
         // The only copy was volatile: the write is gone. Roll the oracle
         // back to the version flash still holds so post-recovery reads
         // verify against the surviving data instead of the lost write.
@@ -514,8 +519,8 @@ SimTime CacheManager::power_loss(SimTime at, FaultInjector& fault) {
         --dirty_pages_;
         last_version_.set(lpn, ftl_.version_of(lpn));
       }
-      retire_entry(lpn, it->second);
-      pages_.erase(it);
+      retire_entry(lpn, entry);
+      pages_.erase_slot(slot);
     }
   }
   REQB_CHECK(pages_.empty());
@@ -539,7 +544,8 @@ SimTime CacheManager::power_loss(SimTime at, FaultInjector& fault) {
 }
 
 void CacheManager::finalize() {
-  for (const auto& [lpn, entry] : pages_) retire_entry(lpn, entry);
+  pages_.for_each_unordered(
+      [this](Lpn lpn, const PageEntry& entry) { retire_entry(lpn, entry); });
 }
 
 void CacheManager::set_telemetry(TraceBuffer* trace, Profiler* profiler) {
@@ -637,15 +643,18 @@ void CacheMetrics::deserialize(SnapshotReader& r) {
 
 void CacheManager::serialize(SnapshotWriter& w) const {
   w.tag("cache");
-  // Page table in sorted LPN order: the hash map iterates
-  // nondeterministically, but equal logical state must produce equal bytes.
-  std::vector<Lpn> lpns;
-  lpns.reserve(pages_.size());
-  for (const auto& [lpn, entry] : pages_) lpns.push_back(lpn);
-  std::sort(lpns.begin(), lpns.end());
-  w.u64(lpns.size());
-  for (const Lpn lpn : lpns) {
-    const PageEntry& e = pages_.at(lpn);
+  // Page table in sorted LPN order: slab order depends on which slots
+  // were freed when (a restored run holds the same pages in other slots),
+  // but equal logical state must produce equal bytes.
+  std::vector<std::pair<Lpn, const PageEntry*>> resident;
+  resident.reserve(pages_.size());
+  pages_.for_each_unordered([&](Lpn lpn, const PageEntry& e) {
+    resident.emplace_back(lpn, &e);
+  });
+  std::sort(resident.begin(), resident.end());
+  w.u64(resident.size());
+  for (const auto& [lpn, entry] : resident) {
+    const PageEntry& e = *entry;
     w.u64(lpn);
     w.u64(e.version);
     w.u32(e.insert_req_pages);
@@ -671,14 +680,15 @@ void CacheManager::deserialize(SnapshotReader& r) {
   pages_.reserve(resident);
   for (std::uint64_t i = 0; i < resident; ++i) {
     const Lpn lpn = r.u64();
-    PageEntry e;
+    const auto [slot, inserted] = pages_.try_emplace(lpn);
+    if (!inserted) {
+      throw SnapshotError("cache snapshot repeats a resident page");
+    }
+    PageEntry& e = pages_[slot];
     e.version = r.u64();
     e.insert_req_pages = r.u32();
     e.dirty = r.b();
     e.reused = r.b();
-    if (!pages_.emplace(lpn, e).second) {
-      throw SnapshotError("cache snapshot repeats a resident page");
-    }
     if (e.dirty) ++dirty_pages_;  // derived, not stored
   }
   const std::uint64_t oracle = r.count(16);

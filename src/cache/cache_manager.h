@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/write_buffer.h"
@@ -30,6 +29,7 @@
 #include "util/audit.h"
 #include "util/histogram.h"
 #include "util/lpn_table.h"
+#include "util/slot_map.h"
 #include "util/stats.h"
 #include "util/types.h"
 
@@ -202,7 +202,9 @@ class CacheManager {
   CacheOptions options_;
   std::unique_ptr<WriteBufferPolicy> policy_;
   Ftl& ftl_;
-  std::unordered_map<Lpn, PageEntry> pages_;
+  // The resident set: its memory follows the cache capacity, not the LPN
+  // range, and its slab order is history-dependent (serialize sorts).
+  SlotMap<PageEntry> pages_;
   // The write oracle: last written version per LPN, independent of the
   // FTL's page versions. Absent reads as version 0; an entry rolled back
   // to 0 (power loss, uncorrectable read) stays present.

@@ -17,67 +17,84 @@ CflruPolicy::CflruPolicy(std::uint64_t capacity_pages,
 }
 
 void CflruPolicy::on_hit(Lpn lpn, const IoRequest&, bool is_write) {
-  const auto it = nodes_.find(lpn);
-  REQB_CHECK_MSG(it != nodes_.end(), "CFLRU hit on untracked page");
-  if (is_write) it->second.dirty = true;
-  list_.move_to_front(&it->second);
+  const Slot slot = nodes_.find(lpn);
+  REQB_CHECK_MSG(slot != kNoSlot, "CFLRU hit on untracked page");
+  Node& node = nodes_[slot];
+  if (is_write && !node.dirty) {
+    node.dirty = true;
+    --clean_;
+  }
+  list_.move_to_front(slot);
 }
 
 void CflruPolicy::on_insert(Lpn lpn, const IoRequest&, bool is_write) {
-  auto [it, inserted] = nodes_.try_emplace(lpn);
+  const auto [slot, inserted] = nodes_.try_emplace(lpn);
   REQB_CHECK_MSG(inserted, "CFLRU double insert");
-  it->second.lpn = lpn;
-  it->second.dirty = is_write;
-  list_.push_front(&it->second);
+  Node& node = nodes_[slot];
+  node.lpn = lpn;
+  node.dirty = is_write;
+  if (!is_write) ++clean_;
+  list_.push_front(slot);
 }
 
 VictimBatch CflruPolicy::select_victim() {
   VictimBatch batch;
   if (list_.empty()) return batch;
-  // Scan the clean-first window from the LRU end for a clean page.
-  Node* candidate = list_.tail();
-  std::size_t scanned = 0;
-  for (Node* n = candidate; n != nullptr && scanned < window_;
-       n = list_.prev(n), ++scanned) {
-    if (!n->dirty) {
-      candidate = n;
-      break;
+  // The LRU tail, unless the clean-first window holds a clean page. With
+  // no clean page resident the walk could only fall back to the tail, so
+  // it is skipped.
+  Slot victim = list_.tail();
+  if (clean_ != 0) {
+    std::size_t scanned = 0;
+    for (Slot s = victim; s != kNoSlot && scanned < window_;
+         s = list_.prev(s), ++scanned) {
+      if (!nodes_[s].dirty) {
+        victim = s;
+        break;
+      }
     }
   }
-  // Fall back to the plain LRU tail when the window holds no clean page.
-  if (candidate->dirty) candidate = list_.tail();
-  batch.pages.push_back(candidate->lpn);
-  list_.erase(candidate);
-  nodes_.erase(candidate->lpn);
+  const Node& node = nodes_[victim];
+  batch.pages.push_back(node.lpn);
+  if (!node.dirty) --clean_;
+  list_.erase(victim);
+  nodes_.erase_slot(victim);
   return batch;
 }
 
 void CflruPolicy::audit(AuditReport& report) const {
   REQB_AUDIT(report, window_ >= 1);
+  REQB_AUDIT(report, nodes_.validate());
   REQB_AUDIT(report, list_.validate());
   REQB_AUDIT_MSG(report, list_.size() == nodes_.size(),
                  "list holds " + std::to_string(list_.size()) +
                      " nodes, index holds " + std::to_string(nodes_.size()));
-  for (const auto& [lpn, node] : nodes_) {
+  std::size_t clean_recount = 0;
+  nodes_.for_each_unordered([&](Lpn lpn, const Node& node) {
     REQB_AUDIT_MSG(report, node.lpn == lpn,
                    "index key " + std::to_string(lpn) + " maps to node lpn " +
                        std::to_string(node.lpn));
-    REQB_AUDIT_MSG(report, node.hook.linked(),
+    REQB_AUDIT_MSG(report, node.link.linked(),
                    "page " + std::to_string(lpn) + " indexed but unlinked");
-  }
+    if (!node.dirty) ++clean_recount;
+  });
+  REQB_AUDIT_MSG(report, clean_recount == clean_,
+                 "clean counter " + std::to_string(clean_) +
+                     " disagrees with recount " +
+                     std::to_string(clean_recount));
 }
 
 bool CflruPolicy::enumerate_pages(const std::function<void(Lpn)>& fn) const {
-  for (const auto& [lpn, node] : nodes_) fn(lpn);
+  nodes_.for_each_unordered([&](Lpn lpn, const Node&) { fn(lpn); });
   return true;
 }
 
 void CflruPolicy::serialize(SnapshotWriter& w) const {
   w.tag("cflru");
   w.u64(nodes_.size());
-  list_.for_each([&](const Node* n) {
-    w.u64(n->lpn);
-    w.b(n->dirty);
+  list_.for_each([&](Slot s) {
+    w.u64(nodes_[s].lpn);
+    w.b(nodes_[s].dirty);
   });
 }
 
@@ -88,11 +105,12 @@ void CflruPolicy::deserialize(SnapshotReader& r) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const Lpn lpn = r.u64();
     const bool dirty = r.b();
-    auto [it, inserted] = nodes_.try_emplace(lpn);
+    const auto [slot, inserted] = nodes_.try_emplace(lpn);
     if (!inserted) throw SnapshotError("CFLRU snapshot repeats a page");
-    it->second.lpn = lpn;
-    it->second.dirty = dirty;
-    list_.push_back(&it->second);
+    nodes_[slot].lpn = lpn;
+    nodes_[slot].dirty = dirty;
+    if (!dirty) ++clean_;  // derived, not stored
+    list_.push_back(slot);
   }
 }
 

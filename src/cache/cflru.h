@@ -5,12 +5,14 @@
 // no flash program on eviction. With read caching disabled (the paper's
 // write-buffer configuration) every page is dirty and CFLRU degenerates to
 // plain LRU — our tests pin both behaviours.
+//
+// The policy counts its clean pages. When there are none — always, unless
+// reads are admitted or pages are inserted clean — the window walk could
+// only end back at the LRU tail, so eviction takes the tail directly.
 #pragma once
 
-#include <unordered_map>
-
 #include "cache/write_buffer.h"
-#include "util/intrusive_list.h"
+#include "util/slot_map.h"
 
 namespace reqblock {
 
@@ -29,6 +31,9 @@ class CflruPolicy final : public WriteBufferPolicy {
     // Page node plus dirty flag.
     return nodes_.size() * 13;
   }
+  /// Resident pages not written since admission.
+  std::size_t clean_pages() const { return clean_; }
+
   void audit(AuditReport& report) const override;
   bool enumerate_pages(const std::function<void(Lpn)>& fn) const override;
   void serialize(SnapshotWriter& w) const override;
@@ -38,12 +43,13 @@ class CflruPolicy final : public WriteBufferPolicy {
   struct Node {
     Lpn lpn = 0;
     bool dirty = false;
-    ListHook hook;
+    SlotLink link;
   };
 
-  std::unordered_map<Lpn, Node> nodes_;
-  IntrusiveList<Node, &Node::hook> list_;
+  SlotMap<Node> nodes_;
+  SlotList<Node, &Node::link> list_{nodes_};
   std::size_t window_;
+  std::size_t clean_ = 0;  // nodes with dirty == false
 };
 
 }  // namespace reqblock

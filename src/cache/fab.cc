@@ -1,6 +1,7 @@
 #include "cache/fab.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "snapshot/snapshot.h"
 #include "util/check.h"
@@ -30,7 +31,7 @@ void FabPolicy::on_hit(Lpn lpn, const IoRequest&, bool) {
 }
 
 void FabPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
-  Group& g = groups_[block_of(lpn)];
+  Group& g = groups_[groups_.try_emplace(block_of(lpn)).first];
   reindex(block_of(lpn), g.pages.size(), g.pages.size() + 1);
   g.pages.push_back(lpn);
   ++total_pages_;
@@ -42,23 +43,24 @@ VictimBatch FabPolicy::select_victim() {
   const auto largest = std::prev(by_count_.end());
   REQB_DCHECK(!largest->second.empty());
   const Lpn block_id = *largest->second.begin();
-  auto it = groups_.find(block_id);
-  REQB_DCHECK(it != groups_.end());
-  batch.pages = std::move(it->second.pages);
+  const Slot slot = groups_.find(block_id);
+  REQB_DCHECK(slot != kNoSlot);
+  batch.pages = std::move(groups_[slot].pages);
   reindex(block_id, batch.pages.size(), 0);
-  groups_.erase(it);
+  groups_.erase_slot(slot);
   total_pages_ -= batch.pages.size();
   return batch;
 }
 
 std::size_t FabPolicy::group_size(Lpn block_id) const {
-  const auto it = groups_.find(block_id);
-  return it == groups_.end() ? 0 : it->second.pages.size();
+  const Slot slot = groups_.find(block_id);
+  return slot == kNoSlot ? 0 : groups_[slot].pages.size();
 }
 
 void FabPolicy::audit(AuditReport& report) const {
+  REQB_AUDIT(report, groups_.validate());
   std::size_t pages = 0;
-  for (const auto& [block_id, group] : groups_) {
+  groups_.for_each_unordered([&](Lpn block_id, const Group& group) {
     pages += group.pages.size();
     REQB_AUDIT_MSG(report, !group.pages.empty(),
                    "empty group for block " + std::to_string(block_id));
@@ -74,7 +76,7 @@ void FabPolicy::audit(AuditReport& report) const {
                    "block " + std::to_string(block_id) + " with " +
                        std::to_string(group.pages.size()) +
                        " pages missing from the size index");
-  }
+  });
   REQB_AUDIT_MSG(report, pages == total_pages_,
                  "groups hold " + std::to_string(pages) +
                      " pages, counter says " + std::to_string(total_pages_));
@@ -84,9 +86,9 @@ void FabPolicy::audit(AuditReport& report) const {
                    "degenerate size-index class " + std::to_string(count));
     indexed += blocks.size();
     for (const Lpn block_id : blocks) {
-      const auto it = groups_.find(block_id);
+      const Slot slot = groups_.find(block_id);
       REQB_AUDIT_MSG(report,
-                     it != groups_.end() && it->second.pages.size() == count,
+                     slot != kNoSlot && groups_[slot].pages.size() == count,
                      "size index lists block " + std::to_string(block_id) +
                          " at count " + std::to_string(count));
     }
@@ -98,27 +100,29 @@ void FabPolicy::audit(AuditReport& report) const {
 }
 
 bool FabPolicy::enumerate_pages(const std::function<void(Lpn)>& fn) const {
-  for (const auto& [block_id, group] : groups_) {
+  groups_.for_each_unordered([&](Lpn, const Group& group) {
     for (const Lpn lpn : group.pages) fn(lpn);
-  }
+  });
   return true;
 }
 
 void FabPolicy::serialize(SnapshotWriter& w) const {
   w.tag("fab");
-  // Groups sorted by block id for byte determinism; the size index is
-  // derived state and rebuilt on restore. Page order inside a group is
-  // preserved (it is the flush order of the victim batch).
-  std::vector<Lpn> ids;
-  ids.reserve(groups_.size());
-  for (const auto& [block_id, group] : groups_) ids.push_back(block_id);
-  std::sort(ids.begin(), ids.end());
-  w.u64(ids.size());
-  for (const Lpn block_id : ids) {
+  // Groups sorted by block id for byte determinism (slab order depends on
+  // history); the size index is derived state and rebuilt on restore. Page
+  // order inside a group is preserved (it is the flush order of the victim
+  // batch).
+  std::vector<std::pair<Lpn, const Group*>> groups;
+  groups.reserve(groups_.size());
+  groups_.for_each_unordered([&](Lpn block_id, const Group& group) {
+    groups.emplace_back(block_id, &group);
+  });
+  std::sort(groups.begin(), groups.end());
+  w.u64(groups.size());
+  for (const auto& [block_id, group] : groups) {
     w.u64(block_id);
-    const Group& g = groups_.at(block_id);
-    w.u64(g.pages.size());
-    for (const Lpn lpn : g.pages) w.u64(lpn);
+    w.u64(group->pages.size());
+    for (const Lpn lpn : group->pages) w.u64(lpn);
   }
 }
 
@@ -130,12 +134,11 @@ void FabPolicy::deserialize(SnapshotReader& r) {
     const Lpn block_id = r.u64();
     const std::uint64_t pages = r.count(8);
     if (pages == 0) throw SnapshotError("FAB snapshot has an empty group");
-    auto [it, inserted] = groups_.try_emplace(block_id);
+    const auto [slot, inserted] = groups_.try_emplace(block_id);
     if (!inserted) throw SnapshotError("FAB snapshot repeats a block");
-    it->second.pages.reserve(pages);
-    for (std::uint64_t i = 0; i < pages; ++i) {
-      it->second.pages.push_back(r.u64());
-    }
+    Group& g = groups_[slot];
+    g.pages.reserve(pages);
+    for (std::uint64_t i = 0; i < pages; ++i) g.pages.push_back(r.u64());
     reindex(block_id, 0, pages);
     total_pages_ += pages;
   }

@@ -8,10 +8,10 @@
 
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/write_buffer.h"
+#include "util/slot_map.h"
 
 namespace reqblock {
 
@@ -46,7 +46,7 @@ class FabPolicy final : public WriteBufferPolicy {
   void reindex(Lpn block_id, std::size_t old_count, std::size_t new_count);
 
   std::uint32_t pages_per_block_;
-  std::unordered_map<Lpn, Group> groups_;
+  SlotMap<Group> groups_;
   // count -> block ids with that many cached pages (ordered set for a
   // deterministic tie-break: the smallest block id is evicted first).
   std::map<std::size_t, std::set<Lpn>> by_count_;

@@ -11,44 +11,45 @@ void FifoPolicy::on_hit(Lpn lpn, const IoRequest&, bool) {
 }
 
 void FifoPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
-  auto [it, inserted] = nodes_.try_emplace(lpn);
+  const auto [slot, inserted] = nodes_.try_emplace(lpn);
   REQB_CHECK_MSG(inserted, "FIFO double insert");
-  it->second.lpn = lpn;
-  list_.push_front(&it->second);
+  nodes_[slot].lpn = lpn;
+  list_.push_front(slot);
 }
 
 VictimBatch FifoPolicy::select_victim() {
   VictimBatch batch;
-  Node* tail = list_.pop_back();
-  if (tail == nullptr) return batch;
-  batch.pages.push_back(tail->lpn);
-  nodes_.erase(tail->lpn);
+  const Slot tail = list_.pop_back();
+  if (tail == kNoSlot) return batch;
+  batch.pages.push_back(nodes_[tail].lpn);
+  nodes_.erase_slot(tail);
   return batch;
 }
 
 void FifoPolicy::audit(AuditReport& report) const {
+  REQB_AUDIT(report, nodes_.validate());
   REQB_AUDIT(report, list_.validate());
   REQB_AUDIT_MSG(report, list_.size() == nodes_.size(),
                  "list holds " + std::to_string(list_.size()) +
                      " nodes, index holds " + std::to_string(nodes_.size()));
-  for (const auto& [lpn, node] : nodes_) {
+  nodes_.for_each_unordered([&](Lpn lpn, const Node& node) {
     REQB_AUDIT_MSG(report, node.lpn == lpn,
                    "index key " + std::to_string(lpn) + " maps to node lpn " +
                        std::to_string(node.lpn));
-    REQB_AUDIT_MSG(report, node.hook.linked(),
+    REQB_AUDIT_MSG(report, node.link.linked(),
                    "page " + std::to_string(lpn) + " indexed but unlinked");
-  }
+  });
 }
 
 bool FifoPolicy::enumerate_pages(const std::function<void(Lpn)>& fn) const {
-  for (const auto& [lpn, node] : nodes_) fn(lpn);
+  nodes_.for_each_unordered([&](Lpn lpn, const Node&) { fn(lpn); });
   return true;
 }
 
 void FifoPolicy::serialize(SnapshotWriter& w) const {
   w.tag("fifo");
   w.u64(nodes_.size());
-  list_.for_each([&](const Node* n) { w.u64(n->lpn); });
+  list_.for_each([&](Slot s) { w.u64(nodes_[s].lpn); });
 }
 
 void FifoPolicy::deserialize(SnapshotReader& r) {
@@ -57,10 +58,10 @@ void FifoPolicy::deserialize(SnapshotReader& r) {
   const std::uint64_t count = r.u64();
   for (std::uint64_t i = 0; i < count; ++i) {
     const Lpn lpn = r.u64();
-    auto [it, inserted] = nodes_.try_emplace(lpn);
+    const auto [slot, inserted] = nodes_.try_emplace(lpn);
     if (!inserted) throw SnapshotError("FIFO snapshot repeats a page");
-    it->second.lpn = lpn;
-    list_.push_back(&it->second);
+    nodes_[slot].lpn = lpn;
+    list_.push_back(slot);
   }
 }
 

@@ -1,10 +1,8 @@
 // Page-granularity FIFO (insertion-order eviction; hits do not promote).
 #pragma once
 
-#include <unordered_map>
-
 #include "cache/write_buffer.h"
-#include "util/intrusive_list.h"
+#include "util/slot_map.h"
 
 namespace reqblock {
 
@@ -25,11 +23,11 @@ class FifoPolicy final : public WriteBufferPolicy {
  private:
   struct Node {
     Lpn lpn = 0;
-    ListHook hook;
+    SlotLink link;
   };
 
-  std::unordered_map<Lpn, Node> nodes_;
-  IntrusiveList<Node, &Node::hook> list_;
+  SlotMap<Node> nodes_;
+  SlotList<Node, &Node::link> list_{nodes_};
 };
 
 }  // namespace reqblock

@@ -1,99 +1,107 @@
 #include "cache/lfu.h"
 
+#include <iterator>
+
 #include "snapshot/snapshot.h"
 #include "util/check.h"
 
 namespace reqblock {
 
-void LfuPolicy::bump(Lpn lpn, Entry& e) {
-  auto list_it = by_freq_.find(e.freq);
-  REQB_DCHECK(list_it != by_freq_.end());
-  list_it->second.erase(e.pos);
-  if (list_it->second.empty()) by_freq_.erase(list_it);
-  ++e.freq;
-  auto& next = by_freq_[e.freq];
-  next.push_front(lpn);
-  e.pos = next.begin();
+LfuPolicy::FreqClass& LfuPolicy::class_for(
+    std::uint64_t freq, std::map<std::uint64_t, FreqClass>::iterator hint) {
+  return by_freq_.try_emplace(hint, freq, index_)->second;
+}
+
+void LfuPolicy::bump(Slot slot) {
+  Page& page = index_[slot];
+  const auto cls = by_freq_.find(page.freq);
+  REQB_DCHECK(cls != by_freq_.end());
+  cls->second.erase(slot);
+  ++page.freq;
+  class_for(page.freq, std::next(cls)).push_front(slot);
+  if (cls->second.empty()) by_freq_.erase(cls);
 }
 
 void LfuPolicy::on_hit(Lpn lpn, const IoRequest&, bool) {
-  const auto it = index_.find(lpn);
-  REQB_CHECK_MSG(it != index_.end(), "LFU hit on untracked page");
-  bump(lpn, it->second);
+  const Slot slot = index_.find(lpn);
+  REQB_CHECK_MSG(slot != kNoSlot, "LFU hit on untracked page");
+  bump(slot);
 }
 
 void LfuPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
-  auto [it, inserted] = index_.try_emplace(lpn);
+  const auto [slot, inserted] = index_.try_emplace(lpn);
   REQB_CHECK_MSG(inserted, "LFU double insert");
-  it->second.freq = 1;
-  auto& lst = by_freq_[1];
-  lst.push_front(lpn);
-  it->second.pos = lst.begin();
+  index_[slot].lpn = lpn;
+  index_[slot].freq = 1;
+  class_for(1, by_freq_.begin()).push_front(slot);
 }
 
 VictimBatch LfuPolicy::select_victim() {
   VictimBatch batch;
   if (by_freq_.empty()) return batch;
-  auto lowest = by_freq_.begin();
+  const auto lowest = by_freq_.begin();
   REQB_DCHECK(!lowest->second.empty());
-  const Lpn victim = lowest->second.back();  // least recent in class
-  lowest->second.pop_back();
+  const Slot victim = lowest->second.pop_back();  // least recent in class
   if (lowest->second.empty()) by_freq_.erase(lowest);
-  index_.erase(victim);
-  batch.pages.push_back(victim);
+  batch.pages.push_back(index_[victim].lpn);
+  index_.erase_slot(victim);
   return batch;
 }
 
 std::uint64_t LfuPolicy::frequency_of(Lpn lpn) const {
-  const auto it = index_.find(lpn);
-  return it == index_.end() ? 0 : it->second.freq;
+  const Slot slot = index_.find(lpn);
+  return slot == kNoSlot ? 0 : index_[slot].freq;
 }
 
 void LfuPolicy::audit(AuditReport& report) const {
+  REQB_AUDIT(report, index_.validate());
   std::size_t listed = 0;
-  for (const auto& [freq, lst] : by_freq_) {
-    REQB_AUDIT_MSG(report, !lst.empty(),
+  for (const auto& [freq, cls] : by_freq_) {
+    REQB_AUDIT_MSG(report, !cls.empty(),
                    "empty frequency class " + std::to_string(freq));
     REQB_AUDIT_MSG(report, freq >= 1,
                    "frequency class below 1: " + std::to_string(freq));
-    for (const Lpn lpn : lst) {
-      ++listed;
-      const auto it = index_.find(lpn);
-      if (!REQB_AUDIT_MSG(report, it != index_.end(),
-                          "page " + std::to_string(lpn) +
-                              " listed in class " + std::to_string(freq) +
-                              " but not indexed")) {
-        continue;
-      }
-      REQB_AUDIT_MSG(report, it->second.freq == freq,
-                     "page " + std::to_string(lpn) + " listed in class " +
-                         std::to_string(freq) + " but indexed at " +
-                         std::to_string(it->second.freq));
-      REQB_AUDIT_MSG(report, *it->second.pos == lpn,
-                     "page " + std::to_string(lpn) +
-                         " index iterator points at " +
-                         std::to_string(*it->second.pos));
+    if (!REQB_AUDIT_MSG(report, cls.validate(),
+                        "corrupt chain in frequency class " +
+                            std::to_string(freq))) {
+      continue;
     }
+    cls.for_each([&](Slot s) {
+      ++listed;
+      const Page& page = index_[s];
+      REQB_AUDIT_MSG(report, page.freq == freq,
+                     "page " + std::to_string(page.lpn) + " listed in class " +
+                         std::to_string(freq) + " but indexed at " +
+                         std::to_string(page.freq));
+    });
   }
+  index_.for_each_unordered([&](Lpn lpn, const Page& page) {
+    REQB_AUDIT_MSG(report, page.lpn == lpn,
+                   "index key " + std::to_string(lpn) + " maps to page " +
+                       std::to_string(page.lpn));
+    REQB_AUDIT_MSG(report, page.link.linked(),
+                   "page " + std::to_string(lpn) +
+                       " indexed but in no frequency class");
+  });
   REQB_AUDIT_MSG(report, listed == index_.size(),
                  "classes list " + std::to_string(listed) +
                      " pages, index holds " + std::to_string(index_.size()));
 }
 
 bool LfuPolicy::enumerate_pages(const std::function<void(Lpn)>& fn) const {
-  for (const auto& [lpn, entry] : index_) fn(lpn);
+  index_.for_each_unordered([&](Lpn lpn, const Page&) { fn(lpn); });
   return true;
 }
 
 void LfuPolicy::serialize(SnapshotWriter& w) const {
   w.tag("lfu");
   // Frequency classes in ascending order, each front-to-back (MRU first):
-  // the index iterators are rebuilt on restore.
+  // the page table is rebuilt on restore.
   w.u64(by_freq_.size());
-  for (const auto& [freq, lst] : by_freq_) {
+  for (const auto& [freq, cls] : by_freq_) {
     w.u64(freq);
-    w.u64(lst.size());
-    for (const Lpn lpn : lst) w.u64(lpn);
+    w.u64(cls.size());
+    cls.for_each([&](Slot s) { w.u64(index_[s].lpn); });
   }
 }
 
@@ -107,14 +115,14 @@ void LfuPolicy::deserialize(SnapshotReader& r) {
     if (freq < 1 || pages == 0) {
       throw SnapshotError("LFU snapshot has an invalid frequency class");
     }
-    auto& lst = by_freq_[freq];
+    FreqClass& cls = class_for(freq, by_freq_.end());
     for (std::uint64_t i = 0; i < pages; ++i) {
       const Lpn lpn = r.u64();
-      lst.push_back(lpn);
-      auto [it, inserted] = index_.try_emplace(lpn);
+      const auto [slot, inserted] = index_.try_emplace(lpn);
       if (!inserted) throw SnapshotError("LFU snapshot repeats a page");
-      it->second.freq = freq;
-      it->second.pos = std::prev(lst.end());
+      index_[slot].lpn = lpn;
+      index_[slot].freq = freq;
+      cls.push_back(slot);
     }
   }
 }

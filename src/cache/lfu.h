@@ -2,11 +2,10 @@
 // (the classic O(1) frequency-list structure).
 #pragma once
 
-#include <list>
 #include <map>
-#include <unordered_map>
 
 #include "cache/write_buffer.h"
+#include "util/slot_map.h"
 
 namespace reqblock {
 
@@ -32,16 +31,22 @@ class LfuPolicy final : public WriteBufferPolicy {
   void deserialize(SnapshotReader& r) override;
 
  private:
-  struct Entry {
+  struct Page {
+    Lpn lpn = 0;
     std::uint64_t freq = 1;
-    std::list<Lpn>::iterator pos;
+    SlotLink link;  // within its frequency class
   };
+  using FreqClass = SlotList<Page, &Page::link>;
 
-  void bump(Lpn lpn, Entry& e);
+  /// The class list for `freq`, created empty when absent; `hint` is where
+  /// it would sit in by_freq_.
+  FreqClass& class_for(std::uint64_t freq,
+                       std::map<std::uint64_t, FreqClass>::iterator hint);
+  void bump(Slot slot);
 
+  SlotMap<Page> index_;
   // freq -> pages at that frequency, most recent at front.
-  std::map<std::uint64_t, std::list<Lpn>> by_freq_;
-  std::unordered_map<Lpn, Entry> index_;
+  std::map<std::uint64_t, FreqClass> by_freq_;
 };
 
 }  // namespace reqblock

@@ -6,43 +6,44 @@
 namespace reqblock {
 
 void LruPolicy::on_hit(Lpn lpn, const IoRequest&, bool) {
-  const auto it = nodes_.find(lpn);
-  REQB_CHECK_MSG(it != nodes_.end(), "LRU hit on untracked page");
-  list_.move_to_front(&it->second);
+  const Slot slot = nodes_.find(lpn);
+  REQB_CHECK_MSG(slot != kNoSlot, "LRU hit on untracked page");
+  list_.move_to_front(slot);
 }
 
 void LruPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
-  auto [it, inserted] = nodes_.try_emplace(lpn);
+  const auto [slot, inserted] = nodes_.try_emplace(lpn);
   REQB_CHECK_MSG(inserted, "LRU double insert");
-  it->second.lpn = lpn;
-  list_.push_front(&it->second);
+  nodes_[slot].lpn = lpn;
+  list_.push_front(slot);
 }
 
 VictimBatch LruPolicy::select_victim() {
   VictimBatch batch;
-  Node* tail = list_.pop_back();
-  if (tail == nullptr) return batch;
-  batch.pages.push_back(tail->lpn);
-  nodes_.erase(tail->lpn);
+  const Slot tail = list_.pop_back();
+  if (tail == kNoSlot) return batch;
+  batch.pages.push_back(nodes_[tail].lpn);
+  nodes_.erase_slot(tail);
   return batch;
 }
 
 void LruPolicy::audit(AuditReport& report) const {
+  REQB_AUDIT(report, nodes_.validate());
   REQB_AUDIT(report, list_.validate());
   REQB_AUDIT_MSG(report, list_.size() == nodes_.size(),
                  "list holds " + std::to_string(list_.size()) +
                      " nodes, index holds " + std::to_string(nodes_.size()));
-  for (const auto& [lpn, node] : nodes_) {
+  nodes_.for_each_unordered([&](Lpn lpn, const Node& node) {
     REQB_AUDIT_MSG(report, node.lpn == lpn,
                    "index key " + std::to_string(lpn) + " maps to node lpn " +
                        std::to_string(node.lpn));
-    REQB_AUDIT_MSG(report, node.hook.linked(),
+    REQB_AUDIT_MSG(report, node.link.linked(),
                    "page " + std::to_string(lpn) + " indexed but unlinked");
-  }
+  });
 }
 
 bool LruPolicy::enumerate_pages(const std::function<void(Lpn)>& fn) const {
-  for (const auto& [lpn, node] : nodes_) fn(lpn);
+  nodes_.for_each_unordered([&](Lpn lpn, const Node&) { fn(lpn); });
   return true;
 }
 
@@ -50,7 +51,7 @@ void LruPolicy::serialize(SnapshotWriter& w) const {
   w.tag("lru");
   w.u64(nodes_.size());
   // Head-to-tail list order is the entire replacement state.
-  list_.for_each([&](const Node* n) { w.u64(n->lpn); });
+  list_.for_each([&](Slot s) { w.u64(nodes_[s].lpn); });
 }
 
 void LruPolicy::deserialize(SnapshotReader& r) {
@@ -59,10 +60,10 @@ void LruPolicy::deserialize(SnapshotReader& r) {
   const std::uint64_t count = r.u64();
   for (std::uint64_t i = 0; i < count; ++i) {
     const Lpn lpn = r.u64();
-    auto [it, inserted] = nodes_.try_emplace(lpn);
+    const auto [slot, inserted] = nodes_.try_emplace(lpn);
     if (!inserted) throw SnapshotError("LRU snapshot repeats a page");
-    it->second.lpn = lpn;
-    list_.push_back(&it->second);
+    nodes_[slot].lpn = lpn;
+    list_.push_back(slot);
   }
 }
 

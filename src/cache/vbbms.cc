@@ -20,64 +20,71 @@ VbbmsPolicy::VbbmsPolicy(std::uint64_t capacity_pages, VbbmsOptions options)
 }
 
 void VbbmsPolicy::on_hit(Lpn lpn, const IoRequest&, bool) {
-  const auto region = page_is_seq_.find(lpn);
-  REQB_CHECK_MSG(region != page_is_seq_.end(), "VBBMS hit on untracked page");
-  if (region->second) return;  // FIFO region: recency is ignored
-  const std::uint64_t vb_id = lpn / opt_.random_vb_pages;
-  const auto it = random_vbs_.find(vb_id);
-  REQB_DCHECK(it != random_vbs_.end());
-  random_lru_.move_to_front(&it->second);
+  const Slot region = page_is_seq_.find(lpn);
+  REQB_CHECK_MSG(region != kNoSlot, "VBBMS hit on untracked page");
+  if (page_is_seq_[region]) return;  // FIFO region: recency is ignored
+  const Slot vb = random_vbs_.find(lpn / opt_.random_vb_pages);
+  REQB_DCHECK(vb != kNoSlot);
+  random_lru_.move_to_front(vb);
 }
 
 void VbbmsPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
   const bool seq = req.pages >= opt_.seq_request_threshold;
-  page_is_seq_.emplace(lpn, seq);
+  const auto [region, fresh] = page_is_seq_.try_emplace(lpn);
+  REQB_DCHECK(fresh);
+  (void)fresh;
+  page_is_seq_[region] = seq;
   if (seq) {
     const std::uint64_t vb_id = lpn / opt_.seq_vb_pages;
-    auto [it, created] = seq_vbs_.try_emplace(vb_id);
+    const auto [slot, created] = seq_vbs_.try_emplace(vb_id);
+    VBlock& vb = seq_vbs_[slot];
     if (created) {
-      it->second.vb_id = vb_id;
-      seq_fifo_.push_front(&it->second);
+      vb.vb_id = vb_id;
+      seq_fifo_.push_front(slot);
     }
-    it->second.pages.push_back(lpn);
+    vb.pages.push_back(lpn);
     ++seq_pages_;
   } else {
     const std::uint64_t vb_id = lpn / opt_.random_vb_pages;
-    auto [it, created] = random_vbs_.try_emplace(vb_id);
+    const auto [slot, created] = random_vbs_.try_emplace(vb_id);
+    VBlock& vb = random_vbs_[slot];
     if (created) {
-      it->second.vb_id = vb_id;
-      random_lru_.push_front(&it->second);
+      vb.vb_id = vb_id;
+      random_lru_.push_front(slot);
     } else {
-      random_lru_.move_to_front(&it->second);
+      random_lru_.move_to_front(slot);
     }
-    it->second.pages.push_back(lpn);
+    vb.pages.push_back(lpn);
     ++random_pages_;
   }
 }
 
 VictimBatch VbbmsPolicy::evict_random() {
   VictimBatch batch;
-  VBlock* victim = random_lru_.pop_back();
-  if (victim == nullptr) return batch;
-  batch.pages = std::move(victim->pages);
+  const Slot victim = random_lru_.pop_back();
+  if (victim == kNoSlot) return batch;
+  batch.pages = std::move(random_vbs_[victim].pages);
   random_pages_ -= batch.pages.size();
   for (const Lpn lpn : batch.pages) page_is_seq_.erase(lpn);
-  random_vbs_.erase(victim->vb_id);
+  random_vbs_.erase_slot(victim);
   return batch;
 }
 
 VictimBatch VbbmsPolicy::evict_sequential() {
   VictimBatch batch;
-  VBlock* victim = seq_fifo_.pop_back();  // FIFO: oldest out
-  if (victim == nullptr) return batch;
-  batch.pages = std::move(victim->pages);
+  const Slot victim = seq_fifo_.pop_back();  // FIFO: oldest out
+  if (victim == kNoSlot) return batch;
+  batch.pages = std::move(seq_vbs_[victim].pages);
   seq_pages_ -= batch.pages.size();
   for (const Lpn lpn : batch.pages) page_is_seq_.erase(lpn);
-  seq_vbs_.erase(victim->vb_id);
+  seq_vbs_.erase_slot(victim);
   return batch;
 }
 
 void VbbmsPolicy::audit(AuditReport& report) const {
+  REQB_AUDIT(report, random_vbs_.validate());
+  REQB_AUDIT(report, seq_vbs_.validate());
+  REQB_AUDIT(report, page_is_seq_.validate());
   REQB_AUDIT(report, random_lru_.validate());
   REQB_AUDIT(report, seq_fifo_.validate());
   REQB_AUDIT_MSG(report, random_lru_.size() == random_vbs_.size(),
@@ -89,17 +96,16 @@ void VbbmsPolicy::audit(AuditReport& report) const {
                      " vblocks, table holds " +
                      std::to_string(seq_vbs_.size()));
 
-  const auto walk = [&](const std::unordered_map<std::uint64_t, VBlock>& vbs,
-                        std::uint32_t vb_pages, bool expect_seq,
-                        const char* region) {
+  const auto walk = [&](const SlotMap<VBlock>& vbs, std::uint32_t vb_pages,
+                        bool expect_seq, const char* region) {
     std::size_t pages = 0;
-    for (const auto& [vb_id, vb] : vbs) {
+    vbs.for_each_unordered([&](std::uint64_t vb_id, const VBlock& vb) {
       pages += vb.pages.size();
       REQB_AUDIT_MSG(report, vb.vb_id == vb_id,
                      std::string(region) + " table key " +
                          std::to_string(vb_id) + " holds vblock id " +
                          std::to_string(vb.vb_id));
-      REQB_AUDIT_MSG(report, vb.hook.linked(),
+      REQB_AUDIT_MSG(report, vb.link.linked(),
                      std::string(region) + " vblock " + std::to_string(vb_id) +
                          " not on its list");
       REQB_AUDIT_MSG(report, !vb.pages.empty(),
@@ -109,14 +115,14 @@ void VbbmsPolicy::audit(AuditReport& report) const {
         REQB_AUDIT_MSG(report, lpn / vb_pages == vb_id,
                        "page " + std::to_string(lpn) + " filed under " +
                            region + " vblock " + std::to_string(vb_id));
-        const auto it = page_is_seq_.find(lpn);
+        const Slot flag = page_is_seq_.find(lpn);
         REQB_AUDIT_MSG(report,
-                       it != page_is_seq_.end() && it->second == expect_seq,
+                       flag != kNoSlot && page_is_seq_[flag] == expect_seq,
                        "page " + std::to_string(lpn) +
                            " region flag disagrees with its " + region +
                            " vblock");
       }
-    }
+    });
     return pages;
   };
   const std::size_t random_seen =
@@ -137,7 +143,7 @@ void VbbmsPolicy::audit(AuditReport& report) const {
 }
 
 bool VbbmsPolicy::enumerate_pages(const std::function<void(Lpn)>& fn) const {
-  for (const auto& [lpn, seq] : page_is_seq_) fn(lpn);
+  page_is_seq_.for_each_unordered([&](Lpn lpn, bool) { fn(lpn); });
   return true;
 }
 
@@ -145,53 +151,51 @@ void VbbmsPolicy::serialize(SnapshotWriter& w) const {
   w.tag("vbbms");
   // Each region is fully described by its list order plus per-vblock page
   // vectors; the page->region map and the page counters are derived.
-  const auto write_region = [&w](const IntrusiveList<VBlock, &VBlock::hook>&
-                                     list,
-                                 std::size_t count) {
-    w.u64(count);
-    list.for_each([&](const VBlock* vb) {
-      w.u64(vb->vb_id);
-      w.u64(vb->pages.size());
-      for (const Lpn lpn : vb->pages) w.u64(lpn);
+  const auto write_region = [&w](const VBlockList& list,
+                                 const SlotMap<VBlock>& vbs) {
+    w.u64(vbs.size());
+    list.for_each([&](Slot s) {
+      const VBlock& vb = vbs[s];
+      w.u64(vb.vb_id);
+      w.u64(vb.pages.size());
+      for (const Lpn lpn : vb.pages) w.u64(lpn);
     });
   };
-  write_region(random_lru_, random_vbs_.size());
-  write_region(seq_fifo_, seq_vbs_.size());
+  write_region(random_lru_, random_vbs_);
+  write_region(seq_fifo_, seq_vbs_);
 }
 
 void VbbmsPolicy::deserialize(SnapshotReader& r) {
   r.tag("vbbms");
   REQB_CHECK_MSG(page_is_seq_.empty(),
                  "deserialize into a non-fresh VBBMS policy");
-  const auto read_region =
-      [this, &r](std::unordered_map<std::uint64_t, VBlock>& vbs,
-                 IntrusiveList<VBlock, &VBlock::hook>& list, bool seq,
-                 std::size_t& page_counter) {
-        const std::uint64_t count = r.u64();
-        for (std::uint64_t i = 0; i < count; ++i) {
-          const std::uint64_t vb_id = r.u64();
-          auto [it, inserted] = vbs.try_emplace(vb_id);
-          if (!inserted) {
-            throw SnapshotError("VBBMS snapshot repeats a virtual block");
-          }
-          VBlock& vb = it->second;
-          vb.vb_id = vb_id;
-          const std::uint64_t pages = r.count(8);
-          if (pages == 0) {
-            throw SnapshotError("VBBMS snapshot has an empty virtual block");
-          }
-          vb.pages.reserve(pages);
-          for (std::uint64_t p = 0; p < pages; ++p) {
-            const Lpn lpn = r.u64();
-            vb.pages.push_back(lpn);
-            if (!page_is_seq_.emplace(lpn, seq).second) {
-              throw SnapshotError("VBBMS snapshot repeats a page");
-            }
-          }
-          page_counter += pages;
-          list.push_back(&vb);
-        }
-      };
+  const auto read_region = [this, &r](SlotMap<VBlock>& vbs, VBlockList& list,
+                                      bool seq, std::size_t& page_counter) {
+    const std::uint64_t count = r.u64();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t vb_id = r.u64();
+      const auto [slot, inserted] = vbs.try_emplace(vb_id);
+      if (!inserted) {
+        throw SnapshotError("VBBMS snapshot repeats a virtual block");
+      }
+      VBlock& vb = vbs[slot];
+      vb.vb_id = vb_id;
+      const std::uint64_t pages = r.count(8);
+      if (pages == 0) {
+        throw SnapshotError("VBBMS snapshot has an empty virtual block");
+      }
+      vb.pages.reserve(pages);
+      for (std::uint64_t p = 0; p < pages; ++p) {
+        const Lpn lpn = r.u64();
+        vb.pages.push_back(lpn);
+        const auto [region, fresh] = page_is_seq_.try_emplace(lpn);
+        if (!fresh) throw SnapshotError("VBBMS snapshot repeats a page");
+        page_is_seq_[region] = seq;
+      }
+      page_counter += pages;
+      list.push_back(slot);
+    }
+  };
   read_region(random_vbs_, random_lru_, false, random_pages_);
   read_region(seq_vbs_, seq_fifo_, true, seq_pages_);
 }

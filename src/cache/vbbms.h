@@ -7,10 +7,10 @@
 // Evictions flush a whole virtual block, striped across channels.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "cache/write_buffer.h"
-#include "util/intrusive_list.h"
+#include "util/slot_map.h"
 
 namespace reqblock {
 
@@ -51,8 +51,9 @@ class VbbmsPolicy final : public WriteBufferPolicy {
   struct VBlock {
     std::uint64_t vb_id = 0;
     std::vector<Lpn> pages;
-    ListHook hook;
+    SlotLink link;
   };
+  using VBlockList = SlotList<VBlock, &VBlock::link>;
 
   VictimBatch evict_random();
   VictimBatch evict_sequential();
@@ -61,11 +62,11 @@ class VbbmsPolicy final : public WriteBufferPolicy {
   std::uint64_t random_quota_;
   std::uint64_t seq_quota_;
 
-  std::unordered_map<std::uint64_t, VBlock> random_vbs_;
-  std::unordered_map<std::uint64_t, VBlock> seq_vbs_;
-  IntrusiveList<VBlock, &VBlock::hook> random_lru_;
-  IntrusiveList<VBlock, &VBlock::hook> seq_fifo_;
-  std::unordered_map<Lpn, bool> page_is_seq_;
+  SlotMap<VBlock> random_vbs_;
+  SlotMap<VBlock> seq_vbs_;
+  VBlockList random_lru_{random_vbs_};
+  VBlockList seq_fifo_{seq_vbs_};
+  SlotMap<bool> page_is_seq_;
   std::size_t random_pages_ = 0;
   std::size_t seq_pages_ = 0;
 };

@@ -28,7 +28,7 @@ ReqBlock* ReqBlockPolicy::create_block(std::uint64_t req_id, ReqList level,
   blk->insert_tick = tick_;
   blk->origin_id = origin_id;
   ReqBlock* raw = blk.get();
-  blocks_.emplace(raw->block_id, std::move(blk));
+  blocks_[blocks_.try_emplace(raw->block_id).first] = std::move(blk);
   list_for(level).push_front(raw);
   return raw;
 }
@@ -47,8 +47,8 @@ void ReqBlockPolicy::destroy_block(ReqBlock* blk) {
 
 void ReqBlockPolicy::consume_block(ReqBlock* blk, std::vector<Lpn>& out) {
   for (const Lpn lpn : blk->pages) {
-    const auto erased = page_to_block_.erase(lpn);
-    REQB_DCHECK(erased == 1);
+    const bool erased = page_to_block_.erase(lpn);
+    REQB_DCHECK(erased);
     (void)erased;
     out.push_back(lpn);
   }
@@ -77,9 +77,9 @@ void ReqBlockPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
   // create_req_blk(IRL, R): reuse the request's block at the IRL head.
   ReqBlock* target = nullptr;
   if (guard_insert_block_ != 0) {
-    const auto it = blocks_.find(guard_insert_block_);
-    if (it != blocks_.end() && it->second->req_id == req.id) {
-      target = it->second.get();
+    const Slot slot = blocks_.find(guard_insert_block_);
+    if (slot != kNoSlot && blocks_[slot]->req_id == req.id) {
+      target = blocks_[slot].get();
     }
   }
   if (target == nullptr) {
@@ -87,16 +87,15 @@ void ReqBlockPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
     guard_insert_block_ = target->block_id;
   }
   target->pages.push_back(lpn);
-  page_to_block_.emplace(lpn, target);
+  page_to_block_[page_to_block_.try_emplace(lpn).first] = target;
 }
 
 void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
   ++tick_;
   ++mutations_;
-  const auto it = page_to_block_.find(lpn);
-  REQB_CHECK_MSG(it != page_to_block_.end(),
-                 "Req-block hit on untracked page");
-  ReqBlock* blk = it->second;
+  const Slot page_slot = page_to_block_.find(lpn);
+  REQB_CHECK_MSG(page_slot != kNoSlot, "Req-block hit on untracked page");
+  ReqBlock* blk = page_to_block_[page_slot];
 
   if (blk->page_count() <= opt_.delta) {
     // Small request block: promote to the Small Request List head.
@@ -117,9 +116,9 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
 
   ReqBlock* target = nullptr;
   if (guard_split_block_ != 0) {
-    const auto sit = blocks_.find(guard_split_block_);
-    if (sit != blocks_.end() && sit->second->req_id == req.id) {
-      target = sit->second.get();
+    const Slot slot = blocks_.find(guard_split_block_);
+    if (slot != kNoSlot && blocks_[slot]->req_id == req.id) {
+      target = blocks_[slot].get();
     }
   }
   if (target == nullptr) {
@@ -128,7 +127,7 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
   }
   REQB_DCHECK(target != blk);
   target->pages.push_back(lpn);
-  it->second = target;
+  page_to_block_[page_slot] = target;
   if (trace_ != nullptr) {
     trace_->emit({trace_->time(), 0, lpn, blk->page_count(),
                   EventKind::kReqBlockSplit, kTrackDrl, 0});
@@ -168,10 +167,10 @@ VictimBatch ReqBlockPolicy::select_victim() {
   // of IRL so the request is evicted as one spatially-contiguous batch.
   ReqBlock* origin = nullptr;
   if (opt_.merge_on_evict && victim->origin_id != 0) {
-    const auto it = blocks_.find(victim->origin_id);
-    if (it != blocks_.end() && it->second->level == ReqList::kIRL &&
-        !guarded(it->second.get())) {
-      origin = it->second.get();
+    const Slot slot = blocks_.find(victim->origin_id);
+    if (slot != kNoSlot && blocks_[slot]->level == ReqList::kIRL &&
+        !guarded(blocks_[slot].get())) {
+      origin = blocks_[slot].get();
     }
   }
   ++mutations_;
@@ -253,8 +252,8 @@ void ReqBlockPolicy::register_metrics(MetricsRegistry& registry) const {
 }
 
 const ReqBlock* ReqBlockPolicy::block_of(Lpn lpn) const {
-  const auto it = page_to_block_.find(lpn);
-  return it == page_to_block_.end() ? nullptr : it->second;
+  const Slot slot = page_to_block_.find(lpn);
+  return slot == kNoSlot ? nullptr : page_to_block_[slot];
 }
 
 const ReqBlock* ReqBlockPolicy::tail_of(ReqList list) const {
@@ -267,13 +266,13 @@ const ReqBlock* ReqBlockPolicy::prev_in_list(const ReqBlock* blk) const {
 }
 
 ReqBlock* ReqBlockPolicy::mutable_block_for_tests(Lpn lpn) {
-  const auto it = page_to_block_.find(lpn);
-  return it == page_to_block_.end() ? nullptr : it->second;
+  const Slot slot = page_to_block_.find(lpn);
+  return slot == kNoSlot ? nullptr : page_to_block_[slot];
 }
 
 bool ReqBlockPolicy::enumerate_pages(
     const std::function<void(Lpn)>& fn) const {
-  for (const auto& [lpn, blk] : page_to_block_) fn(lpn);
+  page_to_block_.for_each_unordered([&](Lpn lpn, ReqBlock*) { fn(lpn); });
   return true;
 }
 
@@ -300,6 +299,10 @@ std::string ReqBlockPolicy::dump_structure() const {
 void ReqBlockPolicy::audit(AuditReport& report) const {
   report.attach_dump([this] { return dump_structure(); });
   REQB_AUDIT(report, opt_.delta >= 1);
+  REQB_AUDIT_MSG(report, blocks_.validate(),
+                 "block table index disagrees with its slab");
+  REQB_AUDIT_MSG(report, page_to_block_.validate(),
+                 "page table index disagrees with its slab");
 
   // Pass 1 — the three lists: structure, level tags, and that no block
   // appears on two lists (or twice on one).
@@ -320,8 +323,8 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
       REQB_AUDIT_MSG(report, newly_listed,
                      "block " + std::to_string(b->block_id) +
                          " linked on two lists");
-      const auto it = blocks_.find(b->block_id);
-      REQB_AUDIT_MSG(report, it != blocks_.end() && it->second.get() == b,
+      const Slot slot = blocks_.find(b->block_id);
+      REQB_AUDIT_MSG(report, slot != kNoSlot && blocks_[slot].get() == b,
                      "block " + std::to_string(b->block_id) +
                          " linked but not owned by the block table");
     });
@@ -333,7 +336,8 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
   // Pass 2 — every owned block: page-table cross-consistency, Eq. 1
   // counter bounds, δ-membership per list, origin backpointers.
   std::size_t block_pages = 0;
-  for (const auto& [id, owned] : blocks_) {
+  blocks_.for_each_unordered([&](std::uint64_t id,
+                                 const std::unique_ptr<ReqBlock>& owned) {
     const ReqBlock* b = owned.get();
     const std::string tag = "block " + std::to_string(id);
     REQB_AUDIT_MSG(report, b->block_id == id,
@@ -394,13 +398,13 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
         tag + " holds a duplicate page");
     block_pages += b->pages.size();
     for (const Lpn lpn : b->pages) {
-      const auto pit = page_to_block_.find(lpn);
+      const Slot page_slot = page_to_block_.find(lpn);
       REQB_AUDIT_MSG(report,
-                     pit != page_to_block_.end() && pit->second == b,
+                     page_slot != kNoSlot && page_to_block_[page_slot] == b,
                      tag + " holds page " + std::to_string(lpn) +
                          " but the page table disagrees");
     }
-  }
+  });
   // Combined with the per-page check above, size equality makes the page
   // table and the union of block pages the *same* set.
   REQB_AUDIT_MSG(report, block_pages == page_to_block_.size(),
@@ -458,14 +462,16 @@ void ReqBlockPolicy::deserialize(SnapshotReader& r) {
       for (std::uint64_t p = 0; p < pages; ++p) {
         const Lpn lpn = r.u64();
         blk->pages.push_back(lpn);
-        if (!page_to_block_.emplace(lpn, blk.get()).second) {
-          throw SnapshotError("Req-block snapshot repeats a page");
-        }
+        const auto [page_slot, fresh] = page_to_block_.try_emplace(lpn);
+        if (!fresh) throw SnapshotError("Req-block snapshot repeats a page");
+        page_to_block_[page_slot] = blk.get();
       }
       ReqBlock* raw = blk.get();
-      if (!blocks_.emplace(raw->block_id, std::move(blk)).second) {
+      const auto [slot, inserted] = blocks_.try_emplace(raw->block_id);
+      if (!inserted) {
         throw SnapshotError("Req-block snapshot repeats a block id");
       }
+      blocks_[slot] = std::move(blk);
       lists_[level].push_back(raw);
     }
   }

@@ -24,12 +24,12 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "cache/write_buffer.h"
 #include "core/freq.h"
 #include "core/req_block.h"
 #include "util/intrusive_list.h"
+#include "util/slot_map.h"
 
 namespace reqblock {
 
@@ -134,8 +134,10 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   bool guarded(const ReqBlock* blk) const;
 
   ReqBlockOptions opt_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<ReqBlock>> blocks_;
-  std::unordered_map<Lpn, ReqBlock*> page_to_block_;
+  // Blocks are individually owned so a ReqBlock* stays valid while the
+  // block lives; the slot maps only hold the owning pointers.
+  SlotMap<std::unique_ptr<ReqBlock>> blocks_;
+  SlotMap<ReqBlock*> page_to_block_;
   std::array<BlockList, 3> lists_;
   Tick tick_ = 0;
   std::uint64_t next_block_id_ = 1;

@@ -42,6 +42,8 @@ const RuleCase kCases[] = {
     {"no-raw-ofstream", "raw_ofstream_bad.cc", "raw_ofstream_ok.cc"},
     {"no-unordered-serialization", "unordered_serialization_bad.cc",
      "unordered_serialization_ok.cc"},
+    {"no-unordered-serialization", "unordered_slab_walk_bad.cc",
+     "unordered_slab_walk_ok.cc"},
     {"no-raw-float-format", "raw_float_format_bad.cc",
      "raw_float_format_ok.cc"},
     {"check-macro-hygiene", "check_macro_bad.cc", "check_macro_ok.cc"},

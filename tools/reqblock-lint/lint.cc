@@ -41,8 +41,9 @@ const std::vector<RuleInfo> kRules = {
      "route artifacts through write_file_atomic (util/atomic_file.h) or "
      "the snapshot SnapshotWriter"},
     {kNoUnorderedSer,
-     "iterating an unordered container inside an emission function leaks "
-     "hash order into the output bytes",
+     "iterating an unordered container (or a slot map's for_each_unordered "
+     "slab walk) inside an emission function leaks hash order into the "
+     "output bytes",
      "copy the keys into a std::vector and std::sort before writing, or "
      "keep a deterministically ordered sibling structure"},
     {kNoRawFloatFormat,
@@ -898,12 +899,37 @@ class FileLinter {
   }
 
   // --- rule 4 -------------------------------------------------------------
+  // True when the function holding token i sorts somewhere: the
+  // collect-into-vector-then-sort idiom is the sanctioned pattern.
+  bool enclosing_fn_sorts(std::size_t i) const {
+    const auto sorted = ctx_.fn_has_sort.find(ctx_.ctx[i].fn_id);
+    return sorted != ctx_.fn_has_sort.end() && sorted->second;
+  }
+
+  std::string enclosing_fn_name(std::size_t i) const {
+    const auto fname = ctx_.fn_name.find(ctx_.ctx[i].fn_id);
+    return fname != ctx_.fn_name.end() ? fname->second : "?";
+  }
+
   void rule_unordered_serialization(std::size_t i) {
     if (!enabled(kNoUnorderedSer)) return;
     const std::vector<Token>& t = lx_.tokens;
-    if (t[i].kind != Tok::kIdent || t[i].text != "for") return;
-    if (!next_is(t, i, "(")) return;
-    if (!ctx_.ctx[i].emission) return;
+    if (t[i].kind != Tok::kIdent || !ctx_.ctx[i].emission) return;
+    // SlotMap::for_each_unordered walks in slab order, which depends on
+    // the map's history. Matched by method name: the declaration pass is
+    // per file and cannot see members declared in headers.
+    if (t[i].text == "for_each_unordered" && prev_is_member_access(t, i) &&
+        next_is(t, i, "(")) {
+      if (enclosing_fn_sorts(i)) return;
+      const std::string base =
+          i >= 2 && t[i - 2].kind == Tok::kIdent ? t[i - 2].text : "?";
+      emit(kNoUnorderedSer, t[i].line,
+           "slab-order walk '" + base + t[i - 1].text + t[i].text +
+               "' inside emission function '" + enclosing_fn_name(i) +
+               "' leaks slot order into the output; sort the keys first");
+      return;
+    }
+    if (t[i].text != "for" || !next_is(t, i, "(")) return;
     // Find the ':' of a range-for at paren depth 1.
     int depth = 0;
     std::size_t colon = 0;
@@ -930,16 +956,10 @@ class FileLinter {
       if (t[j].kind == Tok::kIdent && !next_is(t, j, "(")) base = t[j].text;
     }
     if (base.empty() || decls_.unordered_vars.count(base) == 0) return;
-    // "Sorts first" exemption: the surrounding function sorts somewhere
-    // (collect-into-vector-then-sort is the sanctioned pattern).
-    const int fn = ctx_.ctx[i].fn_id;
-    const auto sorted = ctx_.fn_has_sort.find(fn);
-    if (sorted != ctx_.fn_has_sort.end() && sorted->second) return;
-    const auto fname = ctx_.fn_name.find(fn);
+    if (enclosing_fn_sorts(i)) return;
     emit(kNoUnorderedSer, t[i].line,
          "iterating unordered container '" + base + "' inside emission "
-         "function '" +
-             (fname != ctx_.fn_name.end() ? fname->second : "?") +
+         "function '" + enclosing_fn_name(i) +
              "' leaks hash order into the output; sort the keys first");
   }
 

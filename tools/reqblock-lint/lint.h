@@ -12,8 +12,9 @@
 //                              seeded xoshiro stream in util/rng.h
 //   no-raw-ofstream            file output that bypasses
 //                              util/atomic_file or SnapshotWriter
-//   no-unordered-serialization hash-order iteration inside an emission
-//                              (serialize/report/CSV) function
+//   no-unordered-serialization hash-order iteration (or a slot map's
+//                              for_each_unordered slab walk) inside an
+//                              emission (serialize/report/CSV) function
 //   no-raw-float-format        locale/precision-dependent float
 //                              formatting instead of format_double
 //   check-macro-hygiene        side effects inside compiled-out
