@@ -14,14 +14,14 @@
 
 using namespace reqblock;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
   const std::string profile_name = args.get_or("profile", "ts_0");
   const auto profile = profiles::by_name(profile_name)
-                           .capped(args.get_u64_or("requests", 250000));
-  const std::uint64_t cache_mb = args.get_u64_or("cache-mb", 32);
+                           .capped(args.get_u64_strict("requests", 250000));
+  const std::uint64_t cache_mb = args.get_u64_strict("cache-mb", 32);
   const auto max_delta =
-      static_cast<std::uint32_t>(args.get_u64_or("max-delta", 9));
+      static_cast<std::uint32_t>(args.get_u64_strict("max-delta", 9));
 
   std::vector<ExperimentCase> cases;
   for (std::uint32_t delta = 1; delta <= max_delta; ++delta) {
@@ -58,4 +58,7 @@ int main(int argc, char** argv) {
   std::cout << "\nBest hit ratio at delta = " << best_delta
             << " (the paper selects 5 as its default).\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "delta_tuning: " << e.what() << "\n";
+  return 1;
 }

@@ -17,10 +17,10 @@
 
 using namespace reqblock;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
   const std::string name = args.get_or("profile", "usr_0");
-  const std::uint64_t cap = args.get_u64_or("requests", 100000);
+  const std::uint64_t cap = args.get_u64_strict("requests", 100000);
 
   SyntheticTraceSource src(profiles::by_name(name).capped(cap));
   const auto requests = src.collect();
@@ -54,4 +54,7 @@ int main(int argc, char** argv) {
             << "s\nReplay it with: ./examples/trace_replay --trace " << path
             << " --policy reqblock\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "export_trace: " << e.what() << "\n";
+  return 1;
 }

@@ -19,12 +19,12 @@
 
 using namespace reqblock;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
-  const std::uint64_t device_mb = args.get_u64_or("device-mb", 512);
-  const std::uint64_t requests = args.get_u64_or("requests", 300000);
+  const std::uint64_t device_mb = args.get_u64_strict("device-mb", 512);
+  const std::uint64_t requests = args.get_u64_strict("requests", 300000);
   const std::uint64_t footprint_pct =
-      args.get_u64_or("footprint-pct", 60);
+      args.get_u64_strict("footprint-pct", 60);
 
   SsdConfig ssd = SsdConfig::paper_default();
   ssd.capacity_bytes = device_mb << 20;
@@ -96,4 +96,7 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << "\nWAF = (host programs + GC moves) / host programs.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "gc_study: " << e.what() << "\n";
+  return 1;
 }

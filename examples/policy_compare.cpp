@@ -22,12 +22,12 @@
 
 using namespace reqblock;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
   const std::string profile_name = args.get_or("profile", "src1_2");
-  const std::uint64_t cache_mb = args.get_u64_or("cache-mb", 32);
+  const std::uint64_t cache_mb = args.get_u64_strict("cache-mb", 32);
   const auto profile = profiles::by_name(profile_name)
-                           .capped(args.get_u64_or("requests", 300000));
+                           .capped(args.get_u64_strict("requests", 300000));
 
   const auto policies =
       args.has("all-policies") ? known_policy_names() : paper_policy_names();
@@ -83,4 +83,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "policy_compare: " << e.what() << "\n";
+  return 1;
 }

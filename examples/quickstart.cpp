@@ -12,7 +12,7 @@
 
 using namespace reqblock;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
 
   // 1. Describe the workload: a hot set of small write requests (high
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   //    structure the paper's Observations 1-2 identify in real traces.
   WorkloadProfile profile;
   profile.name = "quickstart";
-  profile.total_requests = args.get_u64_or("requests", 200000);
+  profile.total_requests = args.get_u64_strict("requests", 200000);
   profile.seed = 42;
   profile.write_ratio = 0.7;
   profile.hot_extents = 4096;
@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
   SyntheticTraceSource trace(profile);
 
   // 2. Configure the device (Table 1 geometry) and the cache policy.
-  SimOptions options =
-      make_sim_options("reqblock", args.get_u64_or("cache-mb", 16),
-                       static_cast<std::uint32_t>(args.get_u64_or("delta", 5)));
+  SimOptions options = make_sim_options(
+      "reqblock", args.get_u64_strict("cache-mb", 16),
+      static_cast<std::uint32_t>(args.get_u64_strict("delta", 5)));
   options.occupancy_log_interval = 10000;
 
   std::cout << "SSD configuration:\n";
@@ -70,4 +70,7 @@ int main(int argc, char** argv) {
             << "s of device time in "
             << format_double(result.wall_seconds, 2) << "s of wall time.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "quickstart: " << e.what() << "\n";
+  return 1;
 }

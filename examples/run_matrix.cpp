@@ -18,6 +18,7 @@
 #include "trace/profiles.h"
 #include "util/args.h"
 #include "util/atomic_file.h"
+#include "util/knobs.h"
 #include "util/strings.h"
 
 using namespace reqblock;
@@ -27,67 +28,27 @@ int main(int argc, char** argv) try {
   if (args.has("help")) {
     std::cout << "usage: " << args.program()
               << " [--profile NAME] [--requests N] [--cache-mb MB]"
-                 " [--delta D] [--policies a,b,c] [--csv FILE]\n"
+                 " [--delta D] [--policies a,b,c] [--csv FILE]"
+                 " [--tenant-csv FILE]\n"
                  "checkpointing: [--checkpoint-dir DIR]"
                  " [--checkpoint-every-n REQS]\n"
-                 "fault injection: [--fault-seed S] [--fault-program-fail P]"
-                 " [--fault-read-fail P] [--fault-erase-fail P]"
-                 " [--fault-retries N] [--fault-spares N]"
-                 " [--fault-power-loss-every N]\n"
-                 "device aging: [--aging-rated-pe N]"
-                 " [--aging-wear-program-max P] [--aging-wear-erase-max P]"
-                 " [--aging-initial-pe N] [--aging-read-disturb-limit N]"
-                 " [--aging-read-disturb-max P]"
-                 " [--aging-retention-limit-ms MS] [--aging-retention-max P]"
-                 " [--aging-eol-floor N] [--aging-eol-margin N]"
-                 " [--aging-eol-spare-floor N]\n"
-                 "data integrity: [--integrity-rber P]"
-                 " [--integrity-rber-pe-anchor N] [--integrity-rber-pe-boost P]"
-                 " [--integrity-rber-read-anchor N]"
-                 " [--integrity-rber-read-boost P]"
-                 " [--integrity-rber-age-anchor-ms MS]"
-                 " [--integrity-rber-age-boost P] [--integrity-ecc-escape P]"
-                 " [--integrity-retry-steps N] [--integrity-retry-relief F]"
-                 " [--integrity-retry-step-us US] [--integrity-stripe-pages N]"
-                 " [--integrity-uncorrectable-shed]"
-                 " [--integrity-scrub-every N] [--integrity-scrub-budget-us US]"
-                 " [--integrity-scrub-rber P]"
-                 " [--integrity-scrub-error-limit N]\n"
-                 "overload: [--queue-depth N] [--deadline-us US]"
-                 " [--queue-retries N] [--queue-backoff-us US]"
-                 " [--bg-flush-high F] [--bg-flush-low F] [--throttle]\n"
-                 "burst arrivals: [--burst-len N] [--burst-period N]"
-                 " [--burst-factor X] [--burst-idle X]\n"
-                 "workload drift: [--drift-period N] [--drift-step N]"
-                 " [--diurnal-period N] [--diurnal-amplitude A]\n"
-                 "tenants: [--tenants N] [--arbiter rr|wrr|drr]"
-                 " [--drr-quantum PAGES] [--tenant-weights W,..]"
-                 " [--tenant-rates R,..] [--tenant-burst-len N,..]"
-                 " [--tenant-burst-period N,..] [--tenant-burst-factor X,..]"
-                 " [--tenant-csv FILE]\n"
                  "profiles: hm_1 lun_1 usr_0 src1_2 ts_0 proj_0\n"
                  "policies: lru fifo lfu cflru fab bplru vbbms reqblock\n";
+    write_knob_help(std::cout, "fault injection", kFaultKnobs);
+    write_knob_help(std::cout, "device aging", kAgingKnobs);
+    write_knob_help(std::cout, "data integrity", kIntegrityKnobs);
+    write_knob_help(std::cout, "overload", kOverloadKnobs);
+    write_knob_help(std::cout, "tenants", kTenantKnobs);
+    write_knob_help(std::cout, "per-tenant lists", kTenantSpecKnobs, "",
+                    ",..");
+    write_knob_help(std::cout, "workload shape", kWorkloadShapeKnobs);
     return 0;
   }
 
   const std::string profile_name = args.get_or("profile", "usr_0");
   auto profile = profiles::by_name(profile_name)
                      .capped(args.get_u64_strict("requests", 50000));
-  profile.burst_arrival_len =
-      args.get_u64_strict("burst-len", profile.burst_arrival_len);
-  profile.burst_arrival_period =
-      args.get_u64_strict("burst-period", profile.burst_arrival_period);
-  profile.burst_arrival_factor =
-      args.get_double_strict("burst-factor", profile.burst_arrival_factor);
-  profile.burst_idle_factor =
-      args.get_double_strict("burst-idle", profile.burst_idle_factor);
-  profile.drift_period =
-      args.get_u64_strict("drift-period", profile.drift_period);
-  profile.drift_step = args.get_u64_strict("drift-step", profile.drift_step);
-  profile.diurnal_period =
-      args.get_u64_strict("diurnal-period", profile.diurnal_period);
-  profile.diurnal_amplitude = args.get_double_strict(
-      "diurnal-amplitude", profile.diurnal_amplitude);
+  apply_knobs(kWorkloadShapeKnobs, profile, args);
 
   std::vector<std::string> policies;
   if (const auto list = args.get("policies")) {
@@ -99,16 +60,19 @@ int main(int argc, char** argv) try {
     policies = known_policy_names();
   }
 
+  // The option blocks do not depend on the policy: apply them once.
+  SimOptions base = make_sim_options(
+      "", args.get_u64_strict("cache-mb", 32),
+      static_cast<std::uint32_t>(args.get_u64_strict("delta", 5)));
+  base.fault.apply_cli(args);
+  base.overload.apply_cli(args);
+  base.tenants.apply_cli(args);
   std::vector<ExperimentCase> cases;
   for (const auto& policy : policies) {
     ExperimentCase c;
     c.profile = profile;
-    c.options = make_sim_options(
-        policy, args.get_u64_strict("cache-mb", 32),
-        static_cast<std::uint32_t>(args.get_u64_strict("delta", 5)));
-    c.options.fault.apply_cli(args);
-    c.options.overload.apply_cli(args);
-    c.options.tenants.apply_cli(args);
+    c.options = base;
+    c.options.policy.name = policy;
     c.label = policy;
     cases.push_back(std::move(c));
   }
@@ -116,6 +80,9 @@ int main(int argc, char** argv) try {
   CheckpointOptions ckpt;
   ckpt.dir = args.get_or("checkpoint-dir", "");
   ckpt.every_n_requests = args.get_u64_strict("checkpoint-every-n", 0);
+  const auto results_csv = args.get("csv");
+  const auto tenant_csv = args.get("tenant-csv");
+  args.reject_unread();
 
   std::vector<RunResult> results;
   if (!ckpt.dir.empty()) {
@@ -134,18 +101,18 @@ int main(int argc, char** argv) try {
   for (const auto& r : results) write_overload_summary(std::cout, r);
   for (const auto& r : results) write_tenant_summary(std::cout, r);
 
-  if (const auto csv_path = args.get("tenant-csv")) {
+  if (tenant_csv) {
     std::ostringstream csv;
     write_tenant_csv(csv, results);
-    write_file_atomic(*csv_path, csv.str());
-    std::cout << "\nWrote per-tenant CSV to " << *csv_path << "\n";
+    write_file_atomic(*tenant_csv, csv.str());
+    std::cout << "\nWrote per-tenant CSV to " << *tenant_csv << "\n";
   }
-  if (const auto csv_path = args.get("csv")) {
+  if (results_csv) {
     std::ostringstream csv;
     write_results_csv(csv, results);
-    write_file_atomic(*csv_path, csv.str());
-    std::cout << "\nWrote " << results.size() << " CSV rows to " << *csv_path
-              << "\n";
+    write_file_atomic(*results_csv, csv.str());
+    std::cout << "\nWrote " << results.size() << " CSV rows to "
+              << *results_csv << "\n";
   }
   return 0;
 } catch (const std::exception& e) {

@@ -21,6 +21,7 @@
 #include "trace/vector_source.h"
 #include "util/args.h"
 #include "util/atomic_file.h"
+#include "util/knobs.h"
 #include "util/strings.h"
 
 using namespace reqblock;
@@ -30,7 +31,7 @@ namespace {
 std::unique_ptr<TraceSource> open_trace(const ArgParser& args) {
   if (const auto path = args.get("trace")) {
     MsrParseOptions opts;
-    opts.max_requests = args.get_u64_or("requests", 0);
+    opts.max_requests = args.get_u64_strict("requests", 0);
     auto requests = parse_msr_file(*path, opts);
     std::cout << "Loaded " << requests.size() << " requests from " << *path
               << "\n";
@@ -38,7 +39,7 @@ std::unique_ptr<TraceSource> open_trace(const ArgParser& args) {
   }
   if (const auto path = args.get("spc")) {
     SpcParseOptions opts;
-    opts.max_requests = args.get_u64_or("requests", 0);
+    opts.max_requests = args.get_u64_strict("requests", 0);
     auto requests = parse_spc_file(*path, opts);
     std::cout << "Loaded " << requests.size() << " SPC requests from "
               << *path << "\n";
@@ -46,28 +47,9 @@ std::unique_ptr<TraceSource> open_trace(const ArgParser& args) {
   }
   const std::string name = args.get_or("profile", "usr_0");
   auto profile =
-      profiles::by_name(name).capped(args.get_u64_or("requests", 300000));
-  // Burst-arrival modulation (synthetic profiles only): --burst-period
-  // requests per cycle, the first --burst-len of which arrive
-  // --burst-factor times faster; the rest idle --burst-idle times slower.
-  profile.burst_arrival_len =
-      args.get_u64_strict("burst-len", profile.burst_arrival_len);
-  profile.burst_arrival_period =
-      args.get_u64_strict("burst-period", profile.burst_arrival_period);
-  profile.burst_arrival_factor =
-      args.get_double_strict("burst-factor", profile.burst_arrival_factor);
-  profile.burst_idle_factor =
-      args.get_double_strict("burst-idle", profile.burst_idle_factor);
-  // Workload drift (long-horizon soaks): --drift-period rotates the hot
-  // set by --drift-step extents every period; --diurnal-period/-amplitude
-  // cycle the arrival rate.
-  profile.drift_period =
-      args.get_u64_strict("drift-period", profile.drift_period);
-  profile.drift_step = args.get_u64_strict("drift-step", profile.drift_step);
-  profile.diurnal_period =
-      args.get_u64_strict("diurnal-period", profile.diurnal_period);
-  profile.diurnal_amplitude = args.get_double_strict(
-      "diurnal-amplitude", profile.diurnal_amplitude);
+      profiles::by_name(name).capped(args.get_u64_strict("requests", 300000));
+  // Burst-arrival modulation and workload drift (synthetic profiles only).
+  apply_knobs(kWorkloadShapeKnobs, profile, args);
   return std::make_unique<SyntheticTraceSource>(profile);
 }
 
@@ -80,58 +62,49 @@ int main(int argc, char** argv) try {
               << " [--profile NAME | --trace MSR_FILE | --spc SPC_FILE]"
                  " [--policy NAME] [--cache-mb MB] [--requests N]"
                  " [--delta D] [--warmup N] [--occupancy] [--stats-only]"
-                 " [--csv FILE]\n"
-                 "attribution: [--attribution] [--attribution-csv FILE]\n"
-                 "fault injection: [--fault-seed S] [--fault-program-fail P]"
-                 " [--fault-read-fail P] [--fault-erase-fail P]"
-                 " [--fault-retries N] [--fault-spares N]"
-                 " [--fault-power-loss-every N]\n"
-                 "device aging: [--aging-rated-pe N]"
-                 " [--aging-wear-program-max P] [--aging-wear-erase-max P]"
-                 " [--aging-initial-pe N] [--aging-read-disturb-limit N]"
-                 " [--aging-read-disturb-max P]"
-                 " [--aging-retention-limit-ms MS] [--aging-retention-max P]"
-                 " [--aging-eol-floor N] [--aging-eol-margin N]"
-                 " [--aging-eol-spare-floor N]\n"
-                 "data integrity: [--integrity-rber P]"
-                 " [--integrity-rber-pe-anchor N] [--integrity-rber-pe-boost P]"
-                 " [--integrity-rber-read-anchor N]"
-                 " [--integrity-rber-read-boost P]"
-                 " [--integrity-rber-age-anchor-ms MS]"
-                 " [--integrity-rber-age-boost P] [--integrity-ecc-escape P]"
-                 " [--integrity-retry-steps N] [--integrity-retry-relief F]"
-                 " [--integrity-retry-step-us US] [--integrity-stripe-pages N]"
-                 " [--integrity-uncorrectable-shed]"
-                 " [--integrity-scrub-every N] [--integrity-scrub-budget-us US]"
-                 " [--integrity-scrub-rber P]"
-                 " [--integrity-scrub-error-limit N]\n"
-                 "overload: [--queue-depth N] [--deadline-us US]"
-                 " [--queue-retries N] [--queue-backoff-us US]"
-                 " [--bg-flush-high F] [--bg-flush-low F] [--throttle]\n"
-                 "tenants (synthetic only): [--tenants N]"
-                 " [--arbiter rr|wrr|drr] [--drr-quantum PAGES]"
-                 " [--tenant-weights W,..] [--tenant-rates R,..]"
-                 " [--tenant-burst-len N,..] [--tenant-burst-period N,..]"
-                 " [--tenant-burst-factor X,..] [--tenant-csv FILE]\n"
-                 "telemetry: [--telemetry-trace LEVEL]"
-                 " [--telemetry-trace-buffer N] [--telemetry-trace-sample N]"
-                 " [--telemetry-snapshot-every N] [--telemetry-profile]"
-                 " [--attribution]\n"
-                 "burst arrivals (synthetic only): [--burst-len N]"
-                 " [--burst-period N] [--burst-factor X] [--burst-idle X]\n"
-                 "workload drift (synthetic only): [--drift-period N]"
-                 " [--drift-step N] [--diurnal-period N]"
-                 " [--diurnal-amplitude A]\n"
+                 " [--csv FILE] [--tenant-csv FILE] [--attribution-csv FILE]\n"
                  "checkpointing: [--checkpoint-dir DIR]"
                  " [--checkpoint-every-n REQS] [--resume-from FILE]\n"
                  "profiles: hm_1 lun_1 usr_0 src1_2 ts_0 proj_0\n"
                  "policies: lru fifo lfu cflru fab bplru vbbms reqblock\n";
+    write_knob_help(std::cout, "fault injection", kFaultKnobs);
+    write_knob_help(std::cout, "device aging", kAgingKnobs);
+    write_knob_help(std::cout, "data integrity", kIntegrityKnobs);
+    write_knob_help(std::cout, "overload", kOverloadKnobs);
+    write_knob_help(std::cout, "tenants (synthetic only)", kTenantKnobs);
+    write_knob_help(std::cout, "per-tenant lists (synthetic only)",
+                    kTenantSpecKnobs, "", ",..");
+    write_knob_help(std::cout, "telemetry", kTelemetryKnobs, "telemetry-");
+    write_knob_help(std::cout, "workload shape (synthetic only)",
+                    kWorkloadShapeKnobs);
     return 0;
   }
 
   auto trace = open_trace(args);
 
-  if (args.has("stats-only")) {
+  SimOptions options = make_sim_options(
+      args.get_or("policy", "reqblock"), args.get_u64_strict("cache-mb", 32),
+      static_cast<std::uint32_t>(args.get_u64_strict("delta", 5)));
+  options.warmup_requests = args.get_u64_strict("warmup", 0);
+  if (args.has("occupancy")) options.occupancy_log_interval = 10000;
+  options.fault.apply_cli(args);
+  options.overload.apply_cli(args);
+  // Telemetry flags ride behind a "telemetry-" namespace: trace_replay's
+  // own --trace and --profile already mean "MSR file" and "workload name".
+  options.telemetry.apply_cli(args, "telemetry-");
+  options.tenants.apply_cli(args);
+
+  CheckpointOptions ckpt;
+  ckpt.dir = args.get_or("checkpoint-dir", "");
+  ckpt.every_n_requests = args.get_u64_strict("checkpoint-every-n", 0);
+  std::string resume_from = args.get_or("resume-from", "");
+  const auto results_csv = args.get("csv");
+  const auto tenant_csv = args.get("tenant-csv");
+  const auto attribution_csv = args.get("attribution-csv");
+  const bool stats_only = args.has("stats-only");
+  args.reject_unread();
+
+  if (stats_only) {
     const auto stats = TraceStatsCollector::collect(*trace);
     TextTable t({"trace", "requests", "write-ratio", "mean-write",
                  "frequent-R", "frequent-(Wr)"});
@@ -144,17 +117,6 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  SimOptions options = make_sim_options(
-      args.get_or("policy", "reqblock"), args.get_u64_or("cache-mb", 32),
-      static_cast<std::uint32_t>(args.get_u64_or("delta", 5)));
-  options.warmup_requests = args.get_u64_or("warmup", 0);
-  if (args.has("occupancy")) options.occupancy_log_interval = 10000;
-  options.fault.apply_cli(args);
-  options.overload.apply_cli(args);
-  // Telemetry flags ride behind a "telemetry-" namespace: trace_replay's
-  // own --trace and --profile already mean "MSR file" and "workload name".
-  options.telemetry.apply_cli(args, "telemetry-");
-  options.tenants.apply_cli(args);
   if (options.tenants.enabled() &&
       (args.has("trace") || args.has("spc"))) {
     std::cerr << "trace_replay: --tenants needs a synthetic --profile; "
@@ -163,10 +125,6 @@ int main(int argc, char** argv) try {
     return 1;
   }
 
-  CheckpointOptions ckpt;
-  ckpt.dir = args.get_or("checkpoint-dir", "");
-  ckpt.every_n_requests = args.get_u64_strict("checkpoint-every-n", 0);
-  std::string resume_from = args.get_or("resume-from", "");
   if (resume_from.empty() && !ckpt.dir.empty()) {
     // Restarted with the same --checkpoint-dir: pick up where we died.
     resume_from = find_latest_checkpoint(ckpt.dir, "run");
@@ -195,26 +153,26 @@ int main(int argc, char** argv) try {
   write_reliability_summary(std::cout, result);
   write_overload_summary(std::cout, result);
   write_tenant_summary(std::cout, result);
-  if (const auto csv_path = args.get("tenant-csv")) {
+  if (tenant_csv) {
     std::ostringstream csv;
     write_tenant_csv(csv, {result});
-    write_file_atomic(*csv_path, csv.str());
-    std::cout << "\nWrote per-tenant CSV to " << *csv_path << "\n";
+    write_file_atomic(*tenant_csv, csv.str());
+    std::cout << "\nWrote per-tenant CSV to " << *tenant_csv << "\n";
   }
   write_tail_attribution(std::cout, {result});
-  if (const auto csv_path = args.get("attribution-csv")) {
+  if (attribution_csv) {
     std::ostringstream csv;
     write_tail_attribution_csv(csv, {result});
-    write_file_atomic(*csv_path, csv.str());
-    std::cout << "\nWrote tail attribution to " << *csv_path << "\n";
+    write_file_atomic(*attribution_csv, csv.str());
+    std::cout << "\nWrote tail attribution to " << *attribution_csv << "\n";
   }
-  if (const auto csv_path = args.get("csv")) {
+  if (results_csv) {
     // Temp file + atomic rename: a crash mid-write never leaves a
     // truncated CSV where a complete one is expected.
     std::ostringstream csv;
     write_results_csv(csv, {result});
-    write_file_atomic(*csv_path, csv.str());
-    std::cout << "\nWrote CSV row to " << *csv_path << "\n";
+    write_file_atomic(*results_csv, csv.str());
+    std::cout << "\nWrote CSV row to " << *results_csv << "\n";
   }
   if (!result.occupancy_series.empty()) {
     std::cout << "\nList occupancy every 10k requests (IRL/SRL/DRL pages):\n";

@@ -2,10 +2,8 @@
 // ready-to-open Chrome trace plus a metric-snapshot CSV.
 //
 //   ./examples/trace_viz [--requests N] [--cache-mb MB] [--policy NAME]
-//                        [--out-dir DIR] [--trace LEVEL] [--trace-buffer E]
-//                        [--trace-sample N] [--snapshot-every REQS]
-//                        [--profile] [--attribution]
-//                        [fault/overload flags, see trace_replay --help]
+//                        [--out-dir DIR] [telemetry, fault and overload
+//                        flags, see --help]
 //
 // Open the .trace.json in chrome://tracing or https://ui.perfetto.dev:
 // pid 1 is the cache (one lane per Req-block list plus a host lane for
@@ -23,6 +21,7 @@
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
 #include "util/args.h"
+#include "util/knobs.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -58,12 +57,23 @@ const char* lane_of(EventKind k) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: " << args.program()
+              << " [--requests N] [--cache-mb MB] [--policy NAME]"
+                 " [--out-dir DIR]\n";
+    write_knob_help(std::cout, "telemetry", kTelemetryKnobs);
+    write_knob_help(std::cout, "fault injection", kFaultKnobs);
+    write_knob_help(std::cout, "device aging", kAgingKnobs);
+    write_knob_help(std::cout, "data integrity", kIntegrityKnobs);
+    write_knob_help(std::cout, "overload", kOverloadKnobs);
+    return 0;
+  }
 
   WorkloadProfile profile;
   profile.name = "trace_viz";
-  profile.total_requests = args.get_u64_or("requests", 50000);
+  profile.total_requests = args.get_u64_strict("requests", 50000);
   profile.seed = 7;
   profile.write_ratio = 0.7;
   profile.hot_extents = 2048;
@@ -74,7 +84,7 @@ int main(int argc, char** argv) {
   SyntheticTraceSource trace(profile);
 
   SimOptions options = make_sim_options(
-      args.get_or("policy", "reqblock"), args.get_u64_or("cache-mb", 16));
+      args.get_or("policy", "reqblock"), args.get_u64_strict("cache-mb", 16));
 
   // Telemetry on by default here — that is the point of this example.
   // Flags (and REQBLOCK_TRACE) can still narrow or widen it.
@@ -86,11 +96,11 @@ int main(int argc, char** argv) {
   // let the export show retry/timeout/throttle lanes on demand.
   options.fault.apply_cli(args);
   options.overload.apply_cli(args);
+  const std::string out_dir = args.get_or("out-dir", "trace_viz_out");
+  args.reject_unread();
 
   Simulator sim(options);
   const RunResult result = sim.run(trace);
-
-  const std::string out_dir = args.get_or("out-dir", "trace_viz_out");
   const RunArtifacts artifacts = export_run_artifacts(result, out_dir);
 
   std::cout << "Run: " << result.requests << " requests, "
@@ -138,4 +148,7 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   write_self_profile(std::cout, result);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "trace_viz: " << e.what() << "\n";
+  return 1;
 }

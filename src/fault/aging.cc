@@ -1,32 +1,11 @@
 #include "fault/aging.h"
 
 #include <stdexcept>
-#include <string>
-
-#include "util/args.h"
 
 namespace reqblock {
 
-namespace {
-
-void check_ramp_max(double p, const char* name) {
-  if (p < 0.0 || p >= 1.0) {
-    throw std::invalid_argument(std::string(name) +
-                                " must be in [0, 1), got " +
-                                std::to_string(p));
-  }
-}
-
-}  // namespace
-
 void AgingPlan::validate() const {
-  check_ramp_max(wear_program_fail_max, "wear_program_fail_max");
-  check_ramp_max(wear_erase_fail_max, "wear_erase_fail_max");
-  check_ramp_max(read_disturb_fail_max, "read_disturb_fail_max");
-  check_ramp_max(retention_fail_max, "retention_fail_max");
-  if (retention_age_limit < 0) {
-    throw std::invalid_argument("retention_age_limit must be >= 0");
-  }
+  check_knobs(kAgingKnobs, *this);
   if ((wear_program_fail_max > 0.0 || wear_erase_fail_max > 0.0) &&
       rated_pe_cycles == 0) {
     throw std::invalid_argument(
@@ -40,34 +19,6 @@ void AgingPlan::validate() const {
     throw std::invalid_argument(
         "retention_fail_max needs retention_age_limit > 0");
   }
-}
-
-void AgingPlan::apply_cli(const ArgParser& args) {
-  rated_pe_cycles = static_cast<std::uint32_t>(
-      args.get_u64_or("aging-rated-pe", rated_pe_cycles));
-  wear_program_fail_max =
-      args.get_double_or("aging-wear-program-max", wear_program_fail_max);
-  wear_erase_fail_max =
-      args.get_double_or("aging-wear-erase-max", wear_erase_fail_max);
-  initial_pe_cycles = static_cast<std::uint32_t>(
-      args.get_u64_or("aging-initial-pe", initial_pe_cycles));
-  read_disturb_limit = static_cast<std::uint32_t>(
-      args.get_u64_or("aging-read-disturb-limit", read_disturb_limit));
-  read_disturb_fail_max =
-      args.get_double_or("aging-read-disturb-max", read_disturb_fail_max);
-  if (args.has("aging-retention-limit-ms")) {
-    retention_age_limit = static_cast<SimTime>(args.get_u64_strict(
-                              "aging-retention-limit-ms", 0)) *
-                          kMillisecond;
-  }
-  retention_fail_max =
-      args.get_double_or("aging-retention-max", retention_fail_max);
-  eol_free_block_floor = static_cast<std::uint32_t>(
-      args.get_u64_or("aging-eol-floor", eol_free_block_floor));
-  eol_exit_margin = static_cast<std::uint32_t>(
-      args.get_u64_or("aging-eol-margin", eol_exit_margin));
-  eol_spare_floor = static_cast<std::uint32_t>(
-      args.get_u64_or("aging-eol-spare-floor", eol_spare_floor));
 }
 
 AgingModel::AgingModel(const AgingPlan& plan) : plan_(plan) {

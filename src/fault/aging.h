@@ -20,11 +20,10 @@
 
 #include <cstdint>
 
+#include "util/knobs.h"
 #include "util/types.h"
 
 namespace reqblock {
-
-class ArgParser;
 
 /// Immutable description of how the device ages. Folded into the config
 /// fingerprint (when enabled) so a checkpoint taken under one aging
@@ -81,16 +80,30 @@ struct AgingPlan {
            initial_pe_cycles > 0;
   }
 
-  /// Throws std::invalid_argument on out-of-range ramp maxima.
+  /// Throws std::invalid_argument on out-of-range ramp maxima and on a
+  /// ramp without its anchor.
   void validate() const;
+};
 
-  /// Reads the standard CLI flags: --aging-rated-pe,
-  /// --aging-wear-program-max, --aging-wear-erase-max, --aging-initial-pe,
-  /// --aging-read-disturb-limit, --aging-read-disturb-max,
-  /// --aging-retention-limit-ms, --aging-retention-max, --aging-eol-floor,
-  /// --aging-eol-margin, --aging-eol-spare-floor. Flags the parser does
-  /// not carry keep their current value.
-  void apply_cli(const ArgParser& args);
+/// Every AgingPlan knob, in fingerprint order (src/util/knobs.h).
+inline constexpr auto kAgingKnobs = std::tuple{
+    Knob{"aging-rated-pe", REQB_KNOB_FIELD(rated_pe_cycles), kInteger},
+    Knob{"aging-wear-program-max", REQB_KNOB_FIELD(wear_program_fail_max),
+         kNumber, kProbability},
+    Knob{"aging-wear-erase-max", REQB_KNOB_FIELD(wear_erase_fail_max),
+         kNumber, kProbability},
+    Knob{"aging-initial-pe", REQB_KNOB_FIELD(initial_pe_cycles), kInteger},
+    Knob{"aging-read-disturb-limit", REQB_KNOB_FIELD(read_disturb_limit),
+         kInteger},
+    Knob{"aging-read-disturb-max", REQB_KNOB_FIELD(read_disturb_fail_max),
+         kNumber, kProbability},
+    Knob{"aging-retention-limit-ms", REQB_KNOB_FIELD(retention_age_limit),
+         kMsInteger, kNonNegative},
+    Knob{"aging-retention-max", REQB_KNOB_FIELD(retention_fail_max),
+         kNumber, kProbability},
+    Knob{"aging-eol-floor", REQB_KNOB_FIELD(eol_free_block_floor), kInteger},
+    Knob{"aging-eol-margin", REQB_KNOB_FIELD(eol_exit_margin), kInteger},
+    Knob{"aging-eol-spare-floor", REQB_KNOB_FIELD(eol_spare_floor), kInteger},
 };
 
 /// Pure ramp math over an AgingPlan: maps per-block wear state to the

@@ -1,50 +1,19 @@
 #include "fault/fault.h"
 
-#include <stdexcept>
-#include <string>
-
 #include "snapshot/snapshot.h"
-#include "util/args.h"
 
 namespace reqblock {
 
-namespace {
-
-void check_prob(double p, const char* name) {
-  if (p < 0.0 || p >= 1.0) {
-    throw std::invalid_argument(std::string(name) +
-                                " must be in [0, 1), got " +
-                                std::to_string(p));
-  }
-}
-
-}  // namespace
-
 void FaultPlan::validate() const {
-  check_prob(program_fail_prob, "program_fail_prob");
-  check_prob(read_fail_prob, "read_fail_prob");
-  check_prob(erase_fail_prob, "erase_fail_prob");
-  if (max_program_retries == 0) {
-    throw std::invalid_argument("max_program_retries must be >= 1");
-  }
+  check_knobs(kFaultKnobs, *this);
   aging.validate();
   integrity.validate();
 }
 
 void FaultPlan::apply_cli(const ArgParser& args) {
-  seed = args.get_u64_or("fault-seed", seed);
-  program_fail_prob =
-      args.get_double_or("fault-program-fail", program_fail_prob);
-  read_fail_prob = args.get_double_or("fault-read-fail", read_fail_prob);
-  erase_fail_prob = args.get_double_or("fault-erase-fail", erase_fail_prob);
-  max_program_retries = static_cast<std::uint32_t>(
-      args.get_u64_or("fault-retries", max_program_retries));
-  spare_blocks_per_plane = static_cast<std::uint32_t>(
-      args.get_u64_or("fault-spares", spare_blocks_per_plane));
-  power_loss_every_requests =
-      args.get_u64_or("fault-power-loss-every", power_loss_every_requests);
-  aging.apply_cli(args);
-  integrity.apply_cli(args);
+  apply_knobs(kFaultKnobs, *this, args);
+  apply_knobs(kAgingKnobs, aging, args);
+  apply_knobs(kIntegrityKnobs, integrity, args);
 }
 
 namespace {

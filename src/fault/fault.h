@@ -21,12 +21,12 @@
 
 #include "fault/aging.h"
 #include "fault/integrity.h"
+#include "util/knobs.h"
 #include "util/rng.h"
 #include "util/types.h"
 
 namespace reqblock {
 
-class ArgParser;
 class SnapshotReader;
 class SnapshotWriter;
 
@@ -86,17 +86,35 @@ struct FaultPlan {
            aging.enabled() || integrity.enabled();
   }
 
-  /// Throws std::invalid_argument on out-of-range probabilities.
+  /// Throws std::invalid_argument on out-of-range probabilities, here and
+  /// in the aging and integrity blocks.
   void validate() const;
 
-  /// Reads the standard CLI flags: --fault-seed, --fault-program-fail,
-  /// --fault-read-fail, --fault-erase-fail, --fault-retries,
-  /// --fault-spares, --fault-power-loss-every, plus every --aging-* flag
-  /// (AgingPlan::apply_cli) and every --integrity-* flag
-  /// (IntegrityPlan::apply_cli). Both drivers funnel through this one
-  /// method, so trace_replay and run_matrix accept the identical flag
-  /// set. Flags the parser does not carry keep their current value.
+  /// Reads the flags of kFaultKnobs, kAgingKnobs and kIntegrityKnobs;
+  /// flags the parser does not carry keep their current value. Every
+  /// driver funnels through this one method.
   void apply_cli(const ArgParser& args);
+};
+
+/// FaultPlan's own knobs, in fingerprint order (src/util/knobs.h); the
+/// aging and integrity blocks have their own tables.
+inline constexpr auto kFaultKnobs = std::tuple{
+    Knob{"fault-seed", REQB_KNOB_FIELD(seed), kInteger},
+    Knob{"fault-program-fail", REQB_KNOB_FIELD(program_fail_prob),
+         kNumber, kProbability},
+    Knob{"fault-read-fail", REQB_KNOB_FIELD(read_fail_prob), kNumber,
+         kProbability},
+    Knob{"fault-erase-fail", REQB_KNOB_FIELD(erase_fail_prob),
+         kNumber, kProbability},
+    Knob{"fault-retries", REQB_KNOB_FIELD(max_program_retries),
+         kInteger, kAtLeastOne},
+    Knob{nullptr, REQB_KNOB_FIELD(retry_backoff)},
+    Knob{"fault-spares", REQB_KNOB_FIELD(spare_blocks_per_plane), kInteger},
+    Knob{nullptr, REQB_KNOB_FIELD(degraded_program_penalty)},
+    Knob{"fault-power-loss-every", REQB_KNOB_FIELD(power_loss_every_requests),
+         kInteger},
+    Knob{nullptr, REQB_KNOB_FIELD(power_loss_downtime)},
+    Knob{nullptr, REQB_KNOB_FIELD(recovery_replay_per_page)},
 };
 
 /// Everything the injector counted. Reconciled 1:1 against fault-class

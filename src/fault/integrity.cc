@@ -4,35 +4,14 @@
 #include <string>
 
 #include "snapshot/snapshot.h"
-#include "util/args.h"
 
 namespace reqblock {
 
 namespace {
 
-void check_prob(double p, const char* name) {
-  if (p < 0.0 || p >= 1.0) {
-    throw std::invalid_argument(std::string(name) +
-                                " must be in [0, 1), got " +
-                                std::to_string(p));
-  }
-}
-
-void check_fraction(double p, const char* name) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument(std::string(name) +
-                                " must be in [0, 1], got " +
-                                std::to_string(p));
-  }
-}
-
-void check_boost(double b, std::uint64_t anchor, const char* name,
-                 const char* anchor_name) {
-  if (b < 0.0) {
-    throw std::invalid_argument(std::string(name) + " must be >= 0, got " +
-                                std::to_string(b));
-  }
-  if (b > 0.0 && anchor == 0) {
+void check_anchor(double boost, bool anchored, const char* name,
+                  const char* anchor_name) {
+  if (boost > 0.0 && !anchored) {
     throw std::invalid_argument(std::string(name) + " needs " + anchor_name +
                                 " > 0 to anchor the ramp");
   }
@@ -45,23 +24,13 @@ constexpr double kMaxDetectProb = 0.999;
 }  // namespace
 
 void IntegrityPlan::validate() const {
-  check_prob(rber_base, "rber_base");
-  check_boost(rber_pe_boost, rber_pe_anchor, "rber_pe_boost",
-              "rber_pe_anchor");
-  check_boost(rber_read_boost, rber_read_anchor, "rber_read_boost",
-              "rber_read_anchor");
-  check_boost(rber_age_boost,
-              static_cast<std::uint64_t>(rber_age_anchor > 0 ? 1 : 0),
-              "rber_age_boost", "rber_age_anchor");
-  if (rber_age_anchor < 0) {
-    throw std::invalid_argument("rber_age_anchor must be >= 0");
-  }
-  check_fraction(ecc_escape, "ecc_escape");
-  check_fraction(retry_relief, "retry_relief");
-  if (retry_step_latency < 0) {
-    throw std::invalid_argument("retry_step_latency must be >= 0");
-  }
-  check_fraction(scrub_rber_threshold, "scrub_rber_threshold");
+  check_knobs(kIntegrityKnobs, *this);
+  check_anchor(rber_pe_boost, rber_pe_anchor > 0, "rber_pe_boost",
+               "rber_pe_anchor");
+  check_anchor(rber_read_boost, rber_read_anchor > 0, "rber_read_boost",
+               "rber_read_anchor");
+  check_anchor(rber_age_boost, rber_age_anchor > 0, "rber_age_boost",
+               "rber_age_anchor");
   if (scrub_every_requests > 0) {
     if (!enabled()) {
       throw std::invalid_argument(
@@ -79,48 +48,6 @@ void IntegrityPlan::validate() const {
           "misconfiguration)");
     }
   }
-}
-
-void IntegrityPlan::apply_cli(const ArgParser& args) {
-  rber_base = args.get_double_or("integrity-rber", rber_base);
-  rber_pe_anchor = static_cast<std::uint32_t>(
-      args.get_u64_or("integrity-rber-pe-anchor", rber_pe_anchor));
-  rber_pe_boost =
-      args.get_double_or("integrity-rber-pe-boost", rber_pe_boost);
-  rber_read_anchor = static_cast<std::uint32_t>(
-      args.get_u64_or("integrity-rber-read-anchor", rber_read_anchor));
-  rber_read_boost =
-      args.get_double_or("integrity-rber-read-boost", rber_read_boost);
-  if (args.has("integrity-rber-age-anchor-ms")) {
-    rber_age_anchor = static_cast<SimTime>(args.get_u64_strict(
-                          "integrity-rber-age-anchor-ms", 0)) *
-                      kMillisecond;
-  }
-  rber_age_boost =
-      args.get_double_or("integrity-rber-age-boost", rber_age_boost);
-  ecc_escape = args.get_double_or("integrity-ecc-escape", ecc_escape);
-  read_retry_steps = static_cast<std::uint32_t>(
-      args.get_u64_or("integrity-retry-steps", read_retry_steps));
-  retry_relief = args.get_double_or("integrity-retry-relief", retry_relief);
-  if (args.has("integrity-retry-step-us")) {
-    retry_step_latency = static_cast<SimTime>(args.get_u64_strict(
-                             "integrity-retry-step-us", 0)) *
-                         kMicrosecond;
-  }
-  stripe_pages = static_cast<std::uint32_t>(
-      args.get_u64_or("integrity-stripe-pages", stripe_pages));
-  if (args.has("integrity-uncorrectable-shed")) uncorrectable_shed = true;
-  scrub_every_requests =
-      args.get_u64_or("integrity-scrub-every", scrub_every_requests);
-  if (args.has("integrity-scrub-budget-us")) {
-    scrub_time_budget = static_cast<SimTime>(args.get_u64_strict(
-                            "integrity-scrub-budget-us", 0)) *
-                        kMicrosecond;
-  }
-  scrub_rber_threshold =
-      args.get_double_or("integrity-scrub-rber", scrub_rber_threshold);
-  scrub_error_limit = static_cast<std::uint32_t>(
-      args.get_u64_or("integrity-scrub-error-limit", scrub_error_limit));
 }
 
 IntegrityModel::IntegrityModel(const IntegrityPlan& plan) : plan_(plan) {

@@ -34,11 +34,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/knobs.h"
 #include "util/types.h"
 
 namespace reqblock {
 
-class ArgParser;
 class SnapshotReader;
 class SnapshotWriter;
 
@@ -117,17 +117,45 @@ struct IntegrityPlan {
 
   /// Throws std::invalid_argument on out-of-range or inconsistent knobs.
   void validate() const;
+};
 
-  /// Reads the standard CLI flags: --integrity-rber,
-  /// --integrity-rber-pe-anchor/-boost, --integrity-rber-read-anchor/
-  /// -boost, --integrity-rber-age-anchor-ms/-boost,
-  /// --integrity-ecc-escape, --integrity-retry-steps,
-  /// --integrity-retry-relief, --integrity-retry-step-us,
-  /// --integrity-stripe-pages, --integrity-uncorrectable-shed,
-  /// --integrity-scrub-every, --integrity-scrub-budget-us,
-  /// --integrity-scrub-rber, --integrity-scrub-error-limit. Flags the
-  /// parser does not carry keep their current value.
-  void apply_cli(const ArgParser& args);
+/// Re-sense steps per read: IntegrityModel keeps a table of steps + 1
+/// relief powers and walks it on every escalated read.
+inline constexpr Range kRetrySteps{0.0, 1024.0, false, false, "in [0, 1024]"};
+
+/// Every IntegrityPlan knob, in fingerprint order (src/util/knobs.h).
+inline constexpr auto kIntegrityKnobs = std::tuple{
+    Knob{"integrity-rber", REQB_KNOB_FIELD(rber_base), kNumber, kProbability},
+    Knob{"integrity-rber-pe-anchor", REQB_KNOB_FIELD(rber_pe_anchor), kInteger},
+    Knob{"integrity-rber-pe-boost", REQB_KNOB_FIELD(rber_pe_boost),
+         kNumber, kNonNegative},
+    Knob{"integrity-rber-read-anchor", REQB_KNOB_FIELD(rber_read_anchor),
+         kInteger},
+    Knob{"integrity-rber-read-boost", REQB_KNOB_FIELD(rber_read_boost),
+         kNumber, kNonNegative},
+    Knob{"integrity-rber-age-anchor-ms", REQB_KNOB_FIELD(rber_age_anchor),
+         kMsInteger, kNonNegative},
+    Knob{"integrity-rber-age-boost", REQB_KNOB_FIELD(rber_age_boost),
+         kNumber, kNonNegative},
+    Knob{"integrity-ecc-escape", REQB_KNOB_FIELD(ecc_escape), kNumber,
+         kFraction},
+    Knob{"integrity-retry-steps", REQB_KNOB_FIELD(read_retry_steps), kInteger,
+         kRetrySteps},
+    Knob{"integrity-retry-relief", REQB_KNOB_FIELD(retry_relief),
+         kNumber, kFraction},
+    Knob{"integrity-retry-step-us", REQB_KNOB_FIELD(retry_step_latency),
+         kUsInteger, kNonNegative},
+    Knob{"integrity-stripe-pages", REQB_KNOB_FIELD(stripe_pages), kInteger},
+    Knob{"integrity-uncorrectable-shed", REQB_KNOB_FIELD(uncorrectable_shed),
+         kSwitch},
+    Knob{"integrity-scrub-every", REQB_KNOB_FIELD(scrub_every_requests),
+         kInteger},
+    Knob{"integrity-scrub-budget-us", REQB_KNOB_FIELD(scrub_time_budget),
+         kUsInteger},
+    Knob{"integrity-scrub-rber", REQB_KNOB_FIELD(scrub_rber_threshold),
+         kNumber, kFraction},
+    Knob{"integrity-scrub-error-limit", REQB_KNOB_FIELD(scrub_error_limit),
+         kInteger},
 };
 
 /// Pure threshold math over an IntegrityPlan: maps wear state to the

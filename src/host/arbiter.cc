@@ -1,7 +1,6 @@
 #include "host/arbiter.h"
 
 #include <limits>
-#include <stdexcept>
 
 #include "snapshot/snapshot.h"
 #include "util/check.h"
@@ -167,12 +166,11 @@ class DeficitArbiter final : public Arbiter {
 
 }  // namespace
 
-ArbiterKind parse_arbiter_kind(std::string_view text) {
+std::optional<ArbiterKind> arbiter_kind_from_name(std::string_view text) {
   if (text == "rr" || text == "round-robin") return ArbiterKind::kRoundRobin;
   if (text == "wrr" || text == "weighted") return ArbiterKind::kWeighted;
   if (text == "drr" || text == "deficit") return ArbiterKind::kDeficit;
-  throw std::invalid_argument("unknown arbiter '" + std::string(text) +
-                              "' (expected rr, wrr, or drr)");
+  return std::nullopt;
 }
 
 std::unique_ptr<Arbiter> make_arbiter(ArbiterKind kind,

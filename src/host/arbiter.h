@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,8 +56,8 @@ constexpr const char* to_string(ArbiterKind k) {
 }
 
 /// Parses "rr"/"wrr"/"drr" (also "round-robin"/"weighted"/"deficit");
-/// throws std::invalid_argument naming the unknown spelling.
-ArbiterKind parse_arbiter_kind(std::string_view text);
+/// nullopt for any other spelling.
+std::optional<ArbiterKind> arbiter_kind_from_name(std::string_view text);
 
 /// One ready submission-queue head as the arbiter sees it.
 struct ReadyHead {

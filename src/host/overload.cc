@@ -6,23 +6,16 @@
 #include <string>
 
 #include "snapshot/snapshot.h"
-#include "util/args.h"
 #include "util/check.h"
 
 namespace reqblock {
 
 void OverloadOptions::validate() const {
-  if (bg_flush_high < 0.0 || bg_flush_high > 1.0 || bg_flush_low < 0.0 ||
-      bg_flush_low > 1.0) {
-    throw std::invalid_argument("bg-flush watermarks must be in [0, 1]");
-  }
+  check_knobs(kOverloadKnobs, *this);
   if (bg_flush_high > 0.0 && bg_flush_low > bg_flush_high) {
     throw std::invalid_argument(
         "bg-flush low watermark " + std::to_string(bg_flush_low) +
         " exceeds high watermark " + std::to_string(bg_flush_high));
-  }
-  if (deadline_ns < 0) {
-    throw std::invalid_argument("deadline must be non-negative");
   }
   if (timeout_action == TimeoutAction::kRetry && retry_backoff_ns <= 0) {
     throw std::invalid_argument("retry semantics need a positive backoff");
@@ -36,27 +29,11 @@ void OverloadOptions::validate() const {
 }
 
 void OverloadOptions::apply_cli(const ArgParser& args) {
-  queue_depth = static_cast<std::uint32_t>(
-      args.get_u64_strict("queue-depth", queue_depth));
-  const double deadline_us = args.get_double_strict(
-      "deadline-us",
-      static_cast<double>(deadline_ns) / static_cast<double>(kMicrosecond));
-  deadline_ns = static_cast<SimTime>(
-      deadline_us * static_cast<double>(kMicrosecond));
+  apply_knobs(kOverloadKnobs, *this, args);
   if (args.has("queue-retries")) {
-    max_retries = static_cast<std::uint32_t>(
-        args.get_u64_strict("queue-retries", max_retries));
     timeout_action =
         max_retries > 0 ? TimeoutAction::kRetry : TimeoutAction::kShed;
   }
-  const double backoff_us = args.get_double_strict(
-      "queue-backoff-us", static_cast<double>(retry_backoff_ns) /
-                              static_cast<double>(kMicrosecond));
-  retry_backoff_ns = static_cast<SimTime>(
-      backoff_us * static_cast<double>(kMicrosecond));
-  bg_flush_high = args.get_double_strict("bg-flush-high", bg_flush_high);
-  bg_flush_low = args.get_double_strict("bg-flush-low", bg_flush_low);
-  if (args.has("throttle")) throttle = true;
 }
 
 std::uint64_t OverloadOptions::high_pages(

@@ -28,11 +28,11 @@
 #include <vector>
 
 #include "telemetry/trace_buffer.h"
+#include "util/knobs.h"
 #include "util/types.h"
 
 namespace reqblock {
 
-class ArgParser;
 class SnapshotReader;
 class SnapshotWriter;
 
@@ -83,10 +83,9 @@ struct OverloadOptions {
   /// throttle headroom).
   void validate() const;
 
-  /// Reads the standard CLI flags: --queue-depth, --deadline-us,
-  /// --queue-retries (0 switches back to shed semantics),
-  /// --queue-backoff-us, --bg-flush-high, --bg-flush-low, --throttle.
-  /// Flags the parser does not carry keep their current value.
+  /// Reads the flags of kOverloadKnobs; --queue-retries also picks the
+  /// timeout action (0 switches back to shed semantics). Flags the parser
+  /// does not carry keep their current value.
   void apply_cli(const ArgParser& args);
 
   /// Watermarks as page counts for a concrete cache capacity.
@@ -97,6 +96,20 @@ struct OverloadOptions {
   /// [0, throttle_headroom_blocks] (see Ftl::gc_pressure_level); integer
   /// arithmetic only, so every platform computes the identical delay.
   SimTime throttle_delay(std::uint64_t pressure_level) const;
+};
+
+/// Every OverloadOptions knob, in fingerprint order (src/util/knobs.h).
+inline constexpr auto kOverloadKnobs = std::tuple{
+    Knob{"queue-depth", REQB_KNOB_FIELD(queue_depth), kInteger},
+    Knob{"deadline-us", REQB_KNOB_FIELD(deadline_ns), kUsNumber, kNonNegative},
+    Knob{nullptr, REQB_KNOB_FIELD(timeout_action)},
+    Knob{"queue-retries", REQB_KNOB_FIELD(max_retries), kInteger},
+    Knob{"queue-backoff-us", REQB_KNOB_FIELD(retry_backoff_ns), kUsNumber},
+    Knob{"bg-flush-high", REQB_KNOB_FIELD(bg_flush_high), kNumber, kFraction},
+    Knob{"bg-flush-low", REQB_KNOB_FIELD(bg_flush_low), kNumber, kFraction},
+    Knob{"throttle", REQB_KNOB_FIELD(throttle), kSwitch},
+    Knob{nullptr, REQB_KNOB_FIELD(throttle_headroom_blocks)},
+    Knob{nullptr, REQB_KNOB_FIELD(throttle_max_delay_ns)},
 };
 
 /// Everything the overload layer counted. Reconciled 1:1 against the

@@ -5,59 +5,8 @@
 
 #include "snapshot/snapshot.h"
 #include "trace/synthetic.h"
-#include "util/args.h"
-#include "util/strings.h"
 
 namespace reqblock {
-
-namespace {
-
-/// Grows `specs` to cover index `i` (new entries default-constructed).
-TenantSpec& spec_at(std::vector<TenantSpec>& specs, std::size_t i) {
-  if (specs.size() <= i) specs.resize(i + 1);
-  return specs[i];
-}
-
-/// Applies one comma-separated per-tenant list: `set` is called with
-/// (spec, field text) for each present entry. Throws on lists longer than
-/// the tenant count so a typo'd spec never silently drops.
-template <typename Setter>
-void apply_list(const ArgParser& args, const std::string& flag,
-                std::uint32_t count, std::vector<TenantSpec>& specs,
-                Setter set) {
-  const auto value = args.get(flag);
-  if (!value) return;
-  const auto fields = split(*value, ',');
-  if (fields.size() > count) {
-    throw std::invalid_argument("--" + flag + " lists " +
-                                std::to_string(fields.size()) +
-                                " tenants but --tenants is " +
-                                std::to_string(count));
-  }
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    set(spec_at(specs, i), flag, fields[i]);
-  }
-}
-
-std::uint64_t parse_u64_field(const std::string& flag, std::string_view text) {
-  const auto v = parse_u64(trim(text));
-  if (!v) {
-    throw std::invalid_argument("--" + flag + ": '" + std::string(text) +
-                                "' is not an unsigned integer");
-  }
-  return *v;
-}
-
-double parse_double_field(const std::string& flag, std::string_view text) {
-  const auto v = parse_double(trim(text));
-  if (!v) {
-    throw std::invalid_argument("--" + flag + ": '" + std::string(text) +
-                                "' is not a number");
-  }
-  return *v;
-}
-
-}  // namespace
 
 std::vector<std::uint32_t> TenantOptions::weights() const {
   std::vector<std::uint32_t> w;
@@ -67,65 +16,37 @@ std::vector<std::uint32_t> TenantOptions::weights() const {
 }
 
 void TenantOptions::validate() const {
-  if (count == 0) {
-    throw std::invalid_argument("tenant count must be >= 1");
-  }
+  check_knobs(kTenantKnobs, *this);
   if (specs.size() > count) {
     throw std::invalid_argument(
         "more tenant specs (" + std::to_string(specs.size()) +
         ") than tenants (" + std::to_string(count) + ")");
   }
-  if (drr_quantum_pages == 0) {
-    throw std::invalid_argument("DRR quantum must be >= 1 page");
-  }
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const TenantSpec& s = specs[i];
-    const std::string who = "tenant " + std::to_string(i);
-    if (s.weight == 0) {
-      throw std::invalid_argument(who + ": weight must be >= 1");
-    }
-    if (s.rate <= 0.0) {
-      throw std::invalid_argument(who + ": rate multiplier must be > 0");
+    const auto refuse = [i](const std::string& why) {
+      throw std::invalid_argument("tenant " + std::to_string(i) + ": " + why);
+    };
+    try {
+      check_knobs(kTenantSpecKnobs, s);
+    } catch (const std::invalid_argument& e) {
+      refuse(e.what());
     }
     if ((s.burst_period == 0) != (s.burst_len == 0)) {
-      throw std::invalid_argument(
-          who + ": burst length and period must be set together");
+      refuse("burst length and period must be set together");
     }
     if (s.burst_period > 0 && s.burst_len > s.burst_period) {
-      throw std::invalid_argument(who + ": burst length exceeds the period");
+      refuse("burst length exceeds the period");
     }
     if (s.burst_period > 0 && s.burst_factor <= 0.0) {
-      throw std::invalid_argument(who + ": burst factor must be > 0");
+      refuse("burst factor must be > 0");
     }
   }
 }
 
 void TenantOptions::apply_cli(const ArgParser& args) {
-  count = static_cast<std::uint32_t>(args.get_u64_strict("tenants", count));
-  if (const auto v = args.get("arbiter")) arbiter = parse_arbiter_kind(*v);
-  drr_quantum_pages = static_cast<std::uint32_t>(
-      args.get_u64_strict("drr-quantum", drr_quantum_pages));
-  apply_list(args, "tenant-weights", count, specs,
-             [](TenantSpec& s, const std::string& flag, std::string_view t) {
-               s.weight =
-                   static_cast<std::uint32_t>(parse_u64_field(flag, t));
-             });
-  apply_list(args, "tenant-rates", count, specs,
-             [](TenantSpec& s, const std::string& flag, std::string_view t) {
-               s.rate = parse_double_field(flag, t);
-             });
-  apply_list(args, "tenant-burst-len", count, specs,
-             [](TenantSpec& s, const std::string& flag, std::string_view t) {
-               s.burst_len = parse_u64_field(flag, t);
-             });
-  apply_list(args, "tenant-burst-period", count, specs,
-             [](TenantSpec& s, const std::string& flag, std::string_view t) {
-               s.burst_period = parse_u64_field(flag, t);
-             });
-  apply_list(args, "tenant-burst-factor", count, specs,
-             [](TenantSpec& s, const std::string& flag, std::string_view t) {
-               s.burst_factor = parse_double_field(flag, t);
-             });
+  apply_knobs(kTenantKnobs, *this, args);
+  apply_knob_lists(kTenantSpecKnobs, specs, count, args, "tenants");
   validate();
 }
 

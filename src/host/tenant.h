@@ -27,11 +27,11 @@
 #include "host/overload.h"
 #include "telemetry/attribution.h"
 #include "util/histogram.h"
+#include "util/knobs.h"
 #include "util/types.h"
 
 namespace reqblock {
 
-class ArgParser;
 struct WorkloadProfile;
 class SyntheticTraceSource;
 class TraceSource;
@@ -48,6 +48,16 @@ struct TenantSpec {
   std::uint64_t burst_len = 0;
   std::uint64_t burst_period = 0;
   double burst_factor = 8.0;
+};
+
+/// Every TenantSpec knob, in fingerprint order (src/util/knobs.h). Each
+/// flag takes a comma list with one entry per tenant.
+inline constexpr auto kTenantSpecKnobs = std::tuple{
+    Knob{"tenant-weights", REQB_KNOB_FIELD(weight), kInteger, kAtLeastOne},
+    Knob{"tenant-rates", REQB_KNOB_FIELD(rate), kNumber, kPositive},
+    Knob{"tenant-burst-len", REQB_KNOB_FIELD(burst_len), kInteger},
+    Knob{"tenant-burst-period", REQB_KNOB_FIELD(burst_period), kInteger},
+    Knob{"tenant-burst-factor", REQB_KNOB_FIELD(burst_factor), kNumber},
 };
 
 struct TenantOptions {
@@ -72,12 +82,20 @@ struct TenantOptions {
   /// more specs than tenants, zero weight/rate, half-open burst spec).
   void validate() const;
 
-  /// Reads the multi-tenant CLI: --tenants N, --arbiter rr|wrr|drr,
-  /// --drr-quantum PAGES, and per-tenant comma lists --tenant-weights,
-  /// --tenant-rates, --tenant-burst-len, --tenant-burst-period,
-  /// --tenant-burst-factor (shorter lists leave later tenants at their
-  /// defaults). Flags the parser does not carry keep their current value.
+  /// Reads the flags of kTenantKnobs and the comma lists of
+  /// kTenantSpecKnobs (a short list leaves later tenants at their
+  /// defaults), then validates. Absent flags keep their current value.
   void apply_cli(const ArgParser& args);
+};
+
+/// TenantOptions' own knobs, in fingerprint order (src/util/knobs.h); the
+/// per-tenant specs follow them in kTenantSpecKnobs.
+inline constexpr auto kTenantKnobs = std::tuple{
+    Knob{"tenants", REQB_KNOB_FIELD(count), kInteger, kAtLeastOne},
+    Knob{"arbiter", REQB_KNOB_FIELD(arbiter),
+         Choice<ArbiterKind>{"rr|wrr|drr", arbiter_kind_from_name}},
+    Knob{"drr-quantum", REQB_KNOB_FIELD(drr_quantum_pages), kInteger,
+         kAtLeastOne},
 };
 
 /// One tenant's slice of a finished run: request counts, response and

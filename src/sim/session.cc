@@ -54,96 +54,26 @@ std::uint64_t config_fingerprint(const SimOptions& o) {
   fp.add(o.occupancy_log_interval);
   fp.add(o.max_requests);
   fp.add(o.warmup_requests);
-  const FaultPlan& f = o.fault;
-  fp.add(f.seed);
-  fp.add_double(f.program_fail_prob);
-  fp.add_double(f.read_fail_prob);
-  fp.add_double(f.erase_fail_prob);
-  fp.add(f.max_program_retries);
-  fp.add_i64(f.retry_backoff);
-  fp.add(f.spare_blocks_per_plane);
-  fp.add_i64(f.degraded_program_penalty);
-  fp.add(f.power_loss_every_requests);
-  fp.add_i64(f.power_loss_downtime);
-  fp.add_i64(f.recovery_replay_per_page);
-  // The aging block folds in only when the plan can alter a run: historical
-  // fingerprints (and stored results keyed by them) stay valid, while any
-  // aging knob change refuses a mismatched restore.
-  const AgingPlan& ag = f.aging;
-  if (ag.enabled()) {
+  // The option blocks walk their knob tables. A gated block folds in only
+  // when it can alter a run, so fingerprints stored before it existed stay
+  // valid.
+  fingerprint_knobs(kFaultKnobs, o.fault, fp);
+  if (o.fault.aging.enabled()) {
     fp.add_string("aging");
-    fp.add(ag.rated_pe_cycles);
-    fp.add_double(ag.wear_program_fail_max);
-    fp.add_double(ag.wear_erase_fail_max);
-    fp.add(ag.initial_pe_cycles);
-    fp.add(ag.read_disturb_limit);
-    fp.add_double(ag.read_disturb_fail_max);
-    fp.add_i64(ag.retention_age_limit);
-    fp.add_double(ag.retention_fail_max);
-    fp.add(ag.eol_free_block_floor);
-    fp.add(ag.eol_exit_margin);
-    fp.add(ag.eol_spare_floor);
+    fingerprint_knobs(kAgingKnobs, o.fault.aging, fp);
   }
-  // Same gating as the aging block: the integrity model folds in only
-  // when it can alter a run, so error-free fingerprints (and everything
-  // keyed by them) are unchanged from earlier builds.
-  const IntegrityPlan& in = f.integrity;
-  if (in.enabled()) {
+  if (o.fault.integrity.enabled()) {
     fp.add_string("integrity");
-    fp.add_double(in.rber_base);
-    fp.add(in.rber_pe_anchor);
-    fp.add_double(in.rber_pe_boost);
-    fp.add(in.rber_read_anchor);
-    fp.add_double(in.rber_read_boost);
-    fp.add_i64(in.rber_age_anchor);
-    fp.add_double(in.rber_age_boost);
-    fp.add_double(in.ecc_escape);
-    fp.add(in.read_retry_steps);
-    fp.add_double(in.retry_relief);
-    fp.add_i64(in.retry_step_latency);
-    fp.add(in.stripe_pages);
-    fp.add_bool(in.uncorrectable_shed);
-    fp.add(in.scrub_every_requests);
-    fp.add_i64(in.scrub_time_budget);
-    fp.add_double(in.scrub_rber_threshold);
-    fp.add(in.scrub_error_limit);
+    fingerprint_knobs(kIntegrityKnobs, o.fault.integrity, fp);
   }
-  const OverloadOptions& ov = o.overload;
-  fp.add(ov.queue_depth);
-  fp.add_i64(ov.deadline_ns);
-  fp.add(static_cast<std::uint64_t>(ov.timeout_action));
-  fp.add(ov.max_retries);
-  fp.add_i64(ov.retry_backoff_ns);
-  fp.add_double(ov.bg_flush_high);
-  fp.add_double(ov.bg_flush_low);
-  fp.add_bool(ov.throttle);
-  fp.add(ov.throttle_headroom_blocks);
-  fp.add_i64(ov.throttle_max_delay_ns);
-  const TelemetryOptions& t = o.telemetry;
-  fp.add(static_cast<std::uint64_t>(t.trace.level));
-  fp.add(t.trace.capacity);
-  fp.add(t.trace.sample_period);
-  fp.add(t.snapshot_every_requests);
-  fp.add_i64(t.snapshot_every_ns);
-  fp.add_bool(t.profile);
-  fp.add_bool(t.attribution);
-  // The multi-queue block folds in only when a second tenant exists:
-  // historical single-stream fingerprints (and the stored results keyed
-  // by them) stay valid, while any multi-tenant knob change refuses a
-  // mismatched restore.
+  fingerprint_knobs(kOverloadKnobs, o.overload, fp);
+  fingerprint_knobs(kTelemetryKnobs, o.telemetry, fp);
   const TenantOptions& tn = o.tenants;
   if (tn.enabled()) {
     fp.add_string("tenants");
-    fp.add(tn.count);
-    fp.add(static_cast<std::uint64_t>(tn.arbiter));
-    fp.add(tn.drr_quantum_pages);
+    fingerprint_knobs(kTenantKnobs, tn, fp);
     for (std::uint32_t i = 0; i < tn.count; ++i) {
-      const TenantSpec spec = tn.spec(i);
-      fp.add(spec.weight);
-      fp.add_double(spec.rate);
-      fp.add(spec.burst_len);
-      fp.add(spec.burst_period);
-      fp.add_double(spec.burst_factor);
+      fingerprint_knobs(kTenantSpecKnobs, tn.spec(i), fp);
     }
   }
   return fp.value();
@@ -178,6 +108,7 @@ void SimulationSession::init(const std::vector<TraceSource*>& traces) {
   options_.fault.validate();
   options_.overload.validate();
   options_.tenants.validate();
+  check_knobs(kTelemetryKnobs, options_.telemetry);
   config_hash_ = config_fingerprint(options_);
   const bool multi = traces.size() > 1;
   if (multi) {

@@ -1,32 +1,10 @@
 #include "telemetry/telemetry.h"
 
-#include <string>
-
-#include "util/args.h"
-
 namespace reqblock {
 
 void TelemetryOptions::apply_cli(const ArgParser& args,
                                  std::string_view prefix) {
-  const auto flag = [&](const char* name) {
-    return std::string(prefix) + name;
-  };
-  if (const auto v = args.get(flag("trace"))) {
-    trace.level = parse_trace_level(*v, trace.level);
-  }
-  trace.capacity = args.get_u64_or(flag("trace-buffer"), trace.capacity);
-  trace.sample_period =
-      args.get_u64_or(flag("trace-sample"), trace.sample_period);
-  snapshot_every_requests =
-      args.get_u64_or(flag("snapshot-every"), snapshot_every_requests);
-  if (const auto v = args.get(flag("snapshot-every-ms"))) {
-    snapshot_every_ns = static_cast<SimTime>(
-        args.get_double_or(flag("snapshot-every-ms"), 0.0) * kMillisecond);
-  }
-  if (args.has(flag("profile"))) profile = true;
-  if (args.has(flag("attribution")) || args.has("attribution")) {
-    attribution = true;
-  }
+  apply_knobs(kTelemetryKnobs, *this, args, prefix);
 }
 
 }  // namespace reqblock

@@ -10,8 +10,7 @@
 //
 // Runtime gates:
 //   REQBLOCK_TRACE=off|cache|flash|all   event categories (default off)
-//   --trace/--trace-buffer/--trace-sample, --snapshot-every,
-//   --snapshot-every-ms, --profile       per-binary CLI (apply_cli)
+//   the flags of kTelemetryKnobs         per-binary CLI (apply_cli)
 #pragma once
 
 #include <cstdint>
@@ -20,11 +19,10 @@
 #include "telemetry/metrics_registry.h"
 #include "telemetry/profiler.h"
 #include "telemetry/trace_buffer.h"
+#include "util/knobs.h"
 #include "util/types.h"
 
 namespace reqblock {
-
-class ArgParser;
 
 struct TelemetryOptions {
   TraceConfig trace;
@@ -48,14 +46,26 @@ struct TelemetryOptions {
   /// set (explicitly configured binaries call this last — or not at all).
   void apply_env() { trace.level = trace_level_from_env(trace.level); }
 
-  /// Reads the standard CLI flags: --trace LEVEL, --trace-buffer EVENTS,
-  /// --trace-sample N, --snapshot-every REQS, --snapshot-every-ms MS,
-  /// --profile, --attribution. Flags the parser does not carry keep their
-  /// current value. `prefix` namespaces every flag (binaries whose own
-  /// flags collide pass e.g. "telemetry-" and expose --telemetry-trace,
-  /// --telemetry-profile, ...); --attribution is always honored unprefixed
-  /// as well, since no binary overloads it.
+  /// Reads the flags of kTelemetryKnobs. Flags the parser does not carry
+  /// keep their current value. `prefix` namespaces every flag (binaries
+  /// whose own flags collide pass e.g. "telemetry-" and expose
+  /// --telemetry-trace, --telemetry-profile, ...); --attribution is always
+  /// honored unprefixed as well, since no binary overloads it.
   void apply_cli(const ArgParser& args, std::string_view prefix = "");
+};
+
+/// Every TelemetryOptions knob, in fingerprint order (src/util/knobs.h).
+inline constexpr auto kTelemetryKnobs = std::tuple{
+    Knob{"trace", REQB_KNOB_FIELD(trace.level),
+         Choice<TraceLevel>{"off|cache|flash|all", trace_level_from_name}},
+    Knob{"trace-buffer", REQB_KNOB_FIELD(trace.capacity), kInteger,
+         kAtLeastOne},
+    Knob{"trace-sample", REQB_KNOB_FIELD(trace.sample_period), kInteger},
+    Knob{"snapshot-every", REQB_KNOB_FIELD(snapshot_every_requests), kInteger},
+    Knob{"snapshot-every-ms", REQB_KNOB_FIELD(snapshot_every_ns), kMsNumber},
+    Knob{"profile", REQB_KNOB_FIELD(profile), kSwitch},
+    Knob{"attribution", REQB_KNOB_FIELD(attribution), kSwitch,
+         kAnyValue, /*bare=*/true},
 };
 
 class Telemetry {

@@ -8,7 +8,7 @@
 
 namespace reqblock {
 
-TraceLevel parse_trace_level(std::string_view text, TraceLevel fallback) {
+std::optional<TraceLevel> trace_level_from_name(std::string_view text) {
   if (iequals(text, "off") || text == "0" || iequals(text, "none")) {
     return TraceLevel::kOff;
   }
@@ -17,7 +17,11 @@ TraceLevel parse_trace_level(std::string_view text, TraceLevel fallback) {
   if (iequals(text, "all") || iequals(text, "on") || text == "1") {
     return TraceLevel::kAll;
   }
-  return fallback;
+  return std::nullopt;
+}
+
+TraceLevel parse_trace_level(std::string_view text, TraceLevel fallback) {
+  return trace_level_from_name(text).value_or(fallback);
 }
 
 TraceLevel trace_level_from_env(TraceLevel fallback) {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -49,8 +50,11 @@ constexpr const char* to_string(TraceLevel l) {
   return "?";
 }
 
-/// Parses "off"/"cache"/"flash"/"all" (also "0"/"1"/"on"), ASCII
-/// case-insensitive; unrecognized text yields `fallback`.
+/// Parses "off"/"cache"/"flash"/"all" (also "0"/"none"/"1"/"on"), ASCII
+/// case-insensitive; nullopt for unrecognized text.
+std::optional<TraceLevel> trace_level_from_name(std::string_view text);
+
+/// trace_level_from_name, with `fallback` for unrecognized text.
 TraceLevel parse_trace_level(std::string_view text, TraceLevel fallback);
 
 /// The REQBLOCK_TRACE environment variable, or `fallback` when unset or

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "trace/io_request.h"
+#include "util/knobs.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -178,6 +179,21 @@ struct WorkloadProfile {
 
   /// Expected mean write size in pages given the mix parameters.
   double expected_write_pages() const;
+};
+
+/// The burst-arrival and drift knobs the replay drivers expose as flags
+/// (src/util/knobs.h). Flag-only: the trace's identity_hash already covers
+/// every profile field, so this table feeds no config fingerprint.
+inline constexpr auto kWorkloadShapeKnobs = std::tuple{
+    Knob{"burst-len", REQB_KNOB_FIELD(burst_arrival_len), kInteger},
+    Knob{"burst-period", REQB_KNOB_FIELD(burst_arrival_period), kInteger},
+    Knob{"burst-factor", REQB_KNOB_FIELD(burst_arrival_factor), kNumber},
+    Knob{"burst-idle", REQB_KNOB_FIELD(burst_idle_factor), kNumber},
+    Knob{"drift-period", REQB_KNOB_FIELD(drift_period), kInteger},
+    Knob{"drift-step", REQB_KNOB_FIELD(drift_step), kInteger},
+    Knob{"diurnal-period", REQB_KNOB_FIELD(diurnal_period), kInteger},
+    Knob{"diurnal-amplitude", REQB_KNOB_FIELD(diurnal_amplitude),
+         kNumber, kProbability},
 };
 
 /// Streaming generator implementing TraceSource.

@@ -18,45 +18,30 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     const std::string body = arg.substr(2);
     const auto eq = body.find('=');
     if (eq != std::string::npos) {
-      flags_[body.substr(0, eq)] = body.substr(eq + 1);
+      flags_[body.substr(0, eq)].value = body.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags_[body] = argv[++i];
+      flags_[body].value = argv[++i];
     } else {
-      flags_[body] = "true";  // boolean switch
+      flags_[body].value = "true";  // boolean switch
     }
   }
 }
 
 bool ArgParser::has(const std::string& key) const {
-  return flags_.contains(key);
+  return get(key).has_value();
 }
 
 std::optional<std::string> ArgParser::get(const std::string& key) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return std::nullopt;
-  return it->second;
+  it->second.read = true;
+  return it->second.value;
 }
 
 std::string ArgParser::get_or(const std::string& key,
                               std::string fallback) const {
   const auto v = get(key);
   return v ? *v : std::move(fallback);
-}
-
-std::uint64_t ArgParser::get_u64_or(const std::string& key,
-                                    std::uint64_t fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  const auto parsed = parse_u64(*v);
-  return parsed ? *parsed : fallback;
-}
-
-double ArgParser::get_double_or(const std::string& key,
-                                double fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  const auto parsed = parse_double(*v);
-  return parsed ? *parsed : fallback;
 }
 
 std::uint64_t ArgParser::get_u64_strict(const std::string& key,
@@ -85,6 +70,18 @@ double ArgParser::get_double_strict(const std::string& key,
         key + " 0.5)");
   }
   return *parsed;
+}
+
+void ArgParser::reject_unread() const {
+  std::string unread;
+  for (const auto& [key, flag] : flags_) {
+    if (!flag.read) unread += (unread.empty() ? "--" : ", --") + key;
+  }
+  if (!unread.empty()) {
+    throw std::invalid_argument(
+        "no option reads " + unread +
+        " (misspelled, or not used with these options; see --help)");
+  }
 }
 
 }  // namespace reqblock

@@ -15,22 +15,23 @@ class ArgParser {
  public:
   ArgParser(int argc, const char* const* argv);
 
+  /// has() and get() also mark the flag as read (see reject_unread).
   bool has(const std::string& key) const;
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, std::string fallback) const;
-  std::uint64_t get_u64_or(const std::string& key,
-                           std::uint64_t fallback) const;
-  double get_double_or(const std::string& key, double fallback) const;
 
-  /// Strict numeric accessors for flags where a silently-dropped typo
-  /// would change results (get_u64_or falls back on malformed input — fine
-  /// for exploratory tools, wrong for checkpoint intervals). A missing
-  /// flag returns the fallback; a present but malformed, negative, or
-  /// trailing-garbage value ("5x", "-3", "1e99x") throws
-  /// std::invalid_argument naming the flag and the offending value.
+  /// Strict numeric accessors. A missing flag returns the fallback; a
+  /// present but malformed, negative, or trailing-garbage value ("5x",
+  /// "-3", "1e99x") throws std::invalid_argument naming the flag and the
+  /// offending value.
   std::uint64_t get_u64_strict(const std::string& key,
                                std::uint64_t fallback) const;
   double get_double_strict(const std::string& key, double fallback) const;
+
+  /// Throws std::invalid_argument naming every flag no has()/get() call
+  /// has read. Drivers call it once they have read all their options, so a
+  /// misspelled or inapplicable flag fails the run instead of being ignored.
+  void reject_unread() const;
 
   /// Non-flag positional arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }
@@ -39,8 +40,13 @@ class ArgParser {
   const std::string& program() const { return program_; }
 
  private:
+  struct Flag {
+    std::string value;
+    mutable bool read = false;
+  };
+
   std::string program_;
-  std::map<std::string, std::string> flags_;
+  std::map<std::string, Flag> flags_;
   std::vector<std::string> positional_;
 };
 

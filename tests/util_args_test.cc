@@ -13,14 +13,14 @@ ArgParser parse(std::initializer_list<const char*> argv) {
 TEST(ArgParserTest, KeyValuePairs) {
   const auto args = parse({"prog", "--policy", "lru", "--cache-mb", "32"});
   EXPECT_EQ(args.get_or("policy", "x"), "lru");
-  EXPECT_EQ(args.get_u64_or("cache-mb", 0), 32u);
+  EXPECT_EQ(args.get_u64_strict("cache-mb", 0), 32u);
   EXPECT_EQ(args.program(), "prog");
 }
 
 TEST(ArgParserTest, EqualsForm) {
   const auto args = parse({"prog", "--policy=reqblock", "--delta=7"});
   EXPECT_EQ(args.get_or("policy", "x"), "reqblock");
-  EXPECT_EQ(args.get_u64_or("delta", 0), 7u);
+  EXPECT_EQ(args.get_u64_strict("delta", 0), 7u);
 }
 
 TEST(ArgParserTest, BooleanSwitches) {
@@ -47,20 +47,37 @@ TEST(ArgParserTest, Positional) {
 TEST(ArgParserTest, Defaults) {
   const auto args = parse({"prog"});
   EXPECT_EQ(args.get_or("missing", "dflt"), "dflt");
-  EXPECT_EQ(args.get_u64_or("missing", 42), 42u);
-  EXPECT_DOUBLE_EQ(args.get_double_or("missing", 1.5), 1.5);
+  EXPECT_EQ(args.get_u64_strict("missing", 42), 42u);
+  EXPECT_DOUBLE_EQ(args.get_double_strict("missing", 1.5), 1.5);
   EXPECT_FALSE(args.get("missing").has_value());
 }
 
-TEST(ArgParserTest, MalformedNumbersFallBack) {
-  const auto args = parse({"prog", "--n", "abc", "--d", "xyz"});
-  EXPECT_EQ(args.get_u64_or("n", 9), 9u);
-  EXPECT_DOUBLE_EQ(args.get_double_or("d", 2.5), 2.5);
+TEST(ArgParserTest, RejectUnreadNamesEveryFlagNothingRead) {
+  const auto args = parse({"prog", "--policy", "lru", "--fault-progam-fail",
+                           "0.05", "--verbose", "--throttle"});
+  EXPECT_EQ(args.get_or("policy", "x"), "lru");
+  EXPECT_TRUE(args.has("throttle"));
+  try {
+    args.reject_unread();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--fault-progam-fail"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--verbose"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("--policy"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("--throttle"), std::string::npos) << msg;
+  }
+  // A lookup of an absent flag reads nothing; a lookup of a present one
+  // marks it read.
+  EXPECT_FALSE(args.has("quiet"));
+  EXPECT_TRUE(args.get("fault-progam-fail").has_value());
+  EXPECT_TRUE(args.has("verbose"));
+  EXPECT_NO_THROW(args.reject_unread());
 }
 
 TEST(ArgParserTest, DoubleValues) {
   const auto args = parse({"prog", "--ratio", "0.75"});
-  EXPECT_DOUBLE_EQ(args.get_double_or("ratio", 0), 0.75);
+  EXPECT_DOUBLE_EQ(args.get_double_strict("ratio", 0), 0.75);
 }
 
 TEST(ArgParserStrictTest, ValidValuesAndDefaults) {
