@@ -138,5 +138,56 @@ TEST(SnapshotGoldenTest, ReqBlockWithEverySubsystem) {
   EXPECT_EQ(digest_mid_run(session), 0x0f2222ab1716009dULL);
 }
 
+// The cases above run on tiny_ssd, where GC never starts. These run on
+// micro_ssd (2 planes x 128 blocks x 8 pages) with a footprint near the
+// GC operating point, so by the stop point GC has erased blocks and
+// copied valid pages, and the flash section's candidate list holds stale
+// entries, entries left after pops and, under wear-aware selection,
+// entries pushed back after a scan.
+SimOptions gc_options(SsdConfig::GcVictimPolicy victim_policy) {
+  SimOptions o = small_options("reqblock");
+  o.ssd = testing::micro_ssd();
+  o.ssd.gc_victim_policy = victim_policy;
+  o.policy.pages_per_block = o.ssd.pages_per_block;
+  o.policy.capacity_pages = 128;
+  o.cache.capacity_pages = 128;
+  return o;
+}
+
+WorkloadProfile gc_profile() {
+  WorkloadProfile p = golden_profile(0.8);
+  p.cold_stream_pages = 320;  // 4 streams: 1,280 of the 2,048 pages
+  return p;
+}
+
+TEST(SnapshotGoldenTest, GcPressuredGreedyAndWearAware) {
+  struct Case {
+    SsdConfig::GcVictimPolicy policy;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {SsdConfig::GcVictimPolicy::kGreedy, 0xc8cc61172305dae3ULL},
+      {SsdConfig::GcVictimPolicy::kWearAware, 0x39bd008d094c072cULL},
+  };
+  for (const Case& c : cases) {
+    const SimOptions o = gc_options(c.policy);
+    SCOPED_TRACE(c.policy == SsdConfig::GcVictimPolicy::kGreedy
+                     ? "greedy"
+                     : "wear-aware");
+    // The same run capped at the stop point must have collected.
+    SimOptions capped = o;
+    capped.max_requests = kStopAt;
+    SyntheticTraceSource trace(gc_profile());
+    SimulationSession session(capped, trace);
+    while (session.step()) {
+    }
+    const RunResult r = session.finish();
+    EXPECT_GT(r.flash.erases, 0u);
+    EXPECT_GT(r.flash.gc_page_moves, 0u);
+
+    EXPECT_EQ(single_stream_digest(o, gc_profile()), c.digest);
+  }
+}
+
 }  // namespace
 }  // namespace reqblock
