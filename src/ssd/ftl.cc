@@ -11,7 +11,10 @@
 namespace reqblock {
 
 Ftl::Ftl(const SsdConfig& cfg)
-    : cfg_(cfg), amap_(cfg_), array_(cfg_) {
+    : cfg_(cfg),
+      array_(cfg_),
+      amap_(array_.address_map()),
+      total_planes_(cfg_.total_planes()) {
   channels_.resize(cfg_.channels);
   chips_.resize(cfg_.total_chips());
 }
@@ -45,7 +48,7 @@ Ftl::ReadResult Ftl::read_page(Lpn lpn, SimTime issue, OpAttribution* attr) {
       // Pre-conditioned data: full flash-read timing from the plane the
       // page would statically live on, version 0. No physical block
       // exists, so the aging ramps see none of these reads.
-      const auto plane = static_cast<std::uint32_t>(lpn % cfg_.total_planes());
+      const auto plane = static_cast<std::uint32_t>(total_planes_.mod(lpn));
       const SimTime done =
           flash_read(plane, FlashArray::kNoBlock, 0, lpn, issue, attr);
       return {done, 0, true, false};
@@ -61,9 +64,9 @@ Ftl::ReadResult Ftl::read_page(Lpn lpn, SimTime issue, OpAttribution* attr) {
   // host *asked for*.
   const std::uint64_t version = array_.version_at(ppn);
   bool lost = false;
-  const SimTime done = flash_read(amap_.plane_of(ppn),
-                                  amap_.to_addr(ppn).block, ppn, lpn, issue,
-                                  attr, &lost);
+  const PageLoc loc = amap_.locate(ppn);
+  const SimTime done =
+      flash_read(loc.plane, loc.block, ppn, lpn, issue, attr, &lost);
   if (lost) {
     // read_page is the only host-read entry point and the only path that
     // can go uncorrectable, so this stays exactly equal to the
@@ -223,15 +226,7 @@ SimTime Ftl::integrity_recover(std::uint32_t plane, std::uint32_t block,
 }
 
 std::uint32_t Ftl::next_plane_rr() {
-  const std::uint64_t idx = rr_counter_++;
-  const std::uint32_t ch = static_cast<std::uint32_t>(idx % cfg_.channels);
-  const std::uint32_t chip = static_cast<std::uint32_t>(
-      (idx / cfg_.channels) % cfg_.chips_per_channel);
-  const std::uint32_t plane = static_cast<std::uint32_t>(
-      (idx / (static_cast<std::uint64_t>(cfg_.channels) *
-              cfg_.chips_per_channel)) %
-      cfg_.planes_per_chip);
-  return (ch * cfg_.chips_per_channel + chip) * cfg_.planes_per_chip + plane;
+  return amap_.round_robin_plane(rr_counter_++);
 }
 
 std::uint32_t Ftl::pick_write_plane() {
@@ -262,7 +257,7 @@ SimTime Ftl::maybe_close_stripe(std::uint32_t plane, Ppn fresh, SimTime t) {
   // it too — parity is XOR over *physical* pages, garbage included).
   const std::uint32_t chip = amap_.chip_global(plane);
   t = chips_[chip].acquire(t, cfg_.program_latency);
-  array_.set_stripe_parity(plane, amap_.to_addr(fresh).block,
+  array_.set_stripe_parity(plane, amap_.locate(fresh).block,
                            array_.stripe_of(fresh));
   return t;
 }
@@ -286,22 +281,23 @@ void Ftl::maybe_collect(std::uint32_t plane, SimTime t) {
     // Move still-valid pages, versions included, within the plane
     // (copyback: chip-internal read + program, no bus transfer), then
     // erase.
-    for (const Ppn old : array_.valid_pages(plane, victim)) {
-      const Lpn lpn = array_.lpn_at(old);
-      const Ppn fresh = array_.program(plane, lpn, array_.version_at(old));
-      array_.invalidate(old);
-      l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
-      ++metrics_.gc_page_moves;
-      const SimTime begin = t;
-      t = chips_[chip].acquire(t, cfg_.read_latency + cfg_.program_latency);
-      array_.note_program(fresh, t);
-      t = maybe_close_stripe(plane, fresh, t);
-      if (trace_ != nullptr) {
-        trace_->emit({begin, t - begin, lpn, victim, EventKind::kGcMove,
-                      chip16, ch16});
-      }
-      ++moves;
-    }
+    array_.for_each_valid_page(
+        plane, victim, [&](Ppn old, Lpn lpn, std::uint64_t version) {
+          const Ppn fresh = array_.program(plane, lpn, version);
+          array_.invalidate(old);
+          l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
+          ++metrics_.gc_page_moves;
+          const SimTime begin = t;
+          t = chips_[chip].acquire(t,
+                                   cfg_.read_latency + cfg_.program_latency);
+          array_.note_program(fresh, t);
+          t = maybe_close_stripe(plane, fresh, t);
+          if (trace_ != nullptr) {
+            trace_->emit({begin, t - begin, lpn, victim, EventKind::kGcMove,
+                          chip16, ch16});
+          }
+          ++moves;
+        });
     if (fault_ == nullptr || !maybe_retire(plane, victim, t)) {
       array_.erase_block(plane, victim);
       ++metrics_.erases;
@@ -350,7 +346,7 @@ SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
     const double wear_extra =
         fault_ != nullptr && fault_->aging().enabled()
             ? fault_->aging().program_fail_extra(
-                  array_.block_wear(plane, amap_.to_addr(fresh).block)
+                  array_.block_wear(plane, amap_.locate(fresh).block)
                       .pe_cycles)
             : 0.0;
     if (fault_ == nullptr || attempt >= fault_->plan().max_program_retries ||
@@ -362,7 +358,7 @@ SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
     // retry budget is declared grown-bad and closed, so the final attempt
     // lands on a fresh block and is forced to succeed.
     ++attempt;
-    const std::uint32_t failed_block = amap_.to_addr(fresh).block;
+    const std::uint32_t failed_block = amap_.locate(fresh).block;
     array_.invalidate(fresh);
     const SimTime backoff_begin = t;
     t = chips_[chip].acquire(t, fault_->program_backoff(chip));
@@ -475,16 +471,16 @@ void Ftl::reclaim_block(std::uint32_t plane, std::uint32_t block, SimTime t,
   if (array_.is_active(plane, block)) array_.close_active(plane);
   const SimTime begin = t;
   std::uint64_t moved = 0;
-  for (const Ppn old : array_.valid_pages(plane, block)) {
-    const Lpn lpn = array_.lpn_at(old);
-    const Ppn fresh = array_.program(plane, lpn, array_.version_at(old));
-    array_.invalidate(old);
-    l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
-    t = chips_[chip].acquire(t, cfg_.read_latency + cfg_.program_latency);
-    array_.note_program(fresh, t);
-    t = maybe_close_stripe(plane, fresh, t);
-    ++moved;
-  }
+  array_.for_each_valid_page(
+      plane, block, [&](Ppn old, Lpn lpn, std::uint64_t version) {
+        const Ppn fresh = array_.program(plane, lpn, version);
+        array_.invalidate(old);
+        l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
+        t = chips_[chip].acquire(t, cfg_.read_latency + cfg_.program_latency);
+        array_.note_program(fresh, t);
+        t = maybe_close_stripe(plane, fresh, t);
+        ++moved;
+      });
   if (fault_ == nullptr || !maybe_retire(plane, block, t)) {
     array_.erase_block(plane, block);
     ++metrics_.erases;
@@ -525,9 +521,9 @@ void Ftl::patrol_scrub(SimTime now) {
   }
   const ScopedTimer timer(profiler_, Profiler::Section::kGc);
   IntegrityMetrics& m = fault_->metrics().integrity;
+  const std::uint64_t blocks_per_plane = amap_.blocks_per_plane();
   const std::uint64_t total_blocks =
-      static_cast<std::uint64_t>(cfg_.total_planes()) *
-      cfg_.blocks_per_plane();
+      static_cast<std::uint64_t>(cfg_.total_planes()) * blocks_per_plane;
   // Prediction-only walk: every examined valid page charges one read on
   // its block's chip (the scrubber really senses the data), but never
   // touches the wear counters or the RNG — a pass perturbs timing, not
@@ -538,11 +534,11 @@ void Ftl::patrol_scrub(SimTime now) {
        visited < total_blocks && spent < plan.scrub_time_budget; ++visited) {
     const std::uint32_t plane = scrub_plane_;
     const std::uint32_t block = scrub_block_;
-    if (++scrub_block_ >= cfg_.blocks_per_plane()) {
+    if (++scrub_block_ >= blocks_per_plane) {
       scrub_block_ = 0;
       if (++scrub_plane_ >= cfg_.total_planes()) scrub_plane_ = 0;
     }
-    const std::uint64_t valid = array_.valid_pages(plane, block).size();
+    const std::uint64_t valid = array_.valid_count(plane, block);
     if (valid == 0) continue;
     const SimTime exam = static_cast<SimTime>(valid) * cfg_.read_latency;
     const std::uint32_t chip = amap_.chip_global(plane);
@@ -580,7 +576,7 @@ bool Ftl::update_degraded_mode(SimTime now) {
   const AgingPlan& plan = fault_->plan().aging;
   const std::uint64_t floor = plan.eol_free_block_floor > 0
                                   ? plan.eol_free_block_floor
-                                  : cfg_.gc_threshold_blocks() + 3;
+                                  : array_.gc_threshold_blocks() + 3;
   std::uint64_t min_reclaimable = ~0ull;
   std::uint32_t worst_plane = 0;
   for (std::uint32_t p = 0; p < cfg_.total_planes(); ++p) {
@@ -622,7 +618,7 @@ bool Ftl::update_degraded_mode(SimTime now) {
 }
 
 std::uint64_t Ftl::gc_pressure_level(std::uint32_t headroom) const {
-  const std::uint64_t threshold = cfg_.gc_threshold_blocks();
+  const std::uint64_t threshold = array_.gc_threshold_blocks();
   const std::uint64_t target = threshold + headroom;
   std::uint64_t level = 0;
   for (std::uint32_t p = 0; p < cfg_.total_planes(); ++p) {

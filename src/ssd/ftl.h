@@ -253,8 +253,9 @@ class Ftl {
   bool maybe_retire(std::uint32_t plane, std::uint32_t block, SimTime& t);
 
   SsdConfig cfg_;
+  FlashArray array_;  // validates cfg_, so it is built before amap_
   AddressMap amap_;
-  FlashArray array_;
+  Divisor total_planes_;  // the static plane of a pre-existing page
   std::vector<ResourceTimeline> channels_;
   std::vector<ResourceTimeline> chips_;
   bool in_preexisting(Lpn lpn) const;

@@ -159,6 +159,42 @@ TEST(CheckpointResumeTest, RunWithCheckpointsMatchesPlainRun) {
   EXPECT_EQ(csv_of(whole), csv_of(resumed));
 }
 
+// The cases above run on tiny_ssd, where GC never starts. This one runs
+// on micro_ssd at a footprint near the GC operating point and checkpoints
+// after GC has erased blocks and copied pages, so the restored flash
+// section carries stale and live GC candidates, for both victim policies.
+TEST(CheckpointResumeTest, ResumeUnderGcForBothVictimPolicies) {
+  FullAuditScope audit_scope;
+  WorkloadProfile profile = small_profile(4000, 77);
+  profile.write_ratio = 0.8;
+  profile.hot_extents = 96;
+  profile.cold_stream_pages = 320;  // 4 streams: 1,280 of the 2,048 pages
+  profile.mean_interarrival_ns = 140 * kMicrosecond;
+  constexpr std::uint64_t kSplit = 2000;
+  for (const auto victim : {SsdConfig::GcVictimPolicy::kGreedy,
+                            SsdConfig::GcVictimPolicy::kWearAware}) {
+    const bool greedy = victim == SsdConfig::GcVictimPolicy::kGreedy;
+    SCOPED_TRACE(greedy ? "greedy" : "wear-aware");
+    SimOptions o = small_options("reqblock", false);
+    o.ssd = testing::micro_ssd();
+    o.ssd.gc_victim_policy = victim;
+    o.policy.pages_per_block = o.ssd.pages_per_block;
+    o.policy.capacity_pages = 128;
+    o.cache.capacity_pages = 128;
+
+    SimOptions capped = o;
+    capped.max_requests = kSplit;
+    const RunResult before_split = run_uninterrupted(capped, profile);
+    EXPECT_GT(before_split.flash.erases, 0u);
+    EXPECT_GT(before_split.flash.gc_page_moves, 0u);
+
+    const RunResult whole = run_uninterrupted(o, profile);
+    const RunResult resumed = run_interrupted(
+        o, profile, kSplit, scratch_dir(greedy ? "gc_greedy" : "gc_wear"));
+    EXPECT_EQ(csv_of(whole), csv_of(resumed));
+  }
+}
+
 TEST(CheckpointResumeTest, RestoreRefusesMismatchedConfig) {
   const auto profile = small_profile();
   const std::string dir = scratch_dir("refuse_config");

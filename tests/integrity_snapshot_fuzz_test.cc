@@ -11,8 +11,9 @@
 //      ASan/UBSan.
 //   3. Structural validation: specific corruptions of the new v6 fields
 //      (zeroed error counts, out-of-range parity stripes, a scrub cursor
-//      outside the device geometry) are refused with their own messages,
-//      not absorbed as plausible state.
+//      outside the device geometry) and of the GC candidate entries (a
+//      count outside 1..pages_per_block, a block outside the plane) are
+//      refused with their own messages, not absorbed as plausible state.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,12 +41,13 @@ SsdConfig fuzz_ssd(std::uint64_t blocks = 8) {
 }
 
 /// An array carrying every kind of v6 state: programmed pages, a closed
-/// parity stripe, and sparse per-page corrected-error counters.
+/// parity stripe, sparse per-page corrected-error counters, and GC
+/// candidates (two live entries on a full block, one on the active block).
 FlashArray seeded_array(const SsdConfig& cfg) {
   FlashArray arr(cfg);
   arr.set_stripe_pages(4);
   std::vector<Ppn> ppns;
-  for (Lpn lpn = 0; lpn < 6; ++lpn) {
+  for (Lpn lpn = 0; lpn < 10; ++lpn) {
     const Ppn p = arr.program(0, lpn);
     arr.note_program(p, static_cast<SimTime>(lpn + 1));
     ppns.push_back(p);
@@ -55,6 +57,9 @@ FlashArray seeded_array(const SsdConfig& cfg) {
   arr.note_page_error(ppns[1]);
   arr.note_page_error(ppns[2]);
   arr.note_page_error(ppns[2]);
+  arr.invalidate(ppns[6]);
+  arr.invalidate(ppns[7]);
+  arr.invalidate(ppns[9]);
   return arr;
 }
 
@@ -109,9 +114,13 @@ TEST(IntegritySnapshotFuzzTest, PayloadFlipsNeverCrashTheArrayRestore) {
         continue;
       }
       // A flip that still parses (a counter value, a timestamp bit) must
-      // yield an object whose deep audit can run to completion; whether
-      // the audit then flags the damage is the audit's business.
+      // yield an object on which GC victim selection and the deep audit
+      // run to completion; whether the audit then flags the damage is the
+      // audit's business.
       ++accepted;
+      for (std::uint32_t p = 0; p < cfg.total_planes(); ++p) {
+        fresh.pick_gc_victim(p);
+      }
       AuditReport report("fuzzed flash array");
       fresh.audit(report);
     }
@@ -228,6 +237,50 @@ TEST(IntegritySnapshotFuzzTest, ParityWithoutStripesWiredIsRefused) {
   } catch (const SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("no parity stripes wired"),
               std::string::npos);
+  }
+}
+
+TEST(IntegritySnapshotFuzzTest, MalformedGcCandidateIsRefused) {
+  const SsdConfig cfg = fuzz_ssd();
+  // Twin arrays whose one GC candidate differs only in its block (0 vs 1):
+  // the first diverging byte starts that entry's u32 block, and the u32
+  // before it is the entry's invalid count.
+  FlashArray zero(cfg);
+  FlashArray one(cfg);
+  for (FlashArray* arr : {&zero, &one}) {
+    std::vector<Ppn> ppns;
+    for (Lpn lpn = 0; lpn < 17; ++lpn) ppns.push_back(arr->program(0, lpn));
+    arr->invalidate(ppns[arr == &zero ? 0 : cfg.pages_per_block]);
+  }
+  const std::string bytes = array_bytes(zero);
+  const std::size_t at = first_diff(bytes, array_bytes(one));
+  ASSERT_GE(at, 4u);
+  ASSERT_EQ(bytes[at - 4], 1);  // the invalid count
+  ASSERT_EQ(bytes[at], 0);      // block 0
+
+  auto with_u32 = [&](std::size_t pos, std::uint32_t v) {
+    std::string out = bytes;
+    for (int i = 0; i < 4; ++i) {
+      out[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+    return out;
+  };
+  const std::string corrupt[] = {
+      with_u32(at - 4, 0),                        // count 0
+      with_u32(at - 4, cfg.pages_per_block + 1),  // count past the block
+      with_u32(at, 100),                          // block 100 of 8
+  };
+  for (const std::string& c : corrupt) {
+    FlashArray fresh(cfg);
+    SnapshotReader r(c);
+    try {
+      fresh.deserialize(r);
+      FAIL() << "accepted a malformed GC candidate";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("plane 0 has GC candidate"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "cache/vbbms.h"
@@ -488,5 +490,85 @@ inline std::vector<Lpn> expected_victim_pages(const ReqBlockPolicy& policy,
   std::sort(pages.begin(), pages.end());
   return pages;
 }
+
+/// Reference GC victim selection for one plane: a lazily pruned
+/// std::priority_queue of (invalid count, block) pairs, one pushed per
+/// invalidation, over its own shadow of each block's invalid and erase
+/// counts and of the active block. The caller mirrors every FlashArray
+/// operation on the plane into it. drained() lists the pairs in the order
+/// the flash snapshot section writes them.
+class ReferenceGcHeap {
+ public:
+  static constexpr std::uint32_t kNone = ~0u;
+
+  ReferenceGcHeap(std::uint32_t blocks, bool wear_aware,
+                  std::uint32_t tie_margin)
+      : invalid_(blocks, 0),
+        erases_(blocks, 0),
+        wear_aware_(wear_aware),
+        margin_(tie_margin) {}
+
+  void on_program(std::uint32_t block) { active_ = block; }
+  void on_close_active() { active_ = kNone; }
+  void on_invalidate(std::uint32_t block) {
+    heap_.emplace(++invalid_[block], block);
+  }
+  void on_erase(std::uint32_t block) {
+    invalid_[block] = 0;
+    ++erases_[block];
+  }
+  void on_retire(std::uint32_t block) { invalid_[block] = 0; }
+
+  std::uint32_t pick() {
+    const std::uint32_t best = next_live_top();
+    if (best == kNone || !wear_aware_) return best;
+    const std::uint32_t best_cnt = invalid_[best];
+    const std::uint32_t floor_cnt =
+        best_cnt > margin_ ? best_cnt - margin_ : 1;
+    std::uint32_t victim = best;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> scanned;
+    while (true) {
+      const std::uint32_t cand = next_live_top();
+      if (cand == kNone || invalid_[cand] < floor_cnt) break;
+      scanned.emplace_back(invalid_[cand], cand);
+      heap_.pop();
+      if (erases_[cand] < erases_[victim]) victim = cand;
+    }
+    for (const auto& entry : scanned) heap_.push(entry);
+    return victim;
+  }
+
+  std::size_t size() const { return heap_.size(); }
+
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> drained() const {
+    auto heap = heap_;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+    while (!heap.empty()) {
+      out.push_back(heap.top());
+      heap.pop();
+    }
+    return out;
+  }
+
+ private:
+  std::uint32_t next_live_top() {
+    while (!heap_.empty()) {
+      const auto [cnt, block] = heap_.top();
+      if (block == active_ || invalid_[block] != cnt || cnt == 0) {
+        heap_.pop();
+        continue;
+      }
+      return block;
+    }
+    return kNone;
+  }
+
+  std::priority_queue<std::pair<std::uint32_t, std::uint32_t>> heap_;
+  std::vector<std::uint32_t> invalid_;
+  std::vector<std::uint32_t> erases_;
+  std::uint32_t active_ = kNone;
+  bool wear_aware_;
+  std::uint32_t margin_;
+};
 
 }  // namespace reqblock::testing

@@ -123,11 +123,15 @@ TEST(FlashArrayTest, ValidPagesListsExactlyTheValidOnes) {
   arr.invalidate(ppns[0]);
   arr.invalidate(ppns[3]);
   const AddressMap& amap = arr.address_map();
-  const auto valid = arr.valid_pages(0, amap.to_addr(ppns[0]).block);
-  EXPECT_EQ(valid.size(), cfg.pages_per_block - 2);
-  for (const Ppn p : valid) {
+  const std::uint32_t block = amap.to_addr(ppns[0]).block;
+  std::vector<Ppn> valid;
+  arr.for_each_valid_page(0, block, [&](Ppn p, Lpn lpn, std::uint64_t) {
     EXPECT_EQ(arr.state(p), PageState::kValid);
-  }
+    EXPECT_EQ(arr.lpn_at(p), lpn);
+    valid.push_back(p);
+  });
+  EXPECT_EQ(valid.size(), cfg.pages_per_block - 2);
+  EXPECT_EQ(arr.valid_count(0, block), cfg.pages_per_block - 2);
 }
 
 TEST(FlashArrayTest, EraseRecyclesBlock) {

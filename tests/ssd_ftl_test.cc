@@ -178,6 +178,40 @@ TEST(FtlTest, RoundRobinStripesAcrossChannels) {
   }
 }
 
+// Host writes walk the planes channel-major: write i lands on channel
+// i mod C, chip (i / C) mod K, plane (i / (C K)) mod P. Checked on the
+// default geometry and on one whose channel and chip counts are not
+// powers of two.
+TEST(FtlTest, RoundRobinPlaneOrderMatchesFormula) {
+  SsdConfig odd;
+  odd.channels = 3;
+  odd.chips_per_channel = 3;
+  odd.planes_per_chip = 2;
+  odd.pages_per_block = 6;
+  odd.capacity_bytes = 3ULL * 3 * 2 * 12 * 6 * 4096;  // 12 blocks per plane
+  odd.validate();
+  for (const SsdConfig& cfg : {tiny_ssd(), odd}) {
+    SCOPED_TRACE(cfg.channels);
+    Ftl ftl(cfg);
+    const std::uint64_t c = cfg.channels;
+    const std::uint64_t k = cfg.chips_per_channel;
+    const std::uint64_t planes = cfg.total_planes();
+    std::vector<std::uint64_t> valid(planes, 0);
+    for (std::uint64_t i = 0; i < 3 * planes + 5; ++i) {
+      ftl.program_page(i, 1, 0);
+      const std::uint64_t want =
+          ((i % c) * k + (i / c) % k) * cfg.planes_per_chip +
+          (i / (c * k)) % cfg.planes_per_chip;
+      for (std::uint32_t p = 0; p < planes; ++p) {
+        const std::uint64_t now = ftl.array().valid_page_count(p);
+        ASSERT_EQ(now, valid[p] + (p == want ? 1 : 0))
+            << "write " << i << " plane " << p;
+        valid[p] = now;
+      }
+    }
+  }
+}
+
 TEST(FtlTest, BatchMetricsCount) {
   Ftl ftl(tiny_ssd());
   std::vector<FlushPage> batch{{0, 1}, {1, 1}, {2, 1}};

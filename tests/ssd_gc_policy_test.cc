@@ -59,7 +59,7 @@ TEST(GcPolicyTest, WearAwareBreaksNearTiesTowardLowErase) {
     while (true) {
       const auto victim = arr.pick_gc_victim(0);
       if (victim == FlashArray::kNoBlock) break;
-      if (!arr.valid_pages(0, victim).empty()) break;
+      if (arr.valid_count(0, victim) != 0) break;
       arr.erase_block(0, victim);
     }
   }

@@ -29,7 +29,7 @@ inline SsdConfig micro_ssd() {
   cfg.channels = 2;
   cfg.chips_per_channel = 1;
   cfg.pages_per_block = 8;
-  cfg.capacity_bytes = 2ULL * 2 * 8 * 64 * 4096;  // 64 blocks per plane
+  cfg.capacity_bytes = 2ULL * 2 * 8 * 64 * 4096;  // 128 blocks per plane
   cfg.validate();
   return cfg;
 }
