@@ -8,12 +8,15 @@
 //                                  a hit (highest retention priority);
 //   DRL (Divided Request List)   — the *hit portions* split out of large
 //                                  blocks.
+//
+// The policy keeps blocks by value in a SlotMap and threads each list
+// through the blocks' `link` members.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "util/intrusive_list.h"
+#include "util/slot_map.h"
 #include "util/types.h"
 
 namespace reqblock {
@@ -45,8 +48,8 @@ struct ReqBlock {
   /// For DRL blocks: the block this one was split from (0 = none). Used by
   /// the downgraded-merge eviction path (paper Fig. 6).
   std::uint64_t origin_id = 0;
-
-  ListHook hook;
+  /// Links on the list named by `level`.
+  SlotLink link;
 
   std::size_t page_count() const { return pages.size(); }
 

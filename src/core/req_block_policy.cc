@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
-#include <unordered_set>
+#include <string>
 
 #include "snapshot/snapshot.h"
 #include "util/check.h"
@@ -18,48 +18,54 @@ ReqBlockPolicy::BlockList& ReqBlockPolicy::list_for(ReqList level) {
   return lists_[static_cast<std::size_t>(level)];
 }
 
-ReqBlock* ReqBlockPolicy::create_block(std::uint64_t req_id, ReqList level,
-                                       std::uint64_t origin_id) {
-  auto blk = std::make_unique<ReqBlock>();
-  blk->block_id = next_block_id_++;
-  blk->req_id = req_id;
-  blk->level = level;
-  blk->access_cnt = 1;
-  blk->insert_tick = tick_;
-  blk->origin_id = origin_id;
-  ReqBlock* raw = blk.get();
-  blocks_[blocks_.try_emplace(raw->block_id).first] = std::move(blk);
-  list_for(level).push_front(raw);
-  return raw;
+Slot ReqBlockPolicy::create_block(std::uint64_t req_id, ReqList level,
+                                  std::uint64_t origin_id) {
+  const std::uint64_t id = next_block_id_++;
+  const auto [s, inserted] = blocks_.try_emplace(id);
+  REQB_DCHECK(inserted);
+  ReqBlock& blk = blocks_[s];
+  blk.block_id = id;
+  blk.req_id = req_id;
+  blk.level = level;
+  blk.access_cnt = 1;
+  blk.insert_tick = tick_;
+  blk.origin_id = origin_id;
+  list_for(level).push_front(s);
+  return s;
 }
 
-void ReqBlockPolicy::move_block(ReqBlock* blk, ReqList level) {
-  list_for(blk->level).erase(blk);
-  blk->level = level;
+void ReqBlockPolicy::move_block(Slot blk, ReqList level) {
+  ReqBlock& b = blocks_[blk];
+  list_for(b.level).erase(blk);
+  b.level = level;
   list_for(level).push_front(blk);
 }
 
-void ReqBlockPolicy::destroy_block(ReqBlock* blk) {
-  REQB_DCHECK(blk->pages.empty());
-  const std::uint64_t id = blk->block_id;
-  blocks_.erase(id);
+void ReqBlockPolicy::destroy_block(Slot blk) {
+  list_for(blocks_[blk].level).erase(blk);
+  blocks_.erase_slot(blk);
 }
 
-void ReqBlockPolicy::consume_block(ReqBlock* blk, std::vector<Lpn>& out) {
-  for (const Lpn lpn : blk->pages) {
+void ReqBlockPolicy::consume_block(Slot blk, std::vector<Lpn>& out) {
+  for (const Lpn lpn : blocks_[blk].pages) {
     const bool erased = page_to_block_.erase(lpn);
     REQB_DCHECK(erased);
     (void)erased;
     out.push_back(lpn);
   }
-  blk->pages.clear();
-  list_for(blk->level).erase(blk);
   destroy_block(blk);
 }
 
-bool ReqBlockPolicy::guarded(const ReqBlock* blk) const {
-  return blk->block_id == guard_insert_block_ ||
-         blk->block_id == guard_split_block_;
+Slot ReqBlockPolicy::guard_target(std::uint64_t guard,
+                                  std::uint64_t req_id) const {
+  if (guard == 0) return kNoSlot;
+  const Slot s = blocks_.find(guard);
+  return s != kNoSlot && blocks_[s].req_id == req_id ? s : kNoSlot;
+}
+
+bool ReqBlockPolicy::guarded(const ReqBlock& blk) const {
+  return blk.block_id == guard_insert_block_ ||
+         blk.block_id == guard_split_block_;
 }
 
 void ReqBlockPolicy::begin_request(const IoRequest& req) {
@@ -75,18 +81,12 @@ void ReqBlockPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
   ++mutations_;
   REQB_DCHECK(!page_to_block_.contains(lpn));
   // create_req_blk(IRL, R): reuse the request's block at the IRL head.
-  ReqBlock* target = nullptr;
-  if (guard_insert_block_ != 0) {
-    const Slot slot = blocks_.find(guard_insert_block_);
-    if (slot != kNoSlot && blocks_[slot]->req_id == req.id) {
-      target = blocks_[slot].get();
-    }
-  }
-  if (target == nullptr) {
+  Slot target = guard_target(guard_insert_block_, req.id);
+  if (target == kNoSlot) {
     target = create_block(req.id, ReqList::kIRL, /*origin_id=*/0);
-    guard_insert_block_ = target->block_id;
+    guard_insert_block_ = blocks_[target].block_id;
   }
-  target->pages.push_back(lpn);
+  blocks_[target].pages.push_back(lpn);
   page_to_block_[page_to_block_.try_emplace(lpn).first] = target;
 }
 
@@ -95,14 +95,17 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
   ++mutations_;
   const Slot page_slot = page_to_block_.find(lpn);
   REQB_CHECK_MSG(page_slot != kNoSlot, "Req-block hit on untracked page");
-  ReqBlock* blk = page_to_block_[page_slot];
+  // The hit block is held by slot: creating the split target below may
+  // grow the slab and move every block.
+  const Slot source = page_to_block_[page_slot];
+  ReqBlock& blk = blocks_[source];
 
-  if (blk->page_count() <= opt_.delta) {
+  if (blk.page_count() <= opt_.delta) {
     // Small request block: promote to the Small Request List head.
-    ++blk->access_cnt;
-    move_block(blk, ReqList::kSRL);
+    ++blk.access_cnt;
+    move_block(source, ReqList::kSRL);
     if (trace_ != nullptr) {
-      trace_->emit({trace_->time(), 0, lpn, blk->page_count(),
+      trace_->emit({trace_->time(), 0, lpn, blk.page_count(),
                     EventKind::kReqBlockPromote, kTrackSrl, 0});
     }
     return;
@@ -110,75 +113,68 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
 
   // Large request block: split the hit page into the request's block at
   // the DRL head (creating it on the first split of this request).
-  const bool removed = blk->remove_page(lpn);
+  const bool removed = blk.remove_page(lpn);
   REQB_DCHECK(removed);
   (void)removed;
 
-  ReqBlock* target = nullptr;
-  if (guard_split_block_ != 0) {
-    const Slot slot = blocks_.find(guard_split_block_);
-    if (slot != kNoSlot && blocks_[slot]->req_id == req.id) {
-      target = blocks_[slot].get();
-    }
+  Slot target = guard_target(guard_split_block_, req.id);
+  if (target == kNoSlot) {
+    target = create_block(req.id, ReqList::kDRL, blk.block_id);
+    guard_split_block_ = blocks_[target].block_id;
   }
-  if (target == nullptr) {
-    target = create_block(req.id, ReqList::kDRL, blk->block_id);
-    guard_split_block_ = target->block_id;
-  }
-  REQB_DCHECK(target != blk);
-  target->pages.push_back(lpn);
+  REQB_DCHECK(target != source);
+  blocks_[target].pages.push_back(lpn);
   page_to_block_[page_slot] = target;
+  const std::size_t left = blocks_[source].page_count();
   if (trace_ != nullptr) {
-    trace_->emit({trace_->time(), 0, lpn, blk->page_count(),
-                  EventKind::kReqBlockSplit, kTrackDrl, 0});
+    trace_->emit({trace_->time(), 0, lpn, left, EventKind::kReqBlockSplit,
+                  kTrackDrl, 0});
   }
 
-  if (blk->pages.empty()) {
-    list_for(blk->level).erase(blk);
-    destroy_block(blk);
-  }
+  if (left == 0) destroy_block(source);
 }
 
 VictimBatch ReqBlockPolicy::select_victim() {
   // get_victim(): compare Eq. 1 over the three list tails, skipping the
   // in-flight request's blocks. Deterministic tie-break: IRL, DRL, SRL.
   const ReqList order[] = {ReqList::kIRL, ReqList::kDRL, ReqList::kSRL};
-  ReqBlock* victim = nullptr;
+  Slot victim = kNoSlot;
   double best = std::numeric_limits<double>::infinity();
   for (const ReqList level : order) {
-    BlockList& list = list_for(level);
-    ReqBlock* cand = list.tail();
-    while (cand != nullptr && guarded(cand)) cand = list.prev(cand);
-    if (cand == nullptr) continue;
-    const double f = req_block_freq(*cand, tick_, opt_.freq_mode);
+    const BlockList& list = list_for(level);
+    Slot cand = list.tail();
+    while (cand != kNoSlot && guarded(blocks_[cand])) cand = list.prev(cand);
+    if (cand == kNoSlot) continue;
+    const double f = req_block_freq(blocks_[cand], tick_, opt_.freq_mode);
     // A just-inserted tail (age 0) scores +inf; it must still be
     // evictable — the power-loss drain selects until the cache is empty,
     // where such a block can be the only candidate left.
-    if (victim == nullptr || f < best) {
+    if (victim == kNoSlot || f < best) {
       best = f;
       victim = cand;
     }
   }
 
   VictimBatch batch;
-  if (victim == nullptr) return batch;
+  if (victim == kNoSlot) return batch;
 
   // Downgraded merging (Fig. 6): a split victim drags its origin block out
   // of IRL so the request is evicted as one spatially-contiguous batch.
-  ReqBlock* origin = nullptr;
-  if (opt_.merge_on_evict && victim->origin_id != 0) {
-    const Slot slot = blocks_.find(victim->origin_id);
-    if (slot != kNoSlot && blocks_[slot]->level == ReqList::kIRL &&
-        !guarded(blocks_[slot].get())) {
-      origin = blocks_[slot].get();
+  const ReqBlock& v = blocks_[victim];
+  Slot origin = kNoSlot;
+  if (opt_.merge_on_evict && v.origin_id != 0) {
+    const Slot slot = blocks_.find(v.origin_id);
+    if (slot != kNoSlot && blocks_[slot].level == ReqList::kIRL &&
+        !guarded(blocks_[slot])) {
+      origin = slot;
     }
   }
   ++mutations_;
   const auto victim_track =
-      static_cast<std::uint16_t>(static_cast<std::size_t>(victim->level) + 1);
-  const Lpn first_lpn = victim->pages.empty() ? 0 : victim->pages.front();
+      static_cast<std::uint16_t>(static_cast<std::size_t>(v.level) + 1);
+  const Lpn first_lpn = v.pages.empty() ? 0 : v.pages.front();
   consume_block(victim, batch.pages);
-  if (origin != nullptr) {
+  if (origin != kNoSlot) {
     const std::uint64_t before = batch.pages.size();
     consume_block(origin, batch.pages);
     if (trace_ != nullptr) {
@@ -196,19 +192,18 @@ VictimBatch ReqBlockPolicy::select_victim() {
 }
 
 ListOccupancy ReqBlockPolicy::occupancy() const {
+  const auto pages_on = [this](const BlockList& list) {
+    std::uint64_t pages = 0;
+    list.for_each([&](Slot s) { pages += blocks_[s].page_count(); });
+    return pages;
+  };
   ListOccupancy occ;
-  lists_[0].for_each([&](ReqBlock* b) {
-    occ.irl_pages += b->page_count();
-    ++occ.irl_blocks;
-  });
-  lists_[1].for_each([&](ReqBlock* b) {
-    occ.srl_pages += b->page_count();
-    ++occ.srl_blocks;
-  });
-  lists_[2].for_each([&](ReqBlock* b) {
-    occ.drl_pages += b->page_count();
-    ++occ.drl_blocks;
-  });
+  occ.irl_pages = pages_on(lists_[0]);
+  occ.srl_pages = pages_on(lists_[1]);
+  occ.drl_pages = pages_on(lists_[2]);
+  occ.irl_blocks = lists_[0].size();
+  occ.srl_blocks = lists_[1].size();
+  occ.drl_blocks = lists_[2].size();
   return occ;
 }
 
@@ -253,26 +248,26 @@ void ReqBlockPolicy::register_metrics(MetricsRegistry& registry) const {
 
 const ReqBlock* ReqBlockPolicy::block_of(Lpn lpn) const {
   const Slot slot = page_to_block_.find(lpn);
-  return slot == kNoSlot ? nullptr : page_to_block_[slot];
+  return slot == kNoSlot ? nullptr : &blocks_[page_to_block_[slot]];
 }
 
 const ReqBlock* ReqBlockPolicy::tail_of(ReqList list) const {
-  return lists_[static_cast<std::size_t>(list)].tail();
+  return at(lists_[static_cast<std::size_t>(list)].tail());
 }
 
 const ReqBlock* ReqBlockPolicy::prev_in_list(const ReqBlock* blk) const {
-  return lists_[static_cast<std::size_t>(blk->level)].prev(
-      const_cast<ReqBlock*>(blk));
+  return at(lists_[static_cast<std::size_t>(blk->level)].prev(
+      blocks_.find(blk->block_id)));
 }
 
 ReqBlock* ReqBlockPolicy::mutable_block_for_tests(Lpn lpn) {
   const Slot slot = page_to_block_.find(lpn);
-  return slot == kNoSlot ? nullptr : page_to_block_[slot];
+  return slot == kNoSlot ? nullptr : &blocks_[page_to_block_[slot]];
 }
 
 bool ReqBlockPolicy::enumerate_pages(
     const std::function<void(Lpn)>& fn) const {
-  page_to_block_.for_each_unordered([&](Lpn lpn, ReqBlock*) { fn(lpn); });
+  page_to_block_.for_each_unordered([&](Lpn lpn, Slot) { fn(lpn); });
   return true;
 }
 
@@ -286,10 +281,16 @@ std::string ReqBlockPolicy::dump_structure() const {
   const ReqList order[] = {ReqList::kIRL, ReqList::kSRL, ReqList::kDRL};
   for (const ReqList level : order) {
     os << "  " << to_string(level) << " (head→tail):";
-    lists_[static_cast<std::size_t>(level)].for_each([&](ReqBlock* b) {
-      os << " [id=" << b->block_id << " req=" << b->req_id
-         << " pages=" << b->page_count() << " acc=" << b->access_cnt
-         << " t=" << b->insert_tick << " origin=" << b->origin_id << "]";
+    const BlockList& list = lists_[static_cast<std::size_t>(level)];
+    if (!list.validate()) {
+      os << " corrupt chain, not walked\n";  // it may cycle
+      continue;
+    }
+    list.for_each([&](Slot s) {
+      const ReqBlock& b = blocks_[s];
+      os << " [id=" << b.block_id << " req=" << b.req_id
+         << " pages=" << b.page_count() << " acc=" << b.access_cnt
+         << " t=" << b.insert_tick << " origin=" << b.origin_id << "]";
     });
     os << "\n";
   }
@@ -304,29 +305,30 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
   REQB_AUDIT_MSG(report, page_to_block_.validate(),
                  "page table index disagrees with its slab");
 
-  // Pass 1 — the three lists: structure, level tags, and that no block
-  // appears on two lists (or twice on one).
-  std::unordered_set<std::uint64_t> on_lists;
+  // Pass 1 — the three lists: structure (every linked slot is a live
+  // block), level tags, and that no block appears on two lists (or twice
+  // on one).
+  std::vector<bool> on_lists(blocks_.slab_size(), false);
   std::size_t listed = 0;
   const ReqList order[] = {ReqList::kIRL, ReqList::kSRL, ReqList::kDRL};
   for (const ReqList level : order) {
     const BlockList& list = lists_[static_cast<std::size_t>(level)];
-    REQB_AUDIT_MSG(report, list.validate(),
-                   std::string("corrupt ") + to_string(level) + " chain");
-    list.for_each([&](ReqBlock* b) {
+    if (!REQB_AUDIT_MSG(report, list.validate(),
+                        std::string("corrupt ") + to_string(level) +
+                            " chain")) {
+      continue;  // a broken chain may cycle or lead off the slab
+    }
+    list.for_each([&](Slot s) {
+      const ReqBlock& b = blocks_[s];
       ++listed;
-      REQB_AUDIT_MSG(report, b->level == level,
-                     "block " + std::to_string(b->block_id) + " on " +
+      REQB_AUDIT_MSG(report, b.level == level,
+                     "block " + std::to_string(b.block_id) + " on " +
                          to_string(level) + " but tagged " +
-                         to_string(b->level));
-      const bool newly_listed = on_lists.insert(b->block_id).second;
-      REQB_AUDIT_MSG(report, newly_listed,
-                     "block " + std::to_string(b->block_id) +
+                         to_string(b.level));
+      REQB_AUDIT_MSG(report, !on_lists[s],
+                     "block " + std::to_string(b.block_id) +
                          " linked on two lists");
-      const Slot slot = blocks_.find(b->block_id);
-      REQB_AUDIT_MSG(report, slot != kNoSlot && blocks_[slot].get() == b,
-                     "block " + std::to_string(b->block_id) +
-                         " linked but not owned by the block table");
+      on_lists[s] = true;
     });
   }
   REQB_AUDIT_MSG(report, listed == blocks_.size(),
@@ -336,71 +338,70 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
   // Pass 2 — every owned block: page-table cross-consistency, Eq. 1
   // counter bounds, δ-membership per list, origin backpointers.
   std::size_t block_pages = 0;
-  blocks_.for_each_unordered([&](std::uint64_t id,
-                                 const std::unique_ptr<ReqBlock>& owned) {
-    const ReqBlock* b = owned.get();
+  blocks_.for_each_unordered([&](std::uint64_t id, const ReqBlock& b) {
     const std::string tag = "block " + std::to_string(id);
-    REQB_AUDIT_MSG(report, b->block_id == id,
+    REQB_AUDIT_MSG(report, b.block_id == id,
                    tag + " keyed under " + std::to_string(id) + " but holds " +
-                       std::to_string(b->block_id));
+                       std::to_string(b.block_id));
     REQB_AUDIT_MSG(report, id < next_block_id_,
                    tag + " at/above the id allocator " +
                        std::to_string(next_block_id_));
-    REQB_AUDIT_MSG(report, !b->pages.empty(), tag + " is empty yet live");
-    REQB_AUDIT_MSG(report, b->insert_tick <= tick_,
+    REQB_AUDIT_MSG(report, !b.pages.empty(), tag + " is empty yet live");
+    REQB_AUDIT_MSG(report, b.insert_tick <= tick_,
                    tag + " inserted at tick " +
-                       std::to_string(b->insert_tick) + " > now " +
+                       std::to_string(b.insert_tick) + " > now " +
                        std::to_string(tick_));
-    REQB_AUDIT_MSG(report, b->access_cnt >= 1,
+    REQB_AUDIT_MSG(report, b.access_cnt >= 1,
                    tag + " has Eq.1 access count 0");
-    switch (b->level) {
+    switch (b.level) {
       case ReqList::kIRL:
-        REQB_AUDIT_MSG(report, b->origin_id == 0,
+        REQB_AUDIT_MSG(report, b.origin_id == 0,
                        tag + " in IRL with split origin " +
-                           std::to_string(b->origin_id));
-        REQB_AUDIT_MSG(report, b->access_cnt == 1,
+                           std::to_string(b.origin_id));
+        REQB_AUDIT_MSG(report, b.access_cnt == 1,
                        tag + " in IRL with access count " +
-                           std::to_string(b->access_cnt) +
+                           std::to_string(b.access_cnt) +
                            " (hits must promote or split)");
         break;
       case ReqList::kSRL:
         // δ-membership: only small blocks are promoted and SRL blocks
         // never grow, so the bound must still hold.
-        REQB_AUDIT_MSG(report, b->page_count() <= opt_.delta,
+        REQB_AUDIT_MSG(report, b.page_count() <= opt_.delta,
                        tag + " in SRL with " +
-                           std::to_string(b->page_count()) +
+                           std::to_string(b.page_count()) +
                            " pages > delta " + std::to_string(opt_.delta));
-        REQB_AUDIT_MSG(report, b->access_cnt >= 2,
+        REQB_AUDIT_MSG(report, b.access_cnt >= 2,
                        tag + " in SRL with access count " +
-                           std::to_string(b->access_cnt) +
+                           std::to_string(b.access_cnt) +
                            " (promotion increments it)");
         break;
       case ReqList::kDRL:
-        REQB_AUDIT_MSG(report, b->origin_id != 0,
+        REQB_AUDIT_MSG(report, b.origin_id != 0,
                        tag + " in DRL without a split origin");
-        REQB_AUDIT_MSG(report, b->access_cnt == 1,
+        REQB_AUDIT_MSG(report, b.access_cnt == 1,
                        tag + " in DRL with access count " +
-                           std::to_string(b->access_cnt) +
+                           std::to_string(b.access_cnt) +
                            " (hits must promote or split)");
         break;
     }
-    if (b->origin_id != 0) {
-      REQB_AUDIT_MSG(report, b->origin_id < b->block_id,
+    if (b.origin_id != 0) {
+      REQB_AUDIT_MSG(report, b.origin_id < b.block_id,
                      tag + " split from origin " +
-                         std::to_string(b->origin_id) +
+                         std::to_string(b.origin_id) +
                          " created after it");
     }
-    std::vector<Lpn> sorted = b->pages;
+    std::vector<Lpn> sorted = b.pages;
     std::sort(sorted.begin(), sorted.end());
     REQB_AUDIT_MSG(
         report,
         std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
         tag + " holds a duplicate page");
-    block_pages += b->pages.size();
-    for (const Lpn lpn : b->pages) {
+    block_pages += b.pages.size();
+    const Slot self = blocks_.find(id);
+    for (const Lpn lpn : b.pages) {
       const Slot page_slot = page_to_block_.find(lpn);
       REQB_AUDIT_MSG(report,
-                     page_slot != kNoSlot && page_to_block_[page_slot] == b,
+                     page_slot != kNoSlot && page_to_block_[page_slot] == self,
                      tag + " holds page " + std::to_string(lpn) +
                          " but the page table disagrees");
     }
@@ -425,14 +426,15 @@ void ReqBlockPolicy::serialize(SnapshotWriter& w) const {
   // page order within a block is the victim-batch flush order.
   for (const auto& list : lists_) {
     w.u64(list.size());
-    list.for_each([&](const ReqBlock* b) {
-      w.u64(b->block_id);
-      w.u64(b->req_id);
-      w.u64(b->access_cnt);
-      w.u64(b->insert_tick);
-      w.u64(b->origin_id);
-      w.u64(b->pages.size());
-      for (const Lpn lpn : b->pages) w.u64(lpn);
+    list.for_each([&](Slot s) {
+      const ReqBlock& b = blocks_[s];
+      w.u64(b.block_id);
+      w.u64(b.req_id);
+      w.u64(b.access_cnt);
+      w.u64(b.insert_tick);
+      w.u64(b.origin_id);
+      w.u64(b.pages.size());
+      for (const Lpn lpn : b.pages) w.u64(lpn);
     });
   }
 }
@@ -450,29 +452,46 @@ void ReqBlockPolicy::deserialize(SnapshotReader& r) {
   for (std::size_t level = 0; level < lists_.size(); ++level) {
     const std::uint64_t count = r.u64();
     for (std::uint64_t i = 0; i < count; ++i) {
-      auto blk = std::make_unique<ReqBlock>();
-      blk->block_id = r.u64();
-      blk->req_id = r.u64();
-      blk->level = static_cast<ReqList>(level);
-      blk->access_cnt = r.u64();
-      blk->insert_tick = r.u64();
-      blk->origin_id = r.u64();
-      const std::uint64_t pages = r.count(8);
-      blk->pages.reserve(pages);
-      for (std::uint64_t p = 0; p < pages; ++p) {
-        const Lpn lpn = r.u64();
-        blk->pages.push_back(lpn);
-        const auto [page_slot, fresh] = page_to_block_.try_emplace(lpn);
-        if (!fresh) throw SnapshotError("Req-block snapshot repeats a page");
-        page_to_block_[page_slot] = blk.get();
+      const std::uint64_t id = r.u64();
+      // Id 0 is the no-guard sentinel, and create_block hands out
+      // next_block_id_ onward: a block outside [1, next_block_id_) would
+      // be shielded forever or collide with the next new block.
+      if (id == 0 || id >= next_block_id_) {
+        throw SnapshotError("Req-block snapshot block id " +
+                            std::to_string(id) + " outside [1, " +
+                            std::to_string(next_block_id_) + ")");
       }
-      ReqBlock* raw = blk.get();
-      const auto [slot, inserted] = blocks_.try_emplace(raw->block_id);
+      const auto [slot, inserted] = blocks_.try_emplace(id);
       if (!inserted) {
         throw SnapshotError("Req-block snapshot repeats a block id");
       }
-      blocks_[slot] = std::move(blk);
-      lists_[level].push_back(raw);
+      ReqBlock& blk = blocks_[slot];
+      blk.block_id = id;
+      blk.req_id = r.u64();
+      blk.level = static_cast<ReqList>(level);
+      blk.access_cnt = r.u64();
+      blk.insert_tick = r.u64();
+      blk.origin_id = r.u64();
+      // A split block is newer than its origin; one that names itself
+      // would be merged into its own eviction and freed twice.
+      if (blk.origin_id >= id) {
+        throw SnapshotError("Req-block snapshot block " + std::to_string(id) +
+                            " split from block " +
+                            std::to_string(blk.origin_id));
+      }
+      const std::uint64_t pages = r.count(8);
+      if (pages == 0) {
+        throw SnapshotError("Req-block snapshot has an empty block");
+      }
+      blk.pages.reserve(pages);
+      for (std::uint64_t p = 0; p < pages; ++p) {
+        const Lpn lpn = r.u64();
+        blk.pages.push_back(lpn);
+        const auto [page_slot, fresh] = page_to_block_.try_emplace(lpn);
+        if (!fresh) throw SnapshotError("Req-block snapshot repeats a page");
+        page_to_block_[page_slot] = slot;
+      }
+      lists_[level].push_back(slot);
     }
   }
   // The occupancy memo key starts at ~0 on a fresh instance, which can

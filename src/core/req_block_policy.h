@@ -23,12 +23,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 
 #include "cache/write_buffer.h"
 #include "core/freq.h"
 #include "core/req_block.h"
-#include "util/intrusive_list.h"
 #include "util/slot_map.h"
 
 namespace reqblock {
@@ -87,6 +85,8 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   Tick now() const { return tick_; }
 
   // --- Introspection for tests -------------------------------------------
+  // Blocks live by value in a slot map, so a returned pointer is valid
+  // until the next policy call; compare block_id across calls.
   /// The block holding a page (nullptr if the page is not cached).
   const ReqBlock* block_of(Lpn lpn) const;
   /// List tails as the eviction candidates the policy would compare.
@@ -95,7 +95,7 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   /// Whether the block is shielded from eviction because it belongs to the
   /// in-flight request. Exposed so the brute-force reference victim
   /// selector can replicate the eviction scan exactly.
-  bool is_guarded(const ReqBlock* blk) const { return guarded(blk); }
+  bool is_guarded(const ReqBlock* blk) const { return guarded(*blk); }
   /// The neighbour of `blk` toward the head of its list (nullptr at the
   /// head) — the direction the victim scan walks past guarded blocks.
   const ReqBlock* prev_in_list(const ReqBlock* blk) const;
@@ -117,28 +117,35 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   ReqBlock* mutable_block_for_tests(Lpn lpn);
 
  private:
-  using BlockList = IntrusiveList<ReqBlock, &ReqBlock::hook>;
+  using BlockList = SlotList<ReqBlock, &ReqBlock::link>;
 
   BlockList& list_for(ReqList level);
   /// Detaches from its current list and pushes to the head of `level`.
-  void move_block(ReqBlock* blk, ReqList level);
-  /// Destroys a block (must already be unlinked and have no pages mapped).
-  void destroy_block(ReqBlock* blk);
-  /// Removes every page mapping of `blk` and unlinks + destroys it,
-  /// appending its pages to `out`.
-  void consume_block(ReqBlock* blk, std::vector<Lpn>& out);
-  ReqBlock* create_block(std::uint64_t req_id, ReqList level,
-                         std::uint64_t origin_id);
+  void move_block(Slot blk, ReqList level);
+  /// Unlinks and frees a block whose pages are no longer mapped to it.
+  void destroy_block(Slot blk);
+  /// Removes every page mapping of `blk` and destroys it, appending its
+  /// pages to `out`.
+  void consume_block(Slot blk, std::vector<Lpn>& out);
+  /// Creates a block at the head of `level`. May grow the block slab, so
+  /// it invalidates references to other blocks (not their slots).
+  Slot create_block(std::uint64_t req_id, ReqList level,
+                    std::uint64_t origin_id);
+  /// The in-flight request's block whose id is `guard`, or kNoSlot.
+  Slot guard_target(std::uint64_t guard, std::uint64_t req_id) const;
   /// True if the block must not be evicted right now (it is the in-flight
   /// request's insertion or split target).
-  bool guarded(const ReqBlock* blk) const;
+  bool guarded(const ReqBlock& blk) const;
+  /// The block at `s` (nullptr for kNoSlot), for the list accessors.
+  const ReqBlock* at(Slot s) const {
+    return s == kNoSlot ? nullptr : &blocks_[s];
+  }
 
   ReqBlockOptions opt_;
-  // Blocks are individually owned so a ReqBlock* stays valid while the
-  // block lives; the slot maps only hold the owning pointers.
-  SlotMap<std::unique_ptr<ReqBlock>> blocks_;
-  SlotMap<ReqBlock*> page_to_block_;
-  std::array<BlockList, 3> lists_;
+  SlotMap<ReqBlock> blocks_;     // block id -> block
+  SlotMap<Slot> page_to_block_;  // page -> its block's slot in blocks_
+  std::array<BlockList, 3> lists_{BlockList(blocks_), BlockList(blocks_),
+                                  BlockList(blocks_)};
   Tick tick_ = 0;
   std::uint64_t next_block_id_ = 1;
   /// Blocks belonging to the in-flight request (insertion / split target).

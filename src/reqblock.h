@@ -11,7 +11,6 @@
 #include "util/args.h"
 #include "util/check.h"
 #include "util/histogram.h"
-#include "util/intrusive_list.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"

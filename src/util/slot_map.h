@@ -20,7 +20,8 @@
 // inside an emission function that does not sort.
 //
 // SlotList threads a doubly linked list through one map's entries with
-// u32 links: the slot-indexed counterpart of IntrusiveList.
+// u32 links, so a list holds slots, not pointers, and survives slab
+// growth. Several lists may share one map (Req-block's IRL/SRL/DRL).
 #pragma once
 
 #include <cstddef>
@@ -289,7 +290,7 @@ class SlotMap {
   unsigned shift_ = 64;  // 64 - log2(cells_.size()) once the index exists
 };
 
-/// One SlotList's links, embedded in the slab value (like ListHook).
+/// One SlotList's links, a member of the slab value.
 struct SlotLink {
   static constexpr Slot kUnlinked = 0xfffffffeu;
 

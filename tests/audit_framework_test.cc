@@ -246,6 +246,16 @@ TEST_F(ReqBlockAuditDetection, CatchesPageTableDesync) {
   EXPECT_NE(audit_text().find("page table disagrees"), std::string::npos);
 }
 
+TEST_F(ReqBlockAuditDetection, CatchesListCycleWithoutHanging) {
+  ReqBlock* blk = policy_->mutable_block_for_tests(0);
+  ASSERT_NE(blk, nullptr);
+  ASSERT_EQ(blk->level, ReqList::kIRL);
+  // The IRL block was created first, so it sits at slot 0: pointing its
+  // next link there closes a cycle that an unchecked walk never leaves.
+  blk->link.next = 0;
+  EXPECT_NE(audit_text().find("corrupt IRL chain"), std::string::npos);
+}
+
 TEST_F(ReqBlockAuditDetection, FailedAuditAttachesStructuralDump) {
   ReqBlock* blk = policy_->mutable_block_for_tests(0);
   ASSERT_NE(blk, nullptr);

@@ -1,14 +1,13 @@
 // Negative tests: the failure paths of REQB_CHECK / REQB_CHECK_MSG /
-// REQB_DCHECK and the misuse guards of IntrusiveList. Checks raise
-// std::logic_error (not abort), so the "death tests" are EXPECT_THROW
-// tests — simpler and sanitizer-friendly.
+// REQB_DCHECK. Checks raise std::logic_error (not abort), so the "death
+// tests" are EXPECT_THROW tests — simpler and sanitizer-friendly. The
+// misuse guards of SlotList are tested beside it, in slot_map_test.cc.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 
 #include "util/check.h"
-#include "util/intrusive_list.h"
 
 namespace reqblock {
 namespace {
@@ -75,83 +74,6 @@ TEST(CheckMacros, CheckEvaluatesExpressionExactlyOnce) {
   EXPECT_EQ(calls, 1);
   REQB_DCHECK(count());
   EXPECT_EQ(calls, 2);
-}
-
-struct TestNode {
-  int id = 0;
-  ListHook hook;
-};
-
-using TestList = IntrusiveList<TestNode, &TestNode::hook>;
-
-TEST(IntrusiveListMisuse, DoubleEraseThrows) {
-  TestList list;
-  TestNode n;
-  list.push_front(&n);
-  list.erase(&n);
-  EXPECT_THROW(list.erase(&n), std::logic_error);
-}
-
-TEST(IntrusiveListMisuse, DoubleLinkThrows) {
-  TestList list;
-  TestNode n;
-  list.push_front(&n);
-  EXPECT_THROW(list.push_front(&n), std::logic_error);
-  EXPECT_THROW(list.push_back(&n), std::logic_error);
-}
-
-TEST(IntrusiveListMisuse, CrossListRelinkThrows) {
-  TestList a;
-  TestList b;
-  TestNode n;
-  a.push_front(&n);
-  // Linking a node already owned by another list must be rejected — it
-  // would splice the two chains together.
-  EXPECT_THROW(b.push_front(&n), std::logic_error);
-  EXPECT_THROW(b.push_back(&n), std::logic_error);
-}
-
-TEST(IntrusiveListMisuse, ValidateDetectsBrokenLinkSymmetry) {
-  TestList list;
-  TestNode a, b, c;
-  list.push_back(&a);
-  list.push_back(&b);
-  list.push_back(&c);
-  ASSERT_TRUE(list.validate());
-  // Corrupt one pointer the way a stray write would.
-  ListHook* stolen = b.hook.next;
-  b.hook.next = &b.hook;
-  EXPECT_FALSE(list.validate());
-  b.hook.next = stolen;
-  EXPECT_TRUE(list.validate());
-}
-
-TEST(IntrusiveListMisuse, ValidateDetectsEraseThroughWrongList) {
-  // Erasing through the wrong list object keeps the chain intact but
-  // desynchronizes the two size counters — exactly the bug validate()'s
-  // node-count check exists to catch.
-  TestList a;
-  TestList b;
-  TestNode n1, n2, n3;
-  a.push_back(&n1);
-  a.push_back(&n2);
-  b.push_back(&n3);
-  ASSERT_TRUE(a.validate());
-  ASSERT_TRUE(b.validate());
-  b.erase(&n2);  // n2 lives on `a`; b's size counter goes stale
-  EXPECT_FALSE(a.validate() && b.validate());
-}
-
-TEST(IntrusiveListMisuse, ValidateDetectsNulledHook) {
-  TestList list;
-  TestNode a, b;
-  list.push_back(&a);
-  list.push_back(&b);
-  ListHook* stolen = a.hook.next;
-  a.hook.next = nullptr;
-  EXPECT_FALSE(list.validate());
-  a.hook.next = stolen;
-  EXPECT_TRUE(list.validate());
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "snapshot/snapshot.h"
 #include "test_util.h"
+#include "util/audit.h"
 
 namespace reqblock {
 namespace {
@@ -132,13 +136,14 @@ TEST(ReqBlockPolicyTest, LargeDrlBlockSplitsAgain) {
   ReqBlockPolicy p(delta(2));
   insert_request(p, write_req(1, 0, 10));
   hit_request(p, read_req(2, 0, 5));  // DRL block of 5 pages (> delta)
-  const ReqBlock* drl1 = p.block_of(0);
-  EXPECT_EQ(drl1->page_count(), 5u);
+  EXPECT_EQ(p.block_of(0)->page_count(), 5u);
+  // A block pointer lasts only until the next policy call: keep the id.
+  const std::uint64_t drl1 = p.block_of(0)->block_id;
   hit_request(p, read_req(3, 1, 2));  // splits 2 pages out of the DRL block
   const ReqBlock* drl2 = p.block_of(1);
-  EXPECT_NE(drl2, drl1);
+  EXPECT_NE(drl2->block_id, drl1);
   EXPECT_EQ(drl2->level, ReqList::kDRL);
-  EXPECT_EQ(drl2->origin_id, drl1->block_id);
+  EXPECT_EQ(drl2->origin_id, drl1);
   EXPECT_EQ(p.block_of(0)->page_count(), 3u);
 }
 
@@ -329,6 +334,75 @@ TEST(ReqBlockPolicyTest, InvalidDeltaRejected) {
 TEST(ReqBlockPolicyTest, EmptyVictimWhenNoBlocks) {
   ReqBlockPolicy p(delta(5));
   EXPECT_TRUE(p.select_victim().empty());
+}
+
+/// A `reqblock` snapshot section at tick 2 with no request in flight and
+/// one IRL block `block_id` (request 1, inserted at tick 1, split from
+/// `origin_id`) holding `pages`.
+std::string one_block_section(std::uint64_t next_block_id,
+                              std::uint64_t block_id,
+                              const std::vector<Lpn>& pages,
+                              std::uint64_t origin_id = 0) {
+  SnapshotWriter w;
+  w.tag("reqblock");
+  w.u64(2);  // tick
+  w.u64(next_block_id);
+  w.u64(~0ULL);  // current request: none
+  w.u64(0);  // insert guard
+  w.u64(0);  // split guard
+  w.u64(2);  // mutations
+  w.u64(1);  // IRL: one block
+  w.u64(block_id);
+  w.u64(1);  // req_id
+  w.u64(1);  // access_cnt
+  w.u64(1);  // insert_tick
+  w.u64(origin_id);
+  w.u64(pages.size());
+  for (const Lpn lpn : pages) w.u64(lpn);
+  w.u64(0);  // SRL
+  w.u64(0);  // DRL
+  return w.buffer();
+}
+
+void restore(ReqBlockPolicy& p, const std::string& section) {
+  SnapshotReader r(section);
+  p.deserialize(r);
+}
+
+TEST(ReqBlockSnapshotTest, RefusesMalformedBlocks) {
+  const struct {
+    const char* what;
+    std::string section;
+  } malformed[] = {
+      // The next create_block would hand out the restored block's id.
+      {"id == next_block_id", one_block_section(1, 1, {0, 1})},
+      {"id > next_block_id", one_block_section(2, 7, {0, 1})},
+      // Id 0 is the no-guard sentinel: the block could never be evicted.
+      {"id 0", one_block_section(2, 0, {0, 1})},
+      {"no pages", one_block_section(2, 1, {})},
+      // Evicting a block that is its own origin would consume it twice.
+      {"origin_id == id", one_block_section(2, 1, {0, 1}, 1)},
+  };
+  for (const auto& m : malformed) {
+    ReqBlockPolicy p(delta(5));
+    EXPECT_THROW(restore(p, m.section), SnapshotError) << m.what;
+  }
+}
+
+TEST(ReqBlockSnapshotTest, WellFormedSectionRestoresInsertsAndAuditsClean) {
+  ReqBlockPolicy p(delta(5));
+  restore(p, one_block_section(2, 1, {0, 1}));
+  ASSERT_EQ(p.block_count(), 1u);
+  const IoRequest req = write_req(2, 10, 1);
+  p.begin_request(req);
+  p.on_insert(10, req, true);
+  EXPECT_EQ(p.block_count(), 2u);
+  EXPECT_EQ(p.block_of(0)->block_id, 1u);
+  EXPECT_EQ(p.block_of(10)->block_id, 2u);
+  EXPECT_EQ(p.pages(), 3u);
+  AuditReport report("Req-block");
+  p.audit(report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 }  // namespace
