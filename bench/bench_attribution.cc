@@ -11,29 +11,19 @@
 // ledgers (or two records of one) and flags regressions beyond a noise
 // band.
 //
-// Ledger format (append-only): {"records": [ <record>, ... ]}. Every
-// field of a record is deterministic except wall_unix_s, which sits on
-// its own line so `grep -v wall_unix_s` yields byte-identical files for
-// same-seed runs (CI proves exactly that).
-#include <chrono>
-#include <cmath>
-#include <fstream>
-#include <sstream>
-
+// Ledger format (append-only, written by bench_common's LedgerWriter):
+// {"records": [ <record>, ... ]}. Every field of a record is
+// deterministic except wall_unix_s, which sits on its own line so
+// `grep -v wall_unix_s` yields byte-identical files for same-seed runs
+// (CI proves exactly that).
 #include "bench_common.h"
-#include "sim/session.h"
-#include "util/atomic_file.h"
 
 namespace reqblock::benchx {
 namespace {
 
-constexpr const char* kLedgerPath = "BENCH_attribution.json";
-
 /// Request cap the registered cells ran with; report() rebuilds each case
 /// with the same cap so the ledger fingerprints match the executed runs.
 std::uint64_t g_request_cap = 0;
-constexpr const char* kLedgerHead = "{\"records\": [\n";
-constexpr const char* kLedgerTail = "\n]}\n";
 
 const std::vector<std::string>& bench_traces() {
   static const std::vector<std::string> t = {"usr_0", "proj_0"};
@@ -77,84 +67,10 @@ void register_benchmarks(std::uint64_t cap) {
   }
 }
 
-/// One ledger record. Multi-line so the wall-clock stamp can be filtered
-/// out with a line-based tool; every other field is deterministic.
-std::string ledger_record(const std::string& trace, const std::string& policy,
-                          const ExperimentCase& c, const RunResult& r) {
-  // REQB_LINT_ALLOW(no-wallclock): the ledger timestamp records *when*
-  // the benchmark ran, for humans reading the cross-run history. It is
-  // stamped after the deterministic run finished, lives on its own line,
-  // and perf_diff never compares it.
-  const std::int64_t wall_unix_s =
-      std::chrono::duration_cast<std::chrono::seconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
-  const double sim_seconds = static_cast<double>(r.sim_end) / 1e9;
-  const double throughput =
-      sim_seconds == 0.0 ? 0.0 : static_cast<double>(r.requests) / sim_seconds;
-  std::ostringstream os;
-  os << "{\n"
-     << "\"case\": \"" << trace << "/" << policy << "\",\n"
-     << "\"config_fingerprint\": " << config_fingerprint(c.options) << ",\n"
-     << "\"trace_fingerprint\": "
-     << SyntheticTraceSource(c.profile).identity_hash() << ",\n"
-     << "\"wall_unix_s\": " << wall_unix_s << ",\n"
-     << "\"requests\": " << r.requests << ",\n"
-     << "\"throughput_rps\": " << format_double(throughput, 3) << ",\n"
-     << "\"p50_ns\": " << r.response.p50() << ",\n"
-     << "\"p99_ns\": " << r.response.p99() << ",\n"
-     << "\"p999_ns\": " << r.response.p999() << ",\n"
-     << "\"mean_ns\": " << static_cast<std::int64_t>(r.response.mean())
-     << ",\n"
-     << "\"component_share\": {";
-  const AttributionResult& a = r.attribution;
-  for (std::size_t i = 0; i < kAttrComponents; ++i) {
-    const double share =
-        a.total_ns == 0 ? 0.0
-                        : static_cast<double>(a.component_ns[i]) /
-                              static_cast<double>(a.total_ns);
-    // Truncate, don't round: the exact shares sum to 1, and rounding each
-    // of the 8 components up can push the printed sum past perf_diff's
-    // sum-at-most-1 validation.
-    const double floored = std::floor(share * 1e6) / 1e6;
-    os << (i == 0 ? "" : ", ") << "\""
-       << to_string(static_cast<AttrComponent>(i))
-       << "\": " << format_double(floored, 6);
-  }
-  os << "}\n}";
-  return os.str();
-}
-
-/// Appends `records` (comma-joined record texts) to the ledger, creating
-/// it when missing. A file that does not look like a ledger is replaced
-/// rather than corrupted further.
-void append_to_ledger(const std::string& records) {
-  std::string body;
-  std::ifstream in(kLedgerPath);
-  if (in) {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string existing = buf.str();
-    const std::string head = kLedgerHead;
-    const std::string tail = kLedgerTail;
-    if (existing.size() > head.size() + tail.size() &&
-        existing.compare(0, head.size(), head) == 0 &&
-        existing.compare(existing.size() - tail.size(), tail.size(), tail) ==
-            0) {
-      body = existing.substr(head.size(),
-                             existing.size() - head.size() - tail.size());
-    }
-  }
-  if (!body.empty()) body += ",\n";
-  body += records;
-  write_file_atomic(kLedgerPath, kLedgerHead + body + kLedgerTail);
-}
-
 void report() {
   TextTable t({"Trace", "Policy", "p50 (ms)", "p99 (ms)", "p999 (ms)",
                "top component", "share"});
-  std::string records;
-  std::uint64_t cells = 0;
+  LedgerWriter ledger("BENCH_attribution.json");
   for (const auto& trace : bench_traces()) {
     for (const auto& policy : bench_policies()) {
       const RunResult* r = RunStore::instance().find(cell_name(trace, policy));
@@ -177,19 +93,12 @@ void report() {
                                    kMillisecond, 2),
                  to_string(static_cast<AttrComponent>(top)),
                  format_double(top_share * 100.0, 1) + "%"});
-      if (!records.empty()) records += ",\n";
-      records += ledger_record(trace, policy,
-                               attribution_case(trace, policy, g_request_cap),
-                               *r);
-      ++cells;
+      ledger.add(trace + "/" + policy,
+                 attribution_case(trace, policy, g_request_cap), *r);
     }
   }
   t.print(std::cout);
-  if (cells > 0) {
-    append_to_ledger(records);
-    std::cout << "Appended " << cells << " records to " << kLedgerPath
-              << "\n";
-  }
+  ledger.append();
   expect_line("attribution exactness",
               "sum(components) == end-to-end latency per request",
               "audited under REQBLOCK_AUDIT=full; see tests");

@@ -21,28 +21,20 @@
 // checkpoint and produces byte-identical results, exactly like
 // trace_replay --checkpoint-dir.
 //
-// Ledger format matches BENCH_attribution.json (tools/perf_diff reads
-// both): {"records": [...]}, every field deterministic except
-// wall_unix_s on its own line. Soak records append aging columns
-// (retired blocks, refresh traffic, shed writes) after the shared ones;
-// perf_diff ignores fields it does not know.
-#include <chrono>
-#include <cmath>
+// Ledger format matches BENCH_attribution.json (bench_common's
+// LedgerWriter writes both, tools/perf_diff reads both): {"records":
+// [...]}, every field deterministic except wall_unix_s on its own line.
+// Soak records append aging columns (retired blocks, refresh traffic,
+// shed writes) after the shared ones; perf_diff ignores fields it does
+// not know.
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "bench_common.h"
 #include "sim/checkpoint.h"
-#include "sim/session.h"
-#include "util/atomic_file.h"
 
 namespace reqblock::benchx {
 namespace {
-
-constexpr const char* kLedgerPath = "BENCH_soak.json";
-constexpr const char* kLedgerHead = "{\"records\": [\n";
-constexpr const char* kLedgerTail = "\n]}\n";
 
 /// Request cap the registered cells ran with; report() rebuilds each case
 /// with the same cap so the ledger fingerprints match the executed runs.
@@ -158,92 +150,10 @@ double gc_share(const RunResult& r) {
          static_cast<double>(a.total_ns);
 }
 
-/// One ledger record; the shared fields mirror bench_attribution so
-/// tools/perf_diff compares soak ledgers unchanged, and the aging block
-/// rides behind them as extra (ignored) columns.
-std::string ledger_record(const std::string& name, const ExperimentCase& c,
-                          const RunResult& r) {
-  // REQB_LINT_ALLOW(no-wallclock): the ledger timestamp records *when*
-  // the benchmark ran, for humans reading the cross-run history. It is
-  // stamped after the deterministic run finished, lives on its own line,
-  // and perf_diff never compares it.
-  const std::int64_t wall_unix_s =
-      std::chrono::duration_cast<std::chrono::seconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
-  const double sim_seconds = static_cast<double>(r.sim_end) / 1e9;
-  const double throughput =
-      sim_seconds == 0.0 ? 0.0 : static_cast<double>(r.requests) / sim_seconds;
-  std::ostringstream os;
-  os << "{\n"
-     << "\"case\": \"" << name << "\",\n"
-     << "\"config_fingerprint\": " << config_fingerprint(c.options) << ",\n"
-     << "\"trace_fingerprint\": "
-     << SyntheticTraceSource(c.profile).identity_hash() << ",\n"
-     << "\"wall_unix_s\": " << wall_unix_s << ",\n"
-     << "\"requests\": " << r.requests << ",\n"
-     << "\"throughput_rps\": " << format_double(throughput, 3) << ",\n"
-     << "\"p50_ns\": " << r.response.p50() << ",\n"
-     << "\"p99_ns\": " << r.response.p99() << ",\n"
-     << "\"p999_ns\": " << r.response.p999() << ",\n"
-     << "\"mean_ns\": " << static_cast<std::int64_t>(r.response.mean())
-     << ",\n"
-     << "\"hit_pct\": " << format_double(r.hit_ratio() * 100.0, 3) << ",\n"
-     << "\"erases\": " << r.flash.erases << ",\n"
-     << "\"blocks_retired\": " << r.fault.blocks_retired << ",\n"
-     << "\"read_disturb_migrations\": " << r.fault.read_disturb_migrations
-     << ",\n"
-     << "\"retention_scrubs\": " << r.fault.retention_scrubs << ",\n"
-     << "\"degraded_write_sheds\": " << r.fault.degraded_write_sheds << ",\n"
-     << "\"component_share\": {";
-  const AttributionResult& a = r.attribution;
-  for (std::size_t i = 0; i < kAttrComponents; ++i) {
-    const double share =
-        a.total_ns == 0 ? 0.0
-                        : static_cast<double>(a.component_ns[i]) /
-                              static_cast<double>(a.total_ns);
-    // Truncate, don't round: the exact shares sum to 1, and rounding each
-    // of the 8 components up can push the printed sum past perf_diff's
-    // sum-at-most-1 validation.
-    const double floored = std::floor(share * 1e6) / 1e6;
-    os << (i == 0 ? "" : ", ") << "\""
-       << to_string(static_cast<AttrComponent>(i))
-       << "\": " << format_double(floored, 6);
-  }
-  os << "}\n}";
-  return os.str();
-}
-
-/// Appends `records` (comma-joined record texts) to the ledger, creating
-/// it when missing. A file that does not look like a ledger is replaced
-/// rather than corrupted further.
-void append_to_ledger(const std::string& records) {
-  std::string body;
-  std::ifstream in(kLedgerPath);
-  if (in) {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string existing = buf.str();
-    const std::string head = kLedgerHead;
-    const std::string tail = kLedgerTail;
-    if (existing.size() > head.size() + tail.size() &&
-        existing.compare(0, head.size(), head) == 0 &&
-        existing.compare(existing.size() - tail.size(), tail.size(), tail) ==
-            0) {
-      body = existing.substr(head.size(),
-                             existing.size() - head.size() - tail.size());
-    }
-  }
-  if (!body.empty()) body += ",\n";
-  body += records;
-  write_file_atomic(kLedgerPath, kLedgerHead + body + kLedgerTail);
-}
-
 void report() {
   TextTable t({"Policy", "device", "hit", "p99 (ms)", "GC share", "erases",
                "retired", "migr", "scrubs", "sheds"});
-  std::string records;
-  std::uint64_t cells = 0;
+  LedgerWriter ledger("BENCH_soak.json");
   std::vector<std::string> deltas;
   for (const auto& policy : soak_policies()) {
     const RunResult* fresh =
@@ -262,10 +172,17 @@ void report() {
                  std::to_string(r->fault.read_disturb_migrations),
                  std::to_string(r->fault.retention_scrubs),
                  std::to_string(r->fault.degraded_write_sheds)});
-      if (!records.empty()) records += ",\n";
-      records += ledger_record(cell_name(policy, is_aged),
-                               soak_case(policy, is_aged, g_request_cap), *r);
-      ++cells;
+      ledger.add(
+          cell_name(policy, is_aged), soak_case(policy, is_aged, g_request_cap),
+          *r,
+          {{"hit_pct", format_double(r->hit_ratio() * 100.0, 3)},
+           {"erases", std::to_string(r->flash.erases)},
+           {"blocks_retired", std::to_string(r->fault.blocks_retired)},
+           {"read_disturb_migrations",
+            std::to_string(r->fault.read_disturb_migrations)},
+           {"retention_scrubs", std::to_string(r->fault.retention_scrubs)},
+           {"degraded_write_sheds",
+            std::to_string(r->fault.degraded_write_sheds)}});
     }
     if (fresh != nullptr && aged != nullptr) {
       const double p99_fresh =
@@ -284,11 +201,7 @@ void report() {
   t.print(std::cout);
   std::cout << "\nFresh -> aged deltas:\n";
   for (const auto& d : deltas) std::cout << "  " << d << "\n";
-  if (cells > 0) {
-    append_to_ledger(records);
-    std::cout << "Appended " << cells << " records to " << kLedgerPath
-              << "\n";
-  }
+  ledger.append();
   expect_line("aging effect",
               "worn device retires blocks and lifts the tail",
               "see aged rows: retired > 0, p99(aged) >= p99(fresh)");
