@@ -14,66 +14,58 @@
 namespace reqblock::benchx {
 namespace {
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& trace : paper_traces()) {
     {
       ExperimentCase c = make_case(trace, "reqblock", 32, cap);
-      register_case("ablation_flush/" + trace + "/reqblock-striped", c);
+      add_cell(out, "ablation_flush/" + trace + "/reqblock-striped", c);
     }
     {
       ExperimentCase c = make_case(trace, "reqblock", 32, cap);
       c.options.policy.reqblock.colocate_flush = true;
-      register_case("ablation_flush/" + trace + "/reqblock-colocated", c);
+      add_cell(out, "ablation_flush/" + trace + "/reqblock-colocated", c);
     }
     {
       ExperimentCase c = make_case(trace, "bplru", 32, cap);
-      register_case("ablation_flush/" + trace + "/bplru", c);
+      add_cell(out, "ablation_flush/" + trace + "/bplru", c);
     }
     {
       ExperimentCase c = make_case(trace, "bplru", 32, cap);
       c.options.policy.bplru.page_padding = true;
-      register_case("ablation_flush/" + trace + "/bplru-padding", c);
+      add_cell(out, "ablation_flush/" + trace + "/bplru-padding", c);
     }
     {
       ExperimentCase c = make_case(trace, "bplru", 32, cap);
       c.options.policy.bplru.block_unit_allocation = true;
-      register_case("ablation_flush/" + trace + "/bplru-unitalloc", c);
+      add_cell(out, "ablation_flush/" + trace + "/bplru-unitalloc", c);
     }
   }
+  return out;
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Trace", "RB striped (ms)", "RB colocated (ms)",
                "BPLRU (ms)", "BPLRU+padding (ms)", "padding writes",
                "BPLRU unit-alloc hit%"});
   int striping_wins = 0;
   for (const auto& trace : paper_traces()) {
-    auto get = [&](const std::string& v) {
-      return RunStore::instance().find("ablation_flush/" + trace + "/" + v);
+    auto get = [&](const std::string& v) -> const RunResult& {
+      return cells["ablation_flush/" + trace + "/" + v];
     };
-    const RunResult* striped = get("reqblock-striped");
-    const RunResult* colocated = get("reqblock-colocated");
-    const RunResult* bplru = get("bplru");
-    const RunResult* padded = get("bplru-padding");
-    if (striped == nullptr || colocated == nullptr) continue;
-    if (striped->response.mean() < colocated->response.mean()) {
+    const RunResult& striped = get("reqblock-striped");
+    const RunResult& colocated = get("reqblock-colocated");
+    const RunResult& padded = get("bplru-padding");
+    if (striped.response.mean() < colocated.response.mean()) {
       ++striping_wins;
     }
-    t.add_row({trace, format_double(striped->mean_response_ms(), 3),
-               format_double(colocated->mean_response_ms(), 3),
-               bplru != nullptr ? format_double(bplru->mean_response_ms(), 3)
-                                : "-",
-               padded != nullptr
-                   ? format_double(padded->mean_response_ms(), 3)
-                   : "-",
-               padded != nullptr
-                   ? std::to_string(padded->cache.padding_pages)
-                   : "-",
-               get("bplru-unitalloc") != nullptr
-                   ? format_double(
-                         get("bplru-unitalloc")->hit_ratio() * 100, 2) +
-                         "%"
-                   : "-"});
+    t.add_row({trace, format_double(striped.mean_response_ms(), 3),
+               format_double(colocated.mean_response_ms(), 3),
+               format_double(get("bplru").mean_response_ms(), 3),
+               format_double(padded.mean_response_ms(), 3),
+               std::to_string(padded.cache.padding_pages),
+               format_double(get("bplru-unitalloc").hit_ratio() * 100, 2) +
+                   "%"});
   }
   t.print(std::cout);
   expect_line("striped flush faster than colocated",
@@ -82,11 +74,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(200000));
-  return bench_main(argc, argv, report,
-                    "Ablation A3: striped vs colocated batch flush");
-}
+const Artifact kAblationFlush = {
+    "ablation_flush", "Ablation A3: striped vs colocated batch flush", 200000,
+    cells, report};
+
+}  // namespace reqblock::benchx

@@ -20,38 +20,33 @@ std::string cell(const std::string& trace, FreqMode mode) {
   return std::string("ablation_freq/") + trace + "/" + to_string(mode);
 }
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& trace : paper_traces()) {
     for (const FreqMode mode : kModes) {
       ExperimentCase c = make_case(trace, "reqblock", 32, cap);
       c.options.policy.reqblock.freq_mode = mode;
-      register_case(cell(trace, mode), c);
+      add_cell(out, cell(trace, mode), c);
     }
   }
+  return out;
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Trace", "full (hit%)", "no-time", "no-size", "count-only"});
   int full_best_or_close = 0;
   for (const auto& trace : paper_traces()) {
     std::vector<std::string> row{trace};
-    const RunResult* full = RunStore::instance().find(
-        cell(trace, FreqMode::kFull));
-    if (full == nullptr) continue;
-    row[0] = trace;
-    row.push_back(format_double(full->hit_ratio() * 100, 2) + "%");
+    const RunResult& full = cells[cell(trace, FreqMode::kFull)];
+    row.push_back(format_double(full.hit_ratio() * 100, 2) + "%");
     double best_other = 0.0;
     for (const FreqMode mode :
          {FreqMode::kNoTime, FreqMode::kNoSize, FreqMode::kCountOnly}) {
-      const RunResult* r = RunStore::instance().find(cell(trace, mode));
-      if (r == nullptr) {
-        row.push_back("-");
-        continue;
-      }
-      best_other = std::max(best_other, r->hit_ratio());
-      row.push_back(format_double(r->hit_ratio() / full->hit_ratio(), 3));
+      const RunResult& r = cells[cell(trace, mode)];
+      best_other = std::max(best_other, r.hit_ratio());
+      row.push_back(format_double(r.hit_ratio() / full.hit_ratio(), 3));
     }
-    if (full->hit_ratio() >= best_other * 0.98) ++full_best_or_close;
+    if (full.hit_ratio() >= best_other * 0.98) ++full_best_or_close;
     t.add_row(row);
   }
   std::cout << "Hit ratio by Eq. 1 variant (normalized to full):\n";
@@ -62,11 +57,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(200000));
-  return bench_main(argc, argv, report,
-                    "Ablation A1: eviction-score variants");
-}
+const Artifact kAblationFreq = {"ablation_freq",
+                                "Ablation A1: eviction-score variants", 200000,
+                                cells, report};
+
+}  // namespace reqblock::benchx

@@ -14,30 +14,31 @@ std::string cell(const std::string& trace, bool merge) {
          (merge ? "merge" : "no-merge");
 }
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& trace : paper_traces()) {
     for (const bool merge : {true, false}) {
       ExperimentCase c = make_case(trace, "reqblock", 32, cap);
       c.options.policy.reqblock.merge_on_evict = merge;
-      register_case(cell(trace, merge), c);
+      add_cell(out, cell(trace, merge), c);
     }
   }
+  return out;
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Trace", "hit% (merge)", "hit% (no-merge)",
                "pages/evict (merge)", "pages/evict (no-merge)",
                "mean ms (merge)", "mean ms (no-merge)"});
   for (const auto& trace : paper_traces()) {
-    const RunResult* on = RunStore::instance().find(cell(trace, true));
-    const RunResult* off = RunStore::instance().find(cell(trace, false));
-    if (on == nullptr || off == nullptr) continue;
-    t.add_row({trace, format_double(on->hit_ratio() * 100, 2),
-               format_double(off->hit_ratio() * 100, 2),
-               format_double(on->cache.eviction_batch.mean(), 2),
-               format_double(off->cache.eviction_batch.mean(), 2),
-               format_double(on->mean_response_ms(), 3),
-               format_double(off->mean_response_ms(), 3)});
+    const RunResult& on = cells[cell(trace, true)];
+    const RunResult& off = cells[cell(trace, false)];
+    t.add_row({trace, format_double(on.hit_ratio() * 100, 2),
+               format_double(off.hit_ratio() * 100, 2),
+               format_double(on.cache.eviction_batch.mean(), 2),
+               format_double(off.cache.eviction_batch.mean(), 2),
+               format_double(on.mean_response_ms(), 3),
+               format_double(off.mean_response_ms(), 3)});
   }
   t.print(std::cout);
   std::cout << "\nDesign claim (paper §3.3): merging batches spatially\n"
@@ -46,11 +47,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(200000));
-  return bench_main(argc, argv, report,
-                    "Ablation A2: downgraded merging on/off");
-}
+const Artifact kAblationMerge = {"ablation_merge",
+                                 "Ablation A2: downgraded merging on/off",
+                                 200000, cells, report};
+
+}  // namespace reqblock::benchx

@@ -21,10 +21,6 @@
 namespace reqblock::benchx {
 namespace {
 
-/// Request cap the registered cells ran with; report() rebuilds each case
-/// with the same cap so the ledger fingerprints match the executed runs.
-std::uint64_t g_request_cap = 0;
-
 const std::vector<std::string>& bench_traces() {
   static const std::vector<std::string> t = {"usr_0", "proj_0"};
   return t;
@@ -58,24 +54,25 @@ ExperimentCase attribution_case(const std::string& trace,
   return c;
 }
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& trace : bench_traces()) {
     for (const auto& policy : bench_policies()) {
-      register_case(cell_name(trace, policy),
-                    attribution_case(trace, policy, cap));
+      add_cell(out, cell_name(trace, policy),
+               attribution_case(trace, policy, cap));
     }
   }
+  return out;
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Trace", "Policy", "p50 (ms)", "p99 (ms)", "p999 (ms)",
                "top component", "share"});
   LedgerWriter ledger("BENCH_attribution.json");
   for (const auto& trace : bench_traces()) {
     for (const auto& policy : bench_policies()) {
-      const RunResult* r = RunStore::instance().find(cell_name(trace, policy));
-      if (r == nullptr) continue;
-      const AttributionResult& a = r->attribution;
+      const RunResult& r = cells[cell_name(trace, policy)];
+      const AttributionResult& a = r.attribution;
       std::size_t top = 0;
       for (std::size_t i = 1; i < kAttrComponents; ++i) {
         if (a.component_ns[i] > a.component_ns[top]) top = i;
@@ -85,16 +82,16 @@ void report() {
                           : static_cast<double>(a.component_ns[top]) /
                                 static_cast<double>(a.total_ns);
       t.add_row({trace, policy,
-                 format_double(static_cast<double>(r->response.p50()) /
+                 format_double(static_cast<double>(r.response.p50()) /
                                    kMillisecond, 2),
-                 format_double(static_cast<double>(r->response.p99()) /
+                 format_double(static_cast<double>(r.response.p99()) /
                                    kMillisecond, 2),
-                 format_double(static_cast<double>(r->response.p999()) /
+                 format_double(static_cast<double>(r.response.p999()) /
                                    kMillisecond, 2),
                  to_string(static_cast<AttrComponent>(top)),
                  format_double(top_share * 100.0, 1) + "%"});
       ledger.add(trace + "/" + policy,
-                 attribution_case(trace, policy, g_request_cap), *r);
+                 cells.case_of(cell_name(trace, policy)), r);
     }
   }
   t.print(std::cout);
@@ -105,12 +102,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  g_request_cap = reqblock::bench_request_cap(60000);
-  register_benchmarks(g_request_cap);
-  return bench_main(argc, argv, report,
-                    "Attribution: per-component latency ledger");
-}
+const Artifact kAttribution = {"attribution",
+                               "Attribution: per-component latency ledger",
+                               60000, cells, report};
+
+}  // namespace reqblock::benchx

@@ -1,25 +1,25 @@
-// Shared infrastructure for the per-figure benchmark binaries.
+// Shared infrastructure for the `reproduce` binary (bench/reproduce.cc).
 //
-// Each binary registers one google-benchmark per experiment cell (a
-// (trace, policy, cache size, ...) simulation, Iterations(1) — the runs
-// are deterministic, so repetition buys nothing), collects the RunResults
-// in a process-global store, and prints a paper-style table plus a
-// paper-vs-measured comparison after google-benchmark finishes.
+// Each paper table, figure and ablation, and each ledger study, is one
+// Artifact: a row of reproduce's table holding the artifact's title, its
+// default request cap, the experiment cells it needs (each a (trace,
+// policy, cache size, ...) simulation, labelled for its report) and the
+// report that prints a paper-style table plus a paper-vs-measured
+// comparison. The runs are deterministic, so reproduce simulates each
+// distinct cell once, however many selected artifacts list it, and hands
+// every report its finished cells.
 //
-// Runtime is controlled by REQBLOCK_BENCH_REQUESTS (requests per trace,
-// 0 = full-length traces) and standard --benchmark_filter flags.
+// REQBLOCK_BENCH_REQUESTS overrides every artifact's request cap (requests
+// per trace, 0 = full-length traces).
 //
-// The attribution, integrity and soak binaries also append fingerprinted
+// The attribution, integrity and soak artifacts also append fingerprinted
 // records to a JSON perf ledger through LedgerWriter.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -38,61 +38,52 @@
 
 namespace reqblock::benchx {
 
-/// Results of every case executed so far, keyed by registration name.
-class RunStore {
- public:
-  static RunStore& instance() {
-    static RunStore store;
-    return store;
-  }
+/// The finished cells of one artifact, found by the label they were
+/// listed under.
+struct Cells {
+  /// The request cap the artifact's cells were built with.
+  std::uint64_t cap = 0;
+  /// Label -> index into `cases` and `results`.
+  std::map<std::string, std::size_t> slots;
+  const std::vector<ExperimentCase>* cases = nullptr;
+  const std::vector<RunResult>* results = nullptr;
 
-  void add(const std::string& name, RunResult result) {
-    order_.push_back(name);
-    results_.emplace(name, std::move(result));
+  const RunResult& operator[](const std::string& label) const {
+    return (*results)[slots.at(label)];
   }
-
-  const RunResult* find(const std::string& name) const {
-    const auto it = results_.find(name);
-    return it == results_.end() ? nullptr : &it->second;
+  const ExperimentCase& case_of(const std::string& label) const {
+    return (*cases)[slots.at(label)];
   }
-
-  /// All results in registration order.
-  std::vector<const RunResult*> all() const {
-    std::vector<const RunResult*> out;
-    out.reserve(order_.size());
-    for (const auto& name : order_) out.push_back(&results_.at(name));
-    return out;
-  }
-
- private:
-  std::map<std::string, RunResult> results_;
-  std::vector<std::string> order_;
 };
 
-/// Registers a single-simulation benchmark. Counters exported: hit ratio,
-/// mean/p99 response, flash writes, pages/eviction.
-inline void register_case(const std::string& name, ExperimentCase c) {
-  benchmark::RegisterBenchmark(
-      name.c_str(),
-      [name, c](benchmark::State& state) {
-        RunResult result;
-        for (auto _ : state) {
-          SyntheticTraceSource trace(c.profile);
-          Simulator sim(c.options);
-          result = sim.run(trace);
-        }
-        state.counters["hit_pct"] = result.hit_ratio() * 100.0;
-        state.counters["mean_ms"] = result.mean_response_ms();
-        state.counters["p99_ms"] =
-            static_cast<double>(result.response.p99()) / kMillisecond;
-        state.counters["flash_writes"] =
-            static_cast<double>(result.flash_write_count());
-        state.counters["pages_per_evict"] =
-            result.cache.eviction_batch.mean();
-        RunStore::instance().add(name, std::move(result));
-      })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
+/// One row of reproduce's table.
+struct Artifact {
+  /// The command-line name, e.g. "fig8".
+  const char* name;
+  /// Printed as the report's "=== title ===" header.
+  const char* title;
+  /// Requests per trace unless REQBLOCK_BENCH_REQUESTS is set.
+  std::uint64_t default_cap;
+  /// The cells the report reads, each under a label unique within the
+  /// artifact; nullptr when the artifact simulates nothing.
+  std::vector<ExperimentCase> (*cells)(std::uint64_t cap);
+  void (*report)(const Cells& cells);
+  /// Tests the artifact's ✔ claims in EXPERIMENTS.md (direction, not
+  /// magnitude) and returns one message per failed claim; nullptr when
+  /// the artifact checks none.
+  std::vector<std::string> (*check)(const Cells& cells) = nullptr;
+};
+
+/// Every artifact, each defined in its own bench_*.cc source.
+extern const Artifact kTable2, kFig2, kFig3, kFig7, kFig8, kFig9, kFig10,
+    kFig11, kFig12, kFig13, kAblationFreq, kAblationMerge, kAblationFlush,
+    kAttribution, kIntegrity, kSoak, kMultitenant, kOverload;
+
+/// Appends `c` to `cells` under `label`.
+inline void add_cell(std::vector<ExperimentCase>& cells, std::string label,
+                     ExperimentCase c) {
+  c.label = std::move(label);
+  cells.push_back(std::move(c));
 }
 
 /// Builds a standard experiment cell.
@@ -120,24 +111,28 @@ inline const std::vector<std::string>& paper_traces() {
   return t;
 }
 
-/// Runs google-benchmark, then the binary-specific report.
-inline int bench_main(int argc, char** argv,
-                      const std::function<void()>& report,
-                      const std::string& title) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  std::cout << "=== " << title << " ===\n";
-  std::cout << "Device: Table 1 geometry on a "
-            << format_bytes(static_cast<double>(
-                   SsdConfig::experiment_default().capacity_bytes))
-            << " device (see DESIGN.md).\n"
-            << "Requests per trace via REQBLOCK_BENCH_REQUESTS (0 = full "
-               "traces).\n\n";
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  std::cout << "\n";
-  report();
-  return 0;
+/// Cache sizes of the Fig. 8/9/11/12 grid.
+inline constexpr std::uint64_t kGridCacheMbs[] = {16, 32, 64};
+
+/// Label of one grid cell.
+inline std::string grid_cell(const std::string& trace,
+                             const std::string& policy, std::uint64_t mb) {
+  return trace + "/" + policy + "/" + std::to_string(mb) + "MB";
+}
+
+/// The grid Figs. 8, 9, 11 and 12 share: every paper trace at every grid
+/// cache size under every paper policy (72 cells).
+inline std::vector<ExperimentCase> grid_cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> cells;
+  for (const auto& trace : paper_traces()) {
+    for (const std::uint64_t mb : kGridCacheMbs) {
+      for (const auto& policy : paper_policies()) {
+        add_cell(cells, grid_cell(trace, policy, mb),
+                 make_case(trace, policy, mb, cap));
+      }
+    }
+  }
+  return cells;
 }
 
 /// Convenience: mean over a set of per-trace ratios.

@@ -8,31 +8,27 @@
 namespace reqblock::benchx {
 namespace {
 
-std::string cell(const std::string& trace, const std::string& policy) {
-  return "fig10/" + trace + "/" + policy + "/32MB";
-}
-
-void register_benchmarks(std::uint64_t cap) {
+/// The 32MB slice of the grid.
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& trace : paper_traces()) {
     for (const auto& policy : paper_policies()) {
-      register_case(cell(trace, policy), make_case(trace, policy, 32, cap));
+      add_cell(out, grid_cell(trace, policy, 32),
+               make_case(trace, policy, 32, cap));
     }
   }
+  return out;
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Trace", "LRU", "BPLRU", "VBBMS", "Req-block"});
   bool ordering_holds = true;
   for (const auto& trace : paper_traces()) {
     std::vector<std::string> row{trace};
     double bplru = 0, vbbms = 0, reqblock = 0;
     for (const auto& policy : paper_policies()) {
-      const RunResult* r = RunStore::instance().find(cell(trace, policy));
-      if (r == nullptr) {
-        row.push_back("-");
-        continue;
-      }
-      const double mean = r->cache.eviction_batch.mean();
+      const double mean =
+          cells[grid_cell(trace, policy, 32)].cache.eviction_batch.mean();
       row.push_back(format_double(mean, 2));
       if (policy == "bplru") bplru = mean;
       if (policy == "vbbms") vbbms = mean;
@@ -50,11 +46,8 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(200000));
-  return bench_main(argc, argv, report,
-                    "Fig. 10: pages per eviction operation");
-}
+const Artifact kFig10 = {"fig10", "Fig. 10: pages per eviction operation",
+                         200000, cells, report};
+
+}  // namespace reqblock::benchx

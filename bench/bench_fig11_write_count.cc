@@ -7,73 +7,63 @@
 namespace reqblock::benchx {
 namespace {
 
-const std::uint64_t kCacheMbs[] = {16, 32, 64};
-
-std::string cell(const std::string& trace, const std::string& policy,
-                 std::uint64_t mb) {
-  return "fig11/" + trace + "/" + policy + "/" + std::to_string(mb) + "MB";
-}
-
-void register_benchmarks(std::uint64_t cap) {
+/// Req-block's flash-write reduction against `base`, in percent, averaged
+/// over the 18 (trace, cache size) cells.
+double mean_cut(const Cells& cells, const std::string& base) {
+  std::vector<double> cuts;
   for (const auto& trace : paper_traces()) {
-    for (const std::uint64_t mb : kCacheMbs) {
-      for (const auto& policy : paper_policies()) {
-        register_case(cell(trace, policy, mb),
-                      make_case(trace, policy, mb, cap));
-      }
+    for (const std::uint64_t mb : kGridCacheMbs) {
+      const RunResult& rb = cells[grid_cell(trace, "reqblock", mb)];
+      const RunResult& b = cells[grid_cell(trace, base, mb)];
+      cuts.push_back(b.flash_write_count() == 0
+                         ? 0.0
+                         : (1.0 - static_cast<double>(rb.flash_write_count()) /
+                                      static_cast<double>(
+                                          b.flash_write_count())) *
+                               100.0);
     }
   }
+  return mean_of(cuts);
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Trace (32MB)", "LRU", "BPLRU", "VBBMS", "Req-block"});
   for (const auto& trace : paper_traces()) {
     std::vector<std::string> row{trace};
     for (const auto& policy : paper_policies()) {
-      const RunResult* r = RunStore::instance().find(cell(trace, policy, 32));
-      row.push_back(r == nullptr
-                        ? "-"
-                        : std::to_string(r->flash_write_count()));
+      const RunResult& r = cells[grid_cell(trace, policy, 32)];
+      row.push_back(std::to_string(r.flash_write_count()));
     }
     t.add_row(row);
   }
   std::cout << "Flash page writes (32MB cache):\n";
   t.print(std::cout);
 
-  std::vector<double> vs_lru, vs_bplru, vs_vbbms;
-  for (const auto& trace : paper_traces()) {
-    for (const std::uint64_t mb : kCacheMbs) {
-      const RunResult* rb =
-          RunStore::instance().find(cell(trace, "reqblock", mb));
-      if (rb == nullptr) continue;
-      auto cut = [&](const char* p) {
-        const RunResult* base =
-            RunStore::instance().find(cell(trace, p, mb));
-        return base == nullptr || base->flash_write_count() == 0
-                   ? 0.0
-                   : (1.0 - static_cast<double>(rb->flash_write_count()) /
-                                static_cast<double>(
-                                    base->flash_write_count())) *
-                         100.0;
-      };
-      vs_lru.push_back(cut("lru"));
-      vs_bplru.push_back(cut("bplru"));
-      vs_vbbms.push_back(cut("vbbms"));
+  expect_line("Req-block flash-write reduction vs LRU", "8.6%",
+              format_double(mean_cut(cells, "lru"), 1) + "%");
+  expect_line("Req-block flash-write reduction vs BPLRU", "4.3%",
+              format_double(mean_cut(cells, "bplru"), 1) + "%");
+  expect_line("Req-block flash-write reduction vs VBBMS", "1.1%",
+              format_double(mean_cut(cells, "vbbms"), 1) + "%");
+}
+
+/// ✔ Req-block writes the fewest flash pages: its average reduction
+/// against every baseline is positive.
+std::vector<std::string> check(const Cells& cells) {
+  std::vector<std::string> failed;
+  for (const std::string base : {"lru", "bplru", "vbbms"}) {
+    const double cut = mean_cut(cells, base);
+    if (!(cut > 0.0)) {
+      failed.push_back("fig11: Req-block's flash-write reduction vs " + base +
+                       " is " + format_double(cut, 1) + "%, not positive");
     }
   }
-  expect_line("Req-block flash-write reduction vs LRU", "8.6%",
-              format_double(mean_of(vs_lru), 1) + "%");
-  expect_line("Req-block flash-write reduction vs BPLRU", "4.3%",
-              format_double(mean_of(vs_bplru), 1) + "%");
-  expect_line("Req-block flash-write reduction vs VBBMS", "1.1%",
-              format_double(mean_of(vs_vbbms), 1) + "%");
+  return failed;
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(200000));
-  return bench_main(argc, argv, report, "Fig. 11: flash write count");
-}
+const Artifact kFig11 = {"fig11", "Fig. 11: flash write count", 200000,
+                         grid_cells, report, check};
+
+}  // namespace reqblock::benchx

@@ -8,25 +8,18 @@
 namespace reqblock::benchx {
 namespace {
 
-const std::uint64_t kCacheMbs[] = {16, 32, 64};
-
-std::string cell(const std::string& trace, const std::string& policy,
-                 std::uint64_t mb) {
-  return "fig12/" + trace + "/" + policy + "/" + std::to_string(mb) + "MB";
-}
-
-void register_benchmarks(std::uint64_t cap) {
+/// Metadata share of `policy`'s cache at `mb`, in percent, averaged over
+/// the traces: one cell of the report's table.
+double metadata_pct(const Cells& cells, const std::string& policy,
+                    std::uint64_t mb) {
+  std::vector<double> pcts;
   for (const auto& trace : paper_traces()) {
-    for (const std::uint64_t mb : kCacheMbs) {
-      for (const auto& policy : paper_policies()) {
-        register_case(cell(trace, policy, mb),
-                      make_case(trace, policy, mb, cap));
-      }
-    }
+    pcts.push_back(metadata_percent(cells[grid_cell(trace, policy, mb)]));
   }
+  return mean_of(pcts);
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Policy", "16MB", "32MB", "64MB", "avg %", "paper avg %",
                "avg KB"});
   const std::map<std::string, std::string> paper_pct = {
@@ -38,18 +31,14 @@ void report() {
     double avg_bytes = 0.0;
     int n = 0;
     row.push_back(policy);
-    for (const std::uint64_t mb : kCacheMbs) {
-      std::vector<double> pcts;
+    for (const std::uint64_t mb : kGridCacheMbs) {
       for (const auto& trace : paper_traces()) {
-        const RunResult* r =
-            RunStore::instance().find(cell(trace, policy, mb));
-        if (r == nullptr) continue;
-        pcts.push_back(metadata_percent(*r));
-        all_pct.push_back(metadata_percent(*r));
-        avg_bytes += r->cache.metadata_bytes.mean();
+        const RunResult& r = cells[grid_cell(trace, policy, mb)];
+        all_pct.push_back(metadata_percent(r));
+        avg_bytes += r.cache.metadata_bytes.mean();
         ++n;
       }
-      row.push_back(format_double(mean_of(pcts), 3) + "%");
+      row.push_back(format_double(metadata_pct(cells, policy, mb), 3) + "%");
     }
     row.push_back(format_double(mean_of(all_pct), 3) + "%");
     row.push_back(paper_pct.at(policy) + "%");
@@ -66,11 +55,26 @@ void report() {
                "across 16-64MB caches).\n";
 }
 
-}  // namespace
-}  // namespace reqblock::benchx
-
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(200000));
-  return bench_main(argc, argv, report, "Fig. 12: space overhead");
+/// ✔ Every scheme's metadata stays at or below 0.5% of the cache in every
+/// cache-size column.
+std::vector<std::string> check(const Cells& cells) {
+  std::vector<std::string> failed;
+  for (const auto& policy : paper_policies()) {
+    for (const std::uint64_t mb : kGridCacheMbs) {
+      const double pct = metadata_pct(cells, policy, mb);
+      if (!(pct <= 0.5)) {
+        failed.push_back("fig12: " + policy + "'s metadata is " +
+                         format_double(pct, 3) + "% of a " +
+                         std::to_string(mb) + "MB cache, above 0.5%");
+      }
+    }
+  }
+  return failed;
 }
+
+}  // namespace
+
+const Artifact kFig12 = {"fig12", "Fig. 12: space overhead", 200000,
+                         grid_cells, report, check};
+
+}  // namespace reqblock::benchx

@@ -8,23 +8,24 @@
 namespace reqblock::benchx {
 namespace {
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& trace : paper_traces()) {
     ExperimentCase c = make_case(trace, "reqblock", 32, cap);
     c.options.occupancy_log_interval = 10000;
-    register_case("fig13/" + trace, c);
+    add_cell(out, "fig13/" + trace, c);
   }
+  return out;
 }
 
-void report() {
+void report(const Cells& cells) {
   int srl_largest = 0, drl_smallest = 0, total = 0;
   for (const auto& trace : paper_traces()) {
-    const RunResult* r = RunStore::instance().find("fig13/" + trace);
-    if (r == nullptr || r->occupancy_series.empty()) continue;
+    const auto& series = cells["fig13/" + trace].occupancy_series;
+    if (series.empty()) continue;
     std::cout << trace << " (pages in IRL/SRL/DRL every 10k requests):\n";
     TextTable t({"@requests", "IRL", "SRL", "DRL", "blocks(I/S/D)"});
     // Print up to 10 evenly spaced samples.
-    const auto& series = r->occupancy_series;
     const std::size_t step = std::max<std::size_t>(1, series.size() / 10);
     for (std::size_t i = 0; i < series.size(); i += step) {
       const auto& o = series[i];
@@ -62,11 +63,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(300000));
-  return bench_main(argc, argv, report,
-                    "Fig. 13: Req-block list occupancy over time");
-}
+const Artifact kFig13 = {"fig13",
+                         "Fig. 13: Req-block list occupancy over time",
+                         300000, cells, report};
+
+}  // namespace reqblock::benchx

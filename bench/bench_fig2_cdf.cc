@@ -9,11 +9,13 @@
 namespace reqblock::benchx {
 namespace {
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& trace : paper_traces()) {
-    register_case("fig2/" + trace + "/lru/16MB",
-                  make_case(trace, "lru", 16, cap));
+    add_cell(out, "fig2/" + trace + "/lru/16MB",
+             make_case(trace, "lru", 16, cap));
   }
+  return out;
 }
 
 struct Cdf {
@@ -40,22 +42,20 @@ struct Cdf {
   }
 };
 
-void report() {
+void report(const Cells& cells) {
   const Cdf cdf;
   TextTable t({"Trace", "avg-wr (pages)", "inserts<=avg", "hits<=avg",
                "inserts<=4p", "hits<=4p"});
   for (const auto& trace : paper_traces()) {
-    const RunResult* r =
-        RunStore::instance().find("fig2/" + trace + "/lru/16MB");
-    if (r == nullptr) continue;
+    const RunResult& r = cells["fig2/" + trace + "/lru/16MB"];
     const auto paper = profiles::paper_stats(trace);
     const auto avg_pages =
         static_cast<std::uint32_t>(paper.write_size_kb / 4.0 + 0.5);
     t.add_row({trace, std::to_string(avg_pages),
-               format_double(cdf.insert_at(*r, avg_pages) * 100, 1) + "%",
-               format_double(cdf.hit_at(*r, avg_pages) * 100, 1) + "%",
-               format_double(cdf.insert_at(*r, 4) * 100, 1) + "%",
-               format_double(cdf.hit_at(*r, 4) * 100, 1) + "%"});
+               format_double(cdf.insert_at(r, avg_pages) * 100, 1) + "%",
+               format_double(cdf.hit_at(r, avg_pages) * 100, 1) + "%",
+               format_double(cdf.insert_at(r, 4) * 100, 1) + "%",
+               format_double(cdf.hit_at(r, 4) * 100, 1) + "%"});
   }
   t.print(std::cout);
   std::cout << "\nPaper (Fig. 2 / Observation 1): pages of small requests\n"
@@ -66,11 +66,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(300000));
-  return bench_main(argc, argv, report,
-                    "Fig. 2: insert/hit CDF by request size (LRU, 16MB)");
-}
+const Artifact kFig2 = {"fig2",
+                        "Fig. 2: insert/hit CDF by request size (LRU, 16MB)",
+                        300000, cells, report};
+
+}  // namespace reqblock::benchx

@@ -7,11 +7,13 @@
 namespace reqblock::benchx {
 namespace {
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& trace : paper_traces()) {
-    register_case("fig3/" + trace + "/lru/16MB",
-                  make_case(trace, "lru", 16, cap));
+    add_cell(out, "fig3/" + trace + "/lru/16MB",
+             make_case(trace, "lru", 16, cap));
   }
+  return out;
 }
 
 /// Share of pages inserted by requests larger than `threshold` pages that
@@ -29,17 +31,15 @@ double large_reuse(const RunResult& r, std::uint32_t threshold) {
                           static_cast<double>(total);
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Trace", "large-req pages re-accessed", "paper band"});
   std::vector<double> values;
   for (const auto& trace : paper_traces()) {
-    const RunResult* r =
-        RunStore::instance().find("fig3/" + trace + "/lru/16MB");
-    if (r == nullptr) continue;
+    const RunResult& r = cells["fig3/" + trace + "/lru/16MB"];
     const auto paper = profiles::paper_stats(trace);
     const auto avg_pages =
         static_cast<std::uint32_t>(paper.write_size_kb / 4.0 + 0.5);
-    const double v = large_reuse(*r, avg_pages);
+    const double v = large_reuse(r, avg_pages);
     values.push_back(v);
     t.add_row({trace, format_double(v * 100, 1) + "%", "22.0% - 37.2%"});
   }
@@ -56,11 +56,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(300000));
-  return bench_main(argc, argv, report,
-                    "Fig. 3: reuse of large-request pages (LRU, 16MB)");
-}
+const Artifact kFig3 = {"fig3",
+                        "Fig. 3: reuse of large-request pages (LRU, 16MB)",
+                        300000, cells, report};
+
+}  // namespace reqblock::benchx

@@ -8,17 +8,18 @@ namespace {
 
 constexpr std::uint32_t kMaxDelta = 9;
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& trace : paper_traces()) {
     for (std::uint32_t delta = 1; delta <= kMaxDelta; ++delta) {
-      register_case(
-          "fig7/" + trace + "/delta" + std::to_string(delta),
-          make_case(trace, "reqblock", 32, cap, delta));
+      add_cell(out, "fig7/" + trace + "/delta" + std::to_string(delta),
+               make_case(trace, "reqblock", 32, cap, delta));
     }
   }
+  return out;
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable hit({"Trace", "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8",
                  "d9", "best"});
   TextTable resp({"Trace", "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8",
@@ -30,19 +31,18 @@ void report() {
     std::uint32_t best = 1;
     double best_hit = 0.0;
     for (std::uint32_t delta = 1; delta <= kMaxDelta; ++delta) {
-      const RunResult* r = RunStore::instance().find(
-          "fig7/" + trace + "/delta" + std::to_string(delta));
-      if (r == nullptr) continue;
+      const RunResult& r =
+          cells["fig7/" + trace + "/delta" + std::to_string(delta)];
       if (delta == 1) {
-        base_hit = r->hit_ratio();
-        base_resp = r->response.mean();
+        base_hit = r.hit_ratio();
+        base_resp = r.response.mean();
       }
-      if (r->hit_ratio() > best_hit) {
-        best_hit = r->hit_ratio();
+      if (r.hit_ratio() > best_hit) {
+        best_hit = r.hit_ratio();
         best = delta;
       }
-      hrow.push_back(format_double(r->hit_ratio() / base_hit, 3));
-      rrow.push_back(format_double(r->response.mean() / base_resp, 3));
+      hrow.push_back(format_double(r.hit_ratio() / base_hit, 3));
+      rrow.push_back(format_double(r.response.mean() / base_resp, 3));
     }
     hrow.push_back("d" + std::to_string(best));
     rrow.push_back("d" + std::to_string(best));
@@ -60,11 +60,8 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(150000));
-  return bench_main(argc, argv, report,
-                    "Fig. 7: delta sensitivity (Req-block, 32MB)");
-}
+const Artifact kFig7 = {"fig7", "Fig. 7: delta sensitivity (Req-block, 32MB)",
+                        150000, cells, report};
+
+}  // namespace reqblock::benchx

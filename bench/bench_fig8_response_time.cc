@@ -7,40 +7,32 @@
 namespace reqblock::benchx {
 namespace {
 
-const std::uint64_t kCacheMbs[] = {16, 32, 64};
-
-std::string cell(const std::string& trace, const std::string& policy,
-                 std::uint64_t mb) {
-  return "fig8/" + trace + "/" + policy + "/" + std::to_string(mb) + "MB";
-}
-
-void register_benchmarks(std::uint64_t cap) {
+/// Req-block's mean-response reduction against `base`, in percent,
+/// averaged over the 18 (trace, cache size) cells.
+double mean_reduction(const Cells& cells, const std::string& base) {
+  std::vector<double> cuts;
   for (const auto& trace : paper_traces()) {
-    for (const std::uint64_t mb : kCacheMbs) {
-      for (const auto& policy : paper_policies()) {
-        register_case(cell(trace, policy, mb),
-                      make_case(trace, policy, mb, cap));
-      }
+    for (const std::uint64_t mb : kGridCacheMbs) {
+      const RunResult& rb = cells[grid_cell(trace, "reqblock", mb)];
+      const RunResult& b = cells[grid_cell(trace, base, mb)];
+      cuts.push_back((1.0 - rb.response.mean() / b.response.mean()) * 100.0);
     }
   }
+  return mean_of(cuts);
 }
 
-void report() {
-  for (const std::uint64_t mb : kCacheMbs) {
+void report(const Cells& cells) {
+  for (const std::uint64_t mb : kGridCacheMbs) {
     TextTable t({"Trace (" + std::to_string(mb) + "MB)", "LRU (abs ms)",
                  "BPLRU", "VBBMS", "Req-block"});
     for (const auto& trace : paper_traces()) {
-      const RunResult* lru = RunStore::instance().find(cell(trace, "lru", mb));
-      if (lru == nullptr) continue;
+      const RunResult& lru = cells[grid_cell(trace, "lru", mb)];
       std::vector<std::string> row{
-          trace, format_double(lru->mean_response_ms(), 3)};
+          trace, format_double(lru.mean_response_ms(), 3)};
       for (const auto& policy : {"bplru", "vbbms", "reqblock"}) {
-        const RunResult* r = RunStore::instance().find(cell(trace, policy, mb));
-        row.push_back(r == nullptr
-                          ? "-"
-                          : format_double(
-                                r->response.mean() / lru->response.mean(),
-                                3));
+        const RunResult& r = cells[grid_cell(trace, policy, mb)];
+        row.push_back(
+            format_double(r.response.mean() / lru.response.mean(), 3));
       }
       t.add_row(row);
     }
@@ -50,41 +42,36 @@ void report() {
   }
 
   // Aggregate reductions of Req-block versus each baseline.
-  std::vector<double> vs_lru, vs_bplru, vs_vbbms;
-  for (const auto& trace : paper_traces()) {
-    for (const std::uint64_t mb : kCacheMbs) {
-      const RunResult* rb =
-          RunStore::instance().find(cell(trace, "reqblock", mb));
-      if (rb == nullptr) continue;
-      auto reduction = [&](const char* p) {
-        const RunResult* base = RunStore::instance().find(cell(trace, p, mb));
-        return base == nullptr
-                   ? 0.0
-                   : (1.0 - rb->response.mean() / base->response.mean()) *
-                         100.0;
-      };
-      vs_lru.push_back(reduction("lru"));
-      vs_bplru.push_back(reduction("bplru"));
-      vs_vbbms.push_back(reduction("vbbms"));
-    }
-  }
   expect_line("Req-block mean response reduction vs LRU", "23.8%",
-              format_double(mean_of(vs_lru), 1) + "%");
+              format_double(mean_reduction(cells, "lru"), 1) + "%");
   expect_line("Req-block mean response reduction vs BPLRU", "11.3%",
-              format_double(mean_of(vs_bplru), 1) + "%");
+              format_double(mean_reduction(cells, "bplru"), 1) + "%");
   expect_line("Req-block mean response reduction vs VBBMS", "7.7%",
-              format_double(mean_of(vs_vbbms), 1) + "%");
+              format_double(mean_reduction(cells, "vbbms"), 1) + "%");
   std::cout << "Shape check: Req-block fastest on average; LRU pays for\n"
                "page-at-a-time eviction; BPLRU pays for single-channel\n"
                "whole-block flushes (worst tails).\n";
 }
 
-}  // namespace
-}  // namespace reqblock::benchx
-
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(200000));
-  return bench_main(argc, argv, report,
-                    "Fig. 8: I/O response time (normalized to LRU)");
+/// ✔ Req-block has the best mean response time: its average reduction
+/// against every baseline is positive.
+std::vector<std::string> check(const Cells& cells) {
+  std::vector<std::string> failed;
+  for (const std::string base : {"lru", "bplru", "vbbms"}) {
+    const double cut = mean_reduction(cells, base);
+    if (!(cut > 0.0)) {
+      failed.push_back("fig8: Req-block's mean response reduction vs " +
+                       base + " is " + format_double(cut, 1) +
+                       "%, not positive");
+    }
+  }
+  return failed;
 }
+
+}  // namespace
+
+const Artifact kFig8 = {"fig8",
+                        "Fig. 8: I/O response time (normalized to LRU)",
+                        200000, grid_cells, report, check};
+
+}  // namespace reqblock::benchx

@@ -7,41 +7,17 @@
 namespace reqblock::benchx {
 namespace {
 
-const std::uint64_t kCacheMbs[] = {16, 32, 64};
-
-std::string cell(const std::string& trace, const std::string& policy,
-                 std::uint64_t mb) {
-  return "fig9/" + trace + "/" + policy + "/" + std::to_string(mb) + "MB";
-}
-
-void register_benchmarks(std::uint64_t cap) {
-  for (const auto& trace : paper_traces()) {
-    for (const std::uint64_t mb : kCacheMbs) {
-      for (const auto& policy : paper_policies()) {
-        register_case(cell(trace, policy, mb),
-                      make_case(trace, policy, mb, cap));
-      }
-    }
-  }
-}
-
-void report() {
-  for (const std::uint64_t mb : kCacheMbs) {
+void report(const Cells& cells) {
+  for (const std::uint64_t mb : kGridCacheMbs) {
     TextTable t({"Trace (" + std::to_string(mb) + "MB)",
                  "Req-block (abs)", "LRU", "BPLRU", "VBBMS"});
     for (const auto& trace : paper_traces()) {
-      const RunResult* rb =
-          RunStore::instance().find(cell(trace, "reqblock", mb));
-      if (rb == nullptr) continue;
+      const RunResult& rb = cells[grid_cell(trace, "reqblock", mb)];
       std::vector<std::string> row{
-          trace, format_double(rb->hit_ratio() * 100, 2) + "%"};
+          trace, format_double(rb.hit_ratio() * 100, 2) + "%"};
       for (const auto& policy : {"lru", "bplru", "vbbms"}) {
-        const RunResult* r =
-            RunStore::instance().find(cell(trace, policy, mb));
-        row.push_back(r == nullptr ? "-"
-                                   : format_double(
-                                         r->hit_ratio() / rb->hit_ratio(),
-                                         3));
+        const RunResult& r = cells[grid_cell(trace, policy, mb)];
+        row.push_back(format_double(r.hit_ratio() / rb.hit_ratio(), 3));
       }
       t.add_row(row);
     }
@@ -54,28 +30,19 @@ void report() {
   std::vector<double> vs_lru, vs_bplru, vs_vbbms;
   bool bplru_below_lru_ts0 = false;
   for (const auto& trace : paper_traces()) {
-    for (const std::uint64_t mb : kCacheMbs) {
-      const RunResult* rb =
-          RunStore::instance().find(cell(trace, "reqblock", mb));
-      if (rb == nullptr) continue;
+    for (const std::uint64_t mb : kGridCacheMbs) {
+      const RunResult& rb = cells[grid_cell(trace, "reqblock", mb)];
       auto gain = [&](const char* p) {
-        const RunResult* base =
-            RunStore::instance().find(cell(trace, p, mb));
-        return base == nullptr
-                   ? 0.0
-                   : (rb->hit_ratio() / base->hit_ratio() - 1.0) * 100.0;
+        const RunResult& base = cells[grid_cell(trace, p, mb)];
+        return (rb.hit_ratio() / base.hit_ratio() - 1.0) * 100.0;
       };
       vs_lru.push_back(gain("lru"));
       vs_bplru.push_back(gain("bplru"));
       vs_vbbms.push_back(gain("vbbms"));
-      if (trace == "ts_0") {
-        const RunResult* lru = RunStore::instance().find(cell(trace, "lru", mb));
-        const RunResult* bp =
-            RunStore::instance().find(cell(trace, "bplru", mb));
-        if (lru != nullptr && bp != nullptr &&
-            bp->hit_ratio() < lru->hit_ratio()) {
-          bplru_below_lru_ts0 = true;
-        }
+      if (trace == "ts_0" &&
+          cells[grid_cell(trace, "bplru", mb)].hit_ratio() <
+              cells[grid_cell(trace, "lru", mb)].hit_ratio()) {
+        bplru_below_lru_ts0 = true;
       }
     }
   }
@@ -89,12 +56,31 @@ void report() {
               "yes", bplru_below_lru_ts0 ? "yes" : "no");
 }
 
-}  // namespace
-}  // namespace reqblock::benchx
-
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(200000));
-  return bench_main(argc, argv, report,
-                    "Fig. 9: hit ratio (normalized to Req-block)");
+/// ✔ Req-block has the best hit ratio on every (trace, cache size) cell:
+/// no baseline's hit ratio exceeds Req-block's in any of the 18 cells.
+std::vector<std::string> check(const Cells& cells) {
+  std::vector<std::string> failed;
+  for (const auto& trace : paper_traces()) {
+    for (const std::uint64_t mb : kGridCacheMbs) {
+      const RunResult& rb = cells[grid_cell(trace, "reqblock", mb)];
+      for (const std::string base : {"lru", "bplru", "vbbms"}) {
+        const RunResult& b = cells[grid_cell(trace, base, mb)];
+        if (b.hit_ratio() > rb.hit_ratio()) {
+          failed.push_back("fig9: " + base + "'s hit ratio exceeds "
+                           "Req-block's on " + trace + " at " +
+                           std::to_string(mb) + "MB (" +
+                           format_double(b.hit_ratio() / rb.hit_ratio(), 3) +
+                           " of Req-block)");
+        }
+      }
+    }
+  }
+  return failed;
 }
+
+}  // namespace
+
+const Artifact kFig9 = {"fig9", "Fig. 9: hit ratio (normalized to Req-block)",
+                        200000, grid_cells, report, check};
+
+}  // namespace reqblock::benchx

@@ -22,10 +22,6 @@
 namespace reqblock::benchx {
 namespace {
 
-/// Request cap the registered cells ran with; report() rebuilds each case
-/// with the same cap so the ledger fingerprints match the executed runs.
-std::uint64_t g_request_cap = 0;
-
 const std::vector<std::string>& integrity_policies() {
   return paper_policies();
 }
@@ -46,7 +42,6 @@ ExperimentCase integrity_case(const std::string& policy, bool aged,
   c.profile.drift_period = 50000;
   c.profile.drift_step = 211;
   c.options.telemetry.attribution = true;
-  c.label = cell_name(policy, aged);
   FaultPlan& f = c.options.fault;
   f.seed = 0xecc5;
   // The bit-error model and recovery hierarchy are identical in both
@@ -74,50 +69,29 @@ ExperimentCase integrity_case(const std::string& policy, bool aged,
   return c;
 }
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& policy : integrity_policies()) {
     for (const bool aged : {false, true}) {
-      const std::string name = cell_name(policy, aged);
-      ExperimentCase c = integrity_case(policy, aged, cap);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [name, c](benchmark::State& state) {
-            RunResult result;
-            for (auto _ : state) {
-              SyntheticTraceSource trace(c.profile);
-              Simulator sim(c.options);
-              result = sim.run(trace);
-            }
-            const IntegrityMetrics& in = result.fault.integrity;
-            state.counters["p99_ms"] =
-                static_cast<double>(result.response.p99()) / kMillisecond;
-            state.counters["ecc"] = static_cast<double>(in.ecc_attempts);
-            state.counters["rebuilds"] =
-                static_cast<double>(in.parity_rebuilds);
-            state.counters["lost"] = static_cast<double>(in.host_reads_lost);
-            RunStore::instance().add(name, std::move(result));
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      add_cell(out, cell_name(policy, aged), integrity_case(policy, aged, cap));
     }
   }
+  return out;
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Policy", "device", "p99 (ms)", "ecc", "retry", "rebuilds",
                "uncorr", "scrubs", "recovery (ms)"});
   LedgerWriter ledger("BENCH_integrity.json");
   std::vector<std::string> deltas;
   for (const auto& policy : integrity_policies()) {
-    const RunResult* fresh =
-        RunStore::instance().find(cell_name(policy, false));
-    const RunResult* aged = RunStore::instance().find(cell_name(policy, true));
+    const RunResult& fresh = cells[cell_name(policy, false)];
+    const RunResult& aged = cells[cell_name(policy, true)];
     for (const bool is_aged : {false, true}) {
-      const RunResult* r = is_aged ? aged : fresh;
-      if (r == nullptr) continue;
-      const IntegrityMetrics& in = r->fault.integrity;
+      const RunResult& r = is_aged ? aged : fresh;
+      const IntegrityMetrics& in = r.fault.integrity;
       t.add_row({policy, is_aged ? "aged" : "fresh",
-                 format_double(static_cast<double>(r->response.p99()) /
+                 format_double(static_cast<double>(r.response.p99()) /
                                    kMillisecond, 2),
                  std::to_string(in.ecc_attempts),
                  std::to_string(in.retry_corrected),
@@ -127,9 +101,9 @@ void report() {
                  format_double(static_cast<double>(in.recovery_time_total) /
                                    kMillisecond, 2)});
       ledger.add(cell_name(policy, is_aged),
-                 integrity_case(policy, is_aged, g_request_cap), *r,
-                 {{"hit_pct", format_double(r->hit_ratio() * 100.0, 3)},
-                  {"erases", std::to_string(r->flash.erases)},
+                 cells.case_of(cell_name(policy, is_aged)), r,
+                 {{"hit_pct", format_double(r.hit_ratio() * 100.0, 3)},
+                  {"erases", std::to_string(r.flash.erases)},
                   {"ecc_attempts", std::to_string(in.ecc_attempts)},
                   {"retry_corrected", std::to_string(in.retry_corrected)},
                   {"parity_rebuilds", std::to_string(in.parity_rebuilds)},
@@ -138,24 +112,20 @@ void report() {
                   {"integrity_recovery_ns",
                    std::to_string(in.recovery_time_total)}});
     }
-    if (fresh != nullptr && aged != nullptr) {
-      std::ostringstream d;
-      d << policy << ": ecc " << fresh->fault.integrity.ecc_attempts
-        << " -> " << aged->fault.integrity.ecc_attempts << ", rebuilds "
-        << fresh->fault.integrity.parity_rebuilds << " -> "
-        << aged->fault.integrity.parity_rebuilds << ", recovery "
-        << format_double(
-               static_cast<double>(
-                   fresh->fault.integrity.recovery_time_total) /
-                   kMillisecond, 2)
-        << " -> "
-        << format_double(
-               static_cast<double>(
-                   aged->fault.integrity.recovery_time_total) /
-                   kMillisecond, 2)
-        << " ms";
-      deltas.push_back(d.str());
-    }
+    std::ostringstream d;
+    d << policy << ": ecc " << fresh.fault.integrity.ecc_attempts << " -> "
+      << aged.fault.integrity.ecc_attempts << ", rebuilds "
+      << fresh.fault.integrity.parity_rebuilds << " -> "
+      << aged.fault.integrity.parity_rebuilds << ", recovery "
+      << format_double(
+             static_cast<double>(fresh.fault.integrity.recovery_time_total) /
+                 kMillisecond, 2)
+      << " -> "
+      << format_double(
+             static_cast<double>(aged.fault.integrity.recovery_time_total) /
+                 kMillisecond, 2)
+      << " ms";
+    deltas.push_back(d.str());
   }
   t.print(std::cout);
   std::cout << "\nFresh -> aged recovery-mix deltas:\n";
@@ -167,13 +137,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  g_request_cap = reqblock::bench_request_cap(500000);
-  register_benchmarks(g_request_cap);
-  return bench_main(argc, argv, report,
-                    "Integrity: fresh vs aged recovery mix, drifting "
-                    "workload");
-}
+const Artifact kIntegrity = {
+    "integrity", "Integrity: fresh vs aged recovery mix, drifting workload",
+    500000, cells, report};
+
+}  // namespace reqblock::benchx

@@ -70,13 +70,15 @@ double jain_index(const std::vector<double>& x) {
   return (sum * sum) / (static_cast<double>(x.size()) * sum_sq);
 }
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const ArbiterKind kind : arbiters()) {
-    register_case(cell_name(kind), tenant_case(kind, cap));
+    add_cell(out, cell_name(kind), tenant_case(kind, cap));
   }
+  return out;
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Arbiter", "Tenant", "Requests", "Admitted", "Sheds",
                "q-wait p99 (ms)", "resp p99 (ms)", "Jain"});
   std::ostringstream json;
@@ -85,18 +87,17 @@ void report() {
   SimTime rr_victim_p99 = 0;
   SimTime drr_victim_p99 = 0;
   for (const ArbiterKind kind : arbiters()) {
-    const RunResult* r = RunStore::instance().find(cell_name(kind));
-    if (r == nullptr || r->tenants.empty()) continue;
+    const RunResult& r = cells[cell_name(kind)];
     std::vector<double> weighted_share;
     const std::vector<std::uint32_t> weights = {4, 1};
-    for (std::size_t i = 0; i < r->tenants.size(); ++i) {
+    for (std::size_t i = 0; i < r.tenants.size(); ++i) {
       weighted_share.push_back(
-          static_cast<double>(r->tenants[i].overload.admitted) /
+          static_cast<double>(r.tenants[i].overload.admitted) /
           static_cast<double>(weights[i]));
     }
     const double jain = jain_index(weighted_share);
-    for (std::size_t i = 0; i < r->tenants.size(); ++i) {
-      const TenantResult& tn = r->tenants[i];
+    for (std::size_t i = 0; i < r.tenants.size(); ++i) {
+      const TenantResult& tn = r.tenants[i];
       t.add_row({to_string(kind), tn.name, std::to_string(tn.requests),
                  std::to_string(tn.overload.admitted),
                  std::to_string(tn.overload.sheds),
@@ -118,10 +119,10 @@ void report() {
            << ", \"jain_weighted\": " << format_double(jain, 6) << "}";
     }
     if (kind == ArbiterKind::kRoundRobin) {
-      rr_victim_p99 = r->tenants[0].response.p99();
+      rr_victim_p99 = r.tenants[0].response.p99();
     }
     if (kind == ArbiterKind::kDeficit) {
-      drr_victim_p99 = r->tenants[0].response.p99();
+      drr_victim_p99 = r.tenants[0].response.p99();
     }
   }
   json << "\n  ]\n}\n";
@@ -140,11 +141,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(60000));
-  return bench_main(argc, argv, report,
-                    "Multi-tenant: victim p99 vs arbiter, noisy neighbor");
-}
+const Artifact kMultitenant = {
+    "multitenant", "Multi-tenant: victim p99 vs arbiter, noisy neighbor",
+    60000, cells, report};
+
+}  // namespace reqblock::benchx

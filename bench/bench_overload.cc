@@ -46,18 +46,20 @@ ExperimentCase overload_case(const std::string& policy, bool bg, double rate,
   return c;
 }
 
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& policy : {"reqblock", "lru", "bplru"}) {
     for (const bool bg : {false, true}) {
       for (const double rate : rate_multipliers()) {
-        register_case(cell_name(policy, bg, rate),
-                      overload_case(policy, bg, rate, cap));
+        add_cell(out, cell_name(policy, bg, rate),
+                 overload_case(policy, bg, rate, cap));
       }
     }
   }
+  return out;
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Policy", "Mode", "Rate", "p99 (ms)", "p99 write (ms)",
                "bg batches", "bg pages"});
   std::ostringstream json;
@@ -68,36 +70,31 @@ void report() {
   for (const auto& policy : {"reqblock", "lru", "bplru"}) {
     for (const bool bg : {false, true}) {
       for (const double rate : rate_multipliers()) {
-        const RunResult* r =
-            RunStore::instance().find(cell_name(policy, bg, rate));
-        if (r == nullptr) continue;
+        const RunResult& r = cells[cell_name(policy, bg, rate)];
         t.add_row({policy, bg ? "bg-flush" : "sync",
                    "x" + format_double(rate, 0),
-                   format_double(static_cast<double>(r->response.p99()) /
+                   format_double(static_cast<double>(r.response.p99()) /
                                      kMillisecond, 2),
-                   format_double(static_cast<double>(r->write_response.p99()) /
+                   format_double(static_cast<double>(r.write_response.p99()) /
                                      kMillisecond, 2),
-                   std::to_string(r->cache.bg_flush_batches),
-                   std::to_string(r->cache.bg_flush_pages)});
+                   std::to_string(r.cache.bg_flush_batches),
+                   std::to_string(r.cache.bg_flush_pages)});
         if (!first) json << ",\n";
         first = false;
         json << "    {\"policy\": \"" << policy << "\", \"bg_flush\": "
              << (bg ? "true" : "false") << ", \"rate_x\": "
              << format_double(rate, 0)
-             << ", \"p99_ns\": " << r->response.p99()
-             << ", \"p99_write_ns\": " << r->write_response.p99()
+             << ", \"p99_ns\": " << r.response.p99()
+             << ", \"p99_write_ns\": " << r.write_response.p99()
              << ", \"mean_ns\": " << static_cast<std::int64_t>(
-                    r->response.mean())
-             << ", \"bg_flush_batches\": " << r->cache.bg_flush_batches
-             << ", \"bg_flush_pages\": " << r->cache.bg_flush_pages << "}";
-        if (bg) {
-          const RunResult* sync =
-              RunStore::instance().find(cell_name(policy, false, rate));
-          if (sync != nullptr && std::string(policy) == "reqblock") {
-            ++reqblock_points;
-            if (r->write_response.p99() < sync->write_response.p99()) {
-              ++reqblock_bg_wins;
-            }
+                    r.response.mean())
+             << ", \"bg_flush_batches\": " << r.cache.bg_flush_batches
+             << ", \"bg_flush_pages\": " << r.cache.bg_flush_pages << "}";
+        if (bg && std::string(policy) == "reqblock") {
+          ++reqblock_points;
+          if (r.write_response.p99() <
+              cells[cell_name(policy, false, rate)].write_response.p99()) {
+            ++reqblock_bg_wins;
           }
         }
       }
@@ -114,11 +111,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  register_benchmarks(reqblock::bench_request_cap(60000));
-  return bench_main(argc, argv, report,
-                    "Overload: p99 vs arrival rate, bg flush on/off");
-}
+const Artifact kOverload = {"overload",
+                            "Overload: p99 vs arrival rate, bg flush on/off",
+                            60000, cells, report};
+
+}  // namespace reqblock::benchx

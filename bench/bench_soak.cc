@@ -15,11 +15,10 @@
 // several times: garbage collection, wear, and block retirement all
 // accumulate within the run instead of needing billions of requests.
 //
-// Checkpointing: set REQBLOCK_SOAK_CHECKPOINT_DIR to checkpoint every
-// cell (REQBLOCK_SOAK_CHECKPOINT_EVERY served requests, default 200000)
-// into <dir>/<cell>/; a rerun after a kill resumes from the newest
-// checkpoint and produces byte-identical results, exactly like
-// trace_replay --checkpoint-dir.
+// Checkpointing: `reproduce soak --checkpoint-dir DIR
+// --checkpoint-every-n N` runs the cells through run_cases_resumable, as
+// run_matrix does; a rerun after a kill resumes from the manifest and the
+// newest checkpoint and produces byte-identical results.
 //
 // Ledger format matches BENCH_attribution.json (bench_common's
 // LedgerWriter writes both, tools/perf_diff reads both): {"records":
@@ -27,18 +26,12 @@
 // Soak records append aging columns (retired blocks, refresh traffic,
 // shed writes) after the shared ones; perf_diff ignores fields it does
 // not know.
-#include <cstdlib>
 #include <sstream>
 
 #include "bench_common.h"
-#include "sim/checkpoint.h"
 
 namespace reqblock::benchx {
 namespace {
-
-/// Request cap the registered cells ran with; report() rebuilds each case
-/// with the same cap so the ledger fingerprints match the executed runs.
-std::uint64_t g_request_cap = 0;
 
 const std::vector<std::string>& soak_policies() { return paper_policies(); }
 
@@ -65,7 +58,6 @@ ExperimentCase soak_case(const std::string& policy, bool aged,
   c.profile.diurnal_period = 120000;
   c.profile.diurnal_amplitude = 0.4;
   c.options.telemetry.attribution = true;
-  c.label = cell_name(policy, aged);
   if (aged) {
     FaultPlan& f = c.options.fault;
     f.seed = 0x50a7;
@@ -90,56 +82,13 @@ ExperimentCase soak_case(const std::string& policy, bool aged,
   return c;
 }
 
-/// Like bench_common's register_case, plus optional checkpointing via
-/// REQBLOCK_SOAK_CHECKPOINT_DIR (each cell gets its own subdirectory;
-/// reruns resume from the newest checkpoint).
-void register_soak_case(const std::string& name, ExperimentCase c) {
-  benchmark::RegisterBenchmark(
-      name.c_str(),
-      [name, c](benchmark::State& state) {
-        std::string dir;
-        if (const char* env = std::getenv("REQBLOCK_SOAK_CHECKPOINT_DIR");
-            env != nullptr && *env != '\0') {
-          dir = std::string(env) + "/";
-          for (const char ch : name) dir += ch == '/' ? '_' : ch;
-        }
-        RunResult result;
-        for (auto _ : state) {
-          SyntheticTraceSource trace(c.profile);
-          if (dir.empty()) {
-            Simulator sim(c.options);
-            result = sim.run(trace);
-          } else {
-            CheckpointOptions ckpt;
-            ckpt.dir = dir;
-            ckpt.every_n_requests = 200000;
-            if (const char* every =
-                    std::getenv("REQBLOCK_SOAK_CHECKPOINT_EVERY");
-                every != nullptr && *every != '\0') {
-              ckpt.every_n_requests = std::strtoull(every, nullptr, 10);
-            }
-            result = run_with_checkpoints(
-                c.options, trace, ckpt, find_latest_checkpoint(dir, "run"));
-          }
-        }
-        state.counters["hit_pct"] = result.hit_ratio() * 100.0;
-        state.counters["p99_ms"] =
-            static_cast<double>(result.response.p99()) / kMillisecond;
-        state.counters["erases"] =
-            static_cast<double>(result.flash.erases);
-        state.counters["retired"] =
-            static_cast<double>(result.fault.blocks_retired);
-        RunStore::instance().add(name, std::move(result));
-      })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
-
-void register_benchmarks(std::uint64_t cap) {
+std::vector<ExperimentCase> cells(std::uint64_t cap) {
+  std::vector<ExperimentCase> out;
   for (const auto& policy : soak_policies()) {
-    register_soak_case(cell_name(policy, false), soak_case(policy, false, cap));
-    register_soak_case(cell_name(policy, true), soak_case(policy, true, cap));
+    add_cell(out, cell_name(policy, false), soak_case(policy, false, cap));
+    add_cell(out, cell_name(policy, true), soak_case(policy, true, cap));
   }
+  return out;
 }
 
 double gc_share(const RunResult& r) {
@@ -150,53 +99,49 @@ double gc_share(const RunResult& r) {
          static_cast<double>(a.total_ns);
 }
 
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Policy", "device", "hit", "p99 (ms)", "GC share", "erases",
                "retired", "migr", "scrubs", "sheds"});
   LedgerWriter ledger("BENCH_soak.json");
   std::vector<std::string> deltas;
   for (const auto& policy : soak_policies()) {
-    const RunResult* fresh =
-        RunStore::instance().find(cell_name(policy, false));
-    const RunResult* aged = RunStore::instance().find(cell_name(policy, true));
+    const RunResult& fresh = cells[cell_name(policy, false)];
+    const RunResult& aged = cells[cell_name(policy, true)];
     for (const bool is_aged : {false, true}) {
-      const RunResult* r = is_aged ? aged : fresh;
-      if (r == nullptr) continue;
+      const RunResult& r = is_aged ? aged : fresh;
       t.add_row({policy, is_aged ? "aged" : "fresh",
-                 format_double(r->hit_ratio() * 100.0, 2) + "%",
-                 format_double(static_cast<double>(r->response.p99()) /
+                 format_double(r.hit_ratio() * 100.0, 2) + "%",
+                 format_double(static_cast<double>(r.response.p99()) /
                                    kMillisecond, 2),
-                 format_double(gc_share(*r) * 100.0, 1) + "%",
-                 std::to_string(r->flash.erases),
-                 std::to_string(r->fault.blocks_retired),
-                 std::to_string(r->fault.read_disturb_migrations),
-                 std::to_string(r->fault.retention_scrubs),
-                 std::to_string(r->fault.degraded_write_sheds)});
+                 format_double(gc_share(r) * 100.0, 1) + "%",
+                 std::to_string(r.flash.erases),
+                 std::to_string(r.fault.blocks_retired),
+                 std::to_string(r.fault.read_disturb_migrations),
+                 std::to_string(r.fault.retention_scrubs),
+                 std::to_string(r.fault.degraded_write_sheds)});
       ledger.add(
-          cell_name(policy, is_aged), soak_case(policy, is_aged, g_request_cap),
-          *r,
-          {{"hit_pct", format_double(r->hit_ratio() * 100.0, 3)},
-           {"erases", std::to_string(r->flash.erases)},
-           {"blocks_retired", std::to_string(r->fault.blocks_retired)},
+          cell_name(policy, is_aged), cells.case_of(cell_name(policy, is_aged)),
+          r,
+          {{"hit_pct", format_double(r.hit_ratio() * 100.0, 3)},
+           {"erases", std::to_string(r.flash.erases)},
+           {"blocks_retired", std::to_string(r.fault.blocks_retired)},
            {"read_disturb_migrations",
-            std::to_string(r->fault.read_disturb_migrations)},
-           {"retention_scrubs", std::to_string(r->fault.retention_scrubs)},
+            std::to_string(r.fault.read_disturb_migrations)},
+           {"retention_scrubs", std::to_string(r.fault.retention_scrubs)},
            {"degraded_write_sheds",
-            std::to_string(r->fault.degraded_write_sheds)}});
+            std::to_string(r.fault.degraded_write_sheds)}});
     }
-    if (fresh != nullptr && aged != nullptr) {
-      const double p99_fresh =
-          static_cast<double>(fresh->response.p99()) / kMillisecond;
-      const double p99_aged =
-          static_cast<double>(aged->response.p99()) / kMillisecond;
-      std::ostringstream d;
-      d << policy << ": p99 " << format_double(p99_fresh, 2) << " -> "
-        << format_double(p99_aged, 2) << " ms, hit "
-        << format_double(fresh->hit_ratio() * 100.0, 2) << " -> "
-        << format_double(aged->hit_ratio() * 100.0, 2) << "%, "
-        << aged->fault.blocks_retired << " blocks retired";
-      deltas.push_back(d.str());
-    }
+    const double p99_fresh =
+        static_cast<double>(fresh.response.p99()) / kMillisecond;
+    const double p99_aged =
+        static_cast<double>(aged.response.p99()) / kMillisecond;
+    std::ostringstream d;
+    d << policy << ": p99 " << format_double(p99_fresh, 2) << " -> "
+      << format_double(p99_aged, 2) << " ms, hit "
+      << format_double(fresh.hit_ratio() * 100.0, 2) << " -> "
+      << format_double(aged.hit_ratio() * 100.0, 2) << "%, "
+      << aged.fault.blocks_retired << " blocks retired";
+    deltas.push_back(d.str());
   }
   t.print(std::cout);
   std::cout << "\nFresh -> aged deltas:\n";
@@ -208,12 +153,9 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  g_request_cap = reqblock::bench_request_cap(2000000);
-  register_benchmarks(g_request_cap);
-  return bench_main(argc, argv, report,
-                    "Soak: fresh vs aged device, drifting workload");
-}
+const Artifact kSoak = {"soak",
+                        "Soak: fresh vs aged device, drifting workload",
+                        2000000, cells, report};
+
+}  // namespace reqblock::benchx

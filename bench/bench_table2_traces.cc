@@ -5,41 +5,19 @@
 // and prints them next to the published values. The synthetic profiles
 // substitute for the MSR/VDI traces (DESIGN.md §1), so request counts
 // match exactly and the scalar statistics approximately.
-#include <map>
-
 #include "bench_common.h"
 #include "trace/trace_stats.h"
 
 namespace reqblock::benchx {
 namespace {
 
-std::map<std::string, TraceStats> g_stats;
-
-void register_benchmarks(std::uint64_t cap) {
-  for (const auto& name : paper_traces()) {
-    benchmark::RegisterBenchmark(
-        ("table2/" + name).c_str(),
-        [name, cap](benchmark::State& state) {
-          TraceStats stats;
-          for (auto _ : state) {
-            SyntheticTraceSource src(profiles::by_name(name).capped(cap));
-            stats = TraceStatsCollector::collect(src);
-          }
-          state.counters["write_ratio_pct"] = stats.write_ratio() * 100.0;
-          state.counters["write_kb"] = stats.mean_write_kb();
-          g_stats[name] = stats;
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void report() {
+void report(const Cells& cells) {
   TextTable t({"Trace", "Req # (paper)", "Wr Ratio (paper)",
                "Wr Size (paper)", "Freq R (paper)", "Freq (Wr) (paper)"});
   for (const auto& name : paper_traces()) {
     const auto paper = profiles::paper_stats(name);
-    const auto& m = g_stats[name];
+    SyntheticTraceSource src(profiles::by_name(name).capped(cells.cap));
+    const TraceStats m = TraceStatsCollector::collect(src);
     t.add_row({name,
                std::to_string(m.requests) + " (" +
                    std::to_string(paper.requests) + ")",
@@ -63,11 +41,8 @@ void report() {
 }
 
 }  // namespace
-}  // namespace reqblock::benchx
 
-int main(int argc, char** argv) {
-  using namespace reqblock::benchx;
-  const std::uint64_t cap = reqblock::bench_request_cap(300000);
-  register_benchmarks(cap);
-  return bench_main(argc, argv, report, "Table 2: trace specifications");
-}
+const Artifact kTable2 = {"table2", "Table 2: trace specifications", 300000,
+                          nullptr, report};
+
+}  // namespace reqblock::benchx

@@ -13,8 +13,8 @@
 // the full 64-page block) is available behind an option but defaults off:
 // under a page-level FTL it is pure overhead — roughly 6x the program
 // traffic — and the paper's SSDsim numbers (Figs. 8/11) are only consistent
-// with a BPLRU that flushes the cached pages alone. bench_ablation_flush
-// quantifies the difference.
+// with a BPLRU that flushes the cached pages alone. The ablation_flush
+// artifact of `reproduce` quantifies the difference.
 #pragma once
 
 #include <vector>

@@ -1,5 +1,5 @@
 // Eviction priority of a request block (paper Eq. 1) plus the ablation
-// variants benchmarked by bench_ablation_freq.
+// variants benchmarked by `reproduce ablation_freq`.
 #pragma once
 
 #include <limits>

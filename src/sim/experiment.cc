@@ -134,16 +134,12 @@ std::uint64_t bench_request_cap(std::uint64_t fallback) {
   const char* env = std::getenv("REQBLOCK_BENCH_REQUESTS");
   if (env == nullptr) return fallback;
   const auto parsed = parse_u64(env);
-  return parsed ? *parsed : fallback;
-}
-
-unsigned bench_thread_cap() {
-  // Read-only environment access; nothing in the process calls setenv.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("REQBLOCK_BENCH_THREADS");
-  if (env == nullptr) return 0;
-  const auto parsed = parse_u64(env);
-  return parsed ? static_cast<unsigned>(*parsed) : 0;
+  if (!parsed) {
+    throw std::invalid_argument(
+        std::string("REQBLOCK_BENCH_REQUESTS: invalid value '") + env +
+        "' (expected a non-negative integer with no trailing characters)");
+  }
+  return *parsed;
 }
 
 }  // namespace reqblock

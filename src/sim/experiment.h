@@ -52,10 +52,9 @@ RunArtifacts export_run_artifacts(const RunResult& result,
                                   std::string stem = "");
 
 /// Environment-tunable request cap for benches: REQBLOCK_BENCH_REQUESTS
-/// (default `fallback`, 0 = full traces).
+/// (default `fallback`, 0 = full traces). Throws std::invalid_argument
+/// naming the variable and the value when it is set but not a
+/// non-negative integer.
 std::uint64_t bench_request_cap(std::uint64_t fallback);
-
-/// Environment-tunable thread cap for benches: REQBLOCK_BENCH_THREADS.
-unsigned bench_thread_cap();
 
 }  // namespace reqblock

@@ -16,7 +16,7 @@
 namespace reqblock::profiles {
 
 /// Statistics the paper reports for each trace (Table 2), used by
-/// bench_table2_traces to print paper-vs-measured rows.
+/// `reproduce table2` to print paper-vs-measured rows.
 struct PaperTraceStats {
   std::uint64_t requests;
   double write_ratio;        // fraction

@@ -104,8 +104,18 @@ TEST(ExperimentTest, BenchRequestCapEnv) {
   EXPECT_EQ(bench_request_cap(1234), 1234u);
   setenv("REQBLOCK_BENCH_REQUESTS", "777", 1);
   EXPECT_EQ(bench_request_cap(1234), 777u);
-  setenv("REQBLOCK_BENCH_REQUESTS", "garbage", 1);
-  EXPECT_EQ(bench_request_cap(1234), 1234u);
+  // A malformed value is refused, never replaced by the fallback.
+  for (const char* bad : {"garbage", "5000x"}) {
+    setenv("REQBLOCK_BENCH_REQUESTS", bad, 1);
+    try {
+      bench_request_cap(1234);
+      FAIL() << "accepted REQBLOCK_BENCH_REQUESTS=" << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("REQBLOCK_BENCH_REQUESTS"), std::string::npos);
+      EXPECT_NE(msg.find(bad), std::string::npos);
+    }
+  }
   unsetenv("REQBLOCK_BENCH_REQUESTS");
 }
 
