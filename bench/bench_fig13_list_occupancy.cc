@@ -54,6 +54,10 @@ void report(const Cells& cells) {
     }
     std::cout << "\n";
   }
+  if (total == 0) {
+    std::cout << "No occupancy samples: the request cap (" << cells.cap
+              << ") is below the 10,000-request sampling interval.\n";
+  }
   expect_line("SRL holds the most cached pages", "in most traces",
               std::to_string(srl_largest) + "/" + std::to_string(total) +
                   " traces (steady state)");

@@ -16,9 +16,11 @@
 // accumulate within the run instead of needing billions of requests.
 //
 // Checkpointing: `reproduce soak --checkpoint-dir DIR
-// --checkpoint-every-n N` runs the cells through run_cases_resumable, as
-// run_matrix does; a rerun after a kill resumes from the manifest and the
-// newest checkpoint and produces byte-identical results.
+// --checkpoint-every-n N` makes run_cases checkpoint the cells, which run
+// in parallel as without it (run_matrix does the same); a rerun after a
+// kill loads the finished cells from the manifest, resumes each cell that
+// was in flight from its newest checkpoint and produces byte-identical
+// results.
 //
 // Ledger format matches BENCH_attribution.json (bench_common's
 // LedgerWriter writes both, tools/perf_diff reads both): {"records":

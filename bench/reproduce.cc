@@ -2,15 +2,16 @@
 // A1-A3 and the ledger studies from one table of artifacts.
 //
 //   reproduce [NAME...] [--checkpoint-dir DIR] [--checkpoint-every-n N]
+//   reproduce --help
 //
 // NAMEs are artifact names (table2, fig2, ..., overload); with none, every
 // artifact runs, in table order. reproduce collects the cells of the
 // selected artifacts and simulates each distinct cell (same config
 // fingerprint, same trace identity) once: Figs. 8, 9, 11 and 12 share one
 // grid, and Fig. 10 and the ablations reuse parts of it. The cells run in
-// parallel through run_cases. With --checkpoint-dir they run through
-// run_cases_resumable instead, as in run_matrix: a run killed at any point
-// and rerun with the same arguments resumes and prints the same bytes.
+// parallel through run_cases, checkpointed or not. With --checkpoint-dir
+// the run is resumable, as in run_matrix: a run killed at any point and
+// rerun with the same arguments resumes and prints the same bytes.
 // Each artifact then prints its header and report, in the order named.
 //
 // After the last report, the ✔ claims of EXPERIMENTS.md that the selected
@@ -26,7 +27,6 @@
 #include <stdexcept>
 
 #include "bench_common.h"
-#include "sim/checkpoint.h"
 #include "util/args.h"
 
 namespace reqblock::benchx {
@@ -38,6 +38,13 @@ const Artifact* const kArtifacts[] = {
     &kFig12, &kFig13, &kAblationFreq, &kAblationMerge, &kAblationFlush,
     &kAttribution, &kIntegrity, &kSoak, &kMultitenant, &kOverload};
 
+/// Every artifact name in table order, each after a space.
+std::string artifact_names() {
+  std::string known;
+  for (const Artifact* a : kArtifacts) known += std::string(" ") + a->name;
+  return known;
+}
+
 /// The artifacts `names` selects, in that order; every artifact when
 /// `names` is empty.
 std::vector<const Artifact*> select(const std::vector<std::string>& names) {
@@ -48,10 +55,8 @@ std::vector<const Artifact*> select(const std::vector<std::string>& names) {
         std::find_if(std::begin(kArtifacts), std::end(kArtifacts),
                      [&](const Artifact* a) { return name == a->name; });
     if (it == std::end(kArtifacts)) {
-      std::string known;
-      for (const Artifact* a : kArtifacts) known += std::string(" ") + a->name;
       throw std::invalid_argument("unknown artifact '" + name +
-                                  "'; artifacts:" + known);
+                                  "'; artifacts:" + artifact_names());
     }
     selected.push_back(*it);
   }
@@ -69,6 +74,12 @@ void print_header(const Artifact& a) {
 }
 
 int run(const ArgParser& args) {
+  if (args.has("help")) {
+    std::cout << "usage: " << args.program()
+              << " [NAME...] [--checkpoint-dir DIR] [--checkpoint-every-n N]\n"
+              << "artifacts:" << artifact_names() << "\n";
+    return 0;
+  }
   CheckpointOptions ckpt;
   ckpt.dir = args.get_or("checkpoint-dir", "");
   ckpt.every_n_requests = args.get_u64_strict("checkpoint-every-n", 0);
@@ -92,8 +103,7 @@ int run(const ArgParser& args) {
       if (added) cases.push_back(std::move(c));
     }
   }
-  const std::vector<RunResult> results =
-      ckpt.dir.empty() ? run_cases(cases) : run_cases_resumable(cases, ckpt);
+  const std::vector<RunResult> results = run_cases(cases, 0, ckpt);
 
   std::vector<std::string> failed;
   for (std::size_t i = 0; i < selected.size(); ++i) {

@@ -1,24 +1,34 @@
-// Resumable experiment matrix: every policy against one synthetic profile,
-// with optional crash-consistent checkpointing.
+// Experiment matrix: every policy against one synthetic profile, side by
+// side, with optional crash-consistent checkpointing.
 //
 //   ./examples/run_matrix --profile usr_0 --requests 50000 --cache-mb 32
+//   ./examples/run_matrix --policies lru,bplru,vbbms,reqblock --attribution
 //   ./examples/run_matrix --checkpoint-dir /tmp/ckpt --checkpoint-every-n 10000
 //
-// With --checkpoint-dir the run records per-case completion in a manifest
-// and checkpoints the in-flight case; killing the process and rerunning
-// the same command resumes where it died and produces byte-identical
-// results (and CSV) to an uninterrupted run.
+// When LRU is in the matrix, a second table gives every policy's hit
+// ratio, response time and flash writes relative to it (the paper's
+// baseline). --attribution decomposes every policy's request latency into
+// its critical-path components and appends a per-policy tail root-cause
+// report (slowest decile and percentile); --attribution-csv FILE also
+// writes it as CSV.
+//
+// The cases run in parallel through run_cases, checkpointed or not. With
+// --checkpoint-dir a manifest records which cases finished and each case
+// in flight checkpoints itself; killing the process and rerunning the same
+// command resumes where it died and produces byte-identical results (and
+// CSV) to an uninterrupted run.
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 
 #include "cache/policy_factory.h"
-#include "sim/checkpoint.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "trace/profiles.h"
 #include "util/args.h"
 #include "util/atomic_file.h"
 #include "util/knobs.h"
+#include "util/stats.h"
 #include "util/strings.h"
 
 using namespace reqblock;
@@ -29,7 +39,8 @@ int main(int argc, char** argv) try {
     std::cout << "usage: " << args.program()
               << " [--profile NAME] [--requests N] [--cache-mb MB]"
                  " [--delta D] [--policies a,b,c] [--csv FILE]"
-                 " [--tenant-csv FILE]\n"
+                 " [--tenant-csv FILE] [--attribution]"
+                 " [--attribution-csv FILE]\n"
                  "checkpointing: [--checkpoint-dir DIR]"
                  " [--checkpoint-every-n REQS]\n"
                  "profiles: hm_1 lun_1 usr_0 src1_2 ts_0 proj_0\n"
@@ -67,6 +78,11 @@ int main(int argc, char** argv) try {
   base.fault.apply_cli(args);
   base.overload.apply_cli(args);
   base.tenants.apply_cli(args);
+  // A one-row table reads the switch strictly, as trace_replay does: a
+  // value after it is refused. run_matrix takes no other telemetry flag.
+  apply_knobs(std::tuple{Knob{"attribution", REQB_KNOB_FIELD(attribution),
+                              kSwitch}},
+              base.telemetry, args);
   std::vector<ExperimentCase> cases;
   for (const auto& policy : policies) {
     ExperimentCase c;
@@ -82,24 +98,46 @@ int main(int argc, char** argv) try {
   ckpt.every_n_requests = args.get_u64_strict("checkpoint-every-n", 0);
   const auto results_csv = args.get("csv");
   const auto tenant_csv = args.get("tenant-csv");
+  const auto attribution_csv = args.get("attribution-csv");
   args.reject_unread();
 
-  std::vector<RunResult> results;
-  if (!ckpt.dir.empty()) {
-    // Sequential + manifest-tracked: a rerun after a crash skips the
-    // finished cases and resumes the interrupted one mid-trace.
-    results = run_cases_resumable(cases, ckpt);
-  } else {
-    results = run_cases(cases);
-  }
+  const std::vector<RunResult> results = run_cases(cases, 0, ckpt);
 
   results_table(results).print(std::cout);
+  const auto lru = std::find_if(results.begin(), results.end(),
+                                [](const RunResult& r) {
+                                  return r.policy_name == "LRU";
+                                });
+  if (lru != results.end()) {
+    std::cout << "\nRelative to LRU:\n";
+    TextTable t({"policy", "hit-ratio", "response-time", "flash-writes"});
+    const auto change = [](double value, double baseline) {
+      return format_double(percent_change(value, baseline), 1) + "%";
+    };
+    for (const auto& r : results) {
+      t.add_row({r.policy_name, change(r.hit_ratio(), lru->hit_ratio()),
+                 change(r.response.mean(), lru->response.mean()),
+                 change(static_cast<double>(r.flash_write_count()),
+                        static_cast<double>(lru->flash_write_count()))});
+    }
+    t.print(std::cout);
+  }
   // Reliability tables render per result in one fixed order (fault,
   // aging, integrity) so the report's shape does not depend on which
   // subsystems were enabled across the matrix.
   for (const auto& r : results) write_reliability_summary(std::cout, r);
   for (const auto& r : results) write_overload_summary(std::cout, r);
   for (const auto& r : results) write_tenant_summary(std::cout, r);
+  if (base.telemetry.attribution) {
+    std::cout << "\n";
+    write_tail_attribution(std::cout, results);
+  }
+  if (attribution_csv) {
+    std::ostringstream csv;
+    write_tail_attribution_csv(csv, results);
+    write_file_atomic(*attribution_csv, csv.str());
+    std::cout << "\nWrote tail attribution to " << *attribution_csv << "\n";
+  }
 
   if (tenant_csv) {
     std::ostringstream csv;

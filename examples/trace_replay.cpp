@@ -13,7 +13,6 @@
 
 #include "sim/checkpoint.h"
 #include "sim/report.h"
-#include "sim/simulator.h"
 #include "trace/msr_trace.h"
 #include "trace/profiles.h"
 #include "trace/spc_trace.h"
@@ -117,14 +116,6 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  if (options.tenants.enabled() &&
-      (args.has("trace") || args.has("spc"))) {
-    std::cerr << "trace_replay: --tenants needs a synthetic --profile; "
-                 "file-backed traces cannot be split into per-tenant "
-                 "streams\n";
-    return 1;
-  }
-
   if (resume_from.empty() && !ckpt.dir.empty()) {
     // Restarted with the same --checkpoint-dir: pick up where we died.
     resume_from = find_latest_checkpoint(ckpt.dir, "run");
@@ -132,21 +123,8 @@ int main(int argc, char** argv) try {
       std::cout << "Resuming from " << resume_from << "\n";
     }
   }
-
-  RunResult result;
-  if (!ckpt.dir.empty() || !resume_from.empty()) {
-    if (options.tenants.enabled()) {
-      const auto* synth = dynamic_cast<const SyntheticTraceSource*>(&*trace);
-      auto streams = make_tenant_streams(synth->profile(), options.tenants);
-      result = run_with_checkpoints(options, streams.sources, ckpt,
-                                    resume_from);
-    } else {
-      result = run_with_checkpoints(options, *trace, ckpt, resume_from);
-    }
-  } else {
-    Simulator sim(options);
-    result = sim.run(*trace);
-  }
+  const RunResult result =
+      run_with_checkpoints(options, *trace, ckpt, resume_from);
 
   results_table({result}).print(std::cout);
   // Fixed reliability section order: fault, aging, integrity.

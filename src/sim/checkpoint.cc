@@ -93,13 +93,26 @@ std::string find_latest_checkpoint(const std::string& dir,
   return all.empty() ? std::string() : all.back().second;
 }
 
-namespace {
+CaseSession build_session(const SimOptions& options, TraceSource& trace) {
+  CaseSession built;
+  if (!options.tenants.enabled()) {
+    built.session = std::make_unique<SimulationSession>(options, trace);
+    return built;
+  }
+  const auto* synthetic = dynamic_cast<const SyntheticTraceSource*>(&trace);
+  if (synthetic == nullptr) {
+    throw std::invalid_argument(
+        "multi-tenant runs need a synthetic profile: a file-backed trace "
+        "cannot be split into per-tenant streams");
+  }
+  built.streams = make_tenant_streams(synthetic->profile(), options.tenants);
+  built.session =
+      std::make_unique<SimulationSession>(options, built.streams.sources);
+  return built;
+}
 
-/// Shared checkpointed replay loop of an already-constructed session.
-RunResult run_session_with_checkpoints(SimulationSession& session,
-                                       const CheckpointOptions& ckpt,
-                                       const std::string& resume_from) {
-  if (!resume_from.empty()) restore_session_checkpoint(session, resume_from);
+RunResult run_session(SimulationSession& session,
+                      const CheckpointOptions& ckpt, const std::string& stem) {
   const bool periodic = !ckpt.dir.empty() && ckpt.every_n_requests != 0;
   std::uint64_t next_ckpt = 0;
   if (periodic) {
@@ -108,28 +121,21 @@ RunResult run_session_with_checkpoints(SimulationSession& session,
   }
   while (session.step()) {
     if (periodic && session.served() >= next_ckpt) {
-      save_session_checkpoint(session, ckpt.dir, "run", ckpt.keep_last);
+      save_session_checkpoint(session, ckpt.dir, stem, ckpt.keep_last);
       next_ckpt += ckpt.every_n_requests;
     }
   }
   return session.finish();
 }
 
-}  // namespace
-
 RunResult run_with_checkpoints(const SimOptions& options, TraceSource& trace,
                                const CheckpointOptions& ckpt,
                                const std::string& resume_from) {
-  SimulationSession session(options, trace);
-  return run_session_with_checkpoints(session, ckpt, resume_from);
-}
-
-RunResult run_with_checkpoints(const SimOptions& options,
-                               const std::vector<TraceSource*>& tenant_traces,
-                               const CheckpointOptions& ckpt,
-                               const std::string& resume_from) {
-  SimulationSession session(options, tenant_traces);
-  return run_session_with_checkpoints(session, ckpt, resume_from);
+  CaseSession replay = build_session(options, trace);
+  if (!resume_from.empty()) {
+    restore_session_checkpoint(*replay.session, resume_from);
+  }
+  return run_session(*replay.session, ckpt);
 }
 
 // --- RunResult storage -----------------------------------------------------
@@ -317,8 +323,11 @@ std::string manifest_path(const std::string& dir) {
   return (fs::path(dir) / kManifestName).string();
 }
 
-void write_manifest(const std::string& dir, std::uint64_t matrix_hash,
-                    std::size_t case_count, const std::set<std::size_t>& done) {
+}  // namespace
+
+void write_matrix_manifest(const std::string& dir, std::uint64_t matrix_hash,
+                           std::size_t case_count,
+                           const std::set<std::size_t>& done) {
   std::ostringstream os;
   os << kManifestMagic << '\n';
   os << "matrix " << matrix_hash << '\n';
@@ -327,12 +336,9 @@ void write_manifest(const std::string& dir, std::uint64_t matrix_hash,
   write_file_atomic(manifest_path(dir), os.str());
 }
 
-/// Parses the manifest, refusing (SnapshotError) one written for a
-/// different matrix. Returns the completed-case set; empty when no
-/// manifest exists yet.
-std::set<std::size_t> read_manifest(const std::string& dir,
-                                    std::uint64_t matrix_hash,
-                                    std::size_t case_count) {
+std::set<std::size_t> read_matrix_manifest(const std::string& dir,
+                                           std::uint64_t matrix_hash,
+                                           std::size_t case_count) {
   std::set<std::size_t> done;
   const std::string path = manifest_path(dir);
   std::ifstream in(path);
@@ -378,74 +384,11 @@ std::set<std::size_t> read_manifest(const std::string& dir,
   return done;
 }
 
-void remove_case_checkpoints(const std::string& dir, const std::string& stem) {
+void remove_checkpoints(const std::string& dir, const std::string& stem) {
   for (const auto& [seq, path] : list_checkpoints(dir, stem)) {
     std::error_code ec;
     fs::remove(path, ec);
   }
-}
-
-}  // namespace
-
-std::vector<RunResult> run_cases_resumable(
-    const std::vector<ExperimentCase>& cases, const CheckpointOptions& ckpt) {
-  REQB_CHECK_MSG(!ckpt.dir.empty(),
-                 "run_cases_resumable needs a checkpoint directory");
-  fs::create_directories(ckpt.dir);
-  const std::uint64_t matrix_hash = matrix_fingerprint(cases);
-  std::set<std::size_t> done = read_manifest(ckpt.dir, matrix_hash,
-                                             cases.size());
-
-  std::vector<RunResult> results(cases.size());
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const ExperimentCase& c = cases[i];
-    const std::string stem = "case_" + std::to_string(i);
-    const std::string result_path =
-        (fs::path(ckpt.dir) / (stem + ".result")).string();
-    // Multi-tenant cases replay one derived stream per tenant; the bundle
-    // must outlive the session (which holds non-owning pointers).
-    SyntheticTraceSource trace(c.profile);
-    TenantStreams streams;
-    std::unique_ptr<SimulationSession> owned_session;
-    if (c.options.tenants.enabled()) {
-      streams = make_tenant_streams(c.profile, c.options.tenants);
-      owned_session =
-          std::make_unique<SimulationSession>(c.options, streams.sources);
-    } else {
-      owned_session = std::make_unique<SimulationSession>(c.options, trace);
-    }
-    SimulationSession& session = *owned_session;
-    if (done.contains(i)) {
-      results[i] = load_run_result(result_path, session.config_hash(),
-                                   session.trace_hash());
-      continue;
-    }
-    const std::string latest = find_latest_checkpoint(ckpt.dir, stem);
-    if (!latest.empty()) restore_session_checkpoint(session, latest);
-    std::uint64_t next_ckpt = 0;
-    const bool periodic = ckpt.every_n_requests != 0;
-    if (periodic) {
-      next_ckpt = (session.served() / ckpt.every_n_requests + 1) *
-                  ckpt.every_n_requests;
-    }
-    while (session.step()) {
-      if (periodic && session.served() >= next_ckpt) {
-        save_session_checkpoint(session, ckpt.dir, stem, ckpt.keep_last);
-        next_ckpt += ckpt.every_n_requests;
-      }
-    }
-    results[i] = session.finish();
-    // Completion order matters for crash consistency: the stored result
-    // must be durable before the manifest says the case is done; stale
-    // mid-case checkpoints are deleted last (harmless leftovers if the
-    // process dies in between).
-    save_run_result(results[i], result_path, session.config_hash(),
-                    session.trace_hash());
-    done.insert(i);
-    write_manifest(ckpt.dir, matrix_hash, cases.size(), done);
-    remove_case_checkpoints(ckpt.dir, stem);
-  }
-  return results;
 }
 
 }  // namespace reqblock

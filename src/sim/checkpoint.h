@@ -1,4 +1,10 @@
-// Checkpoint files and resumable runs.
+// One case's replay, checkpoint files and resumable runs.
+//
+// Every replay goes through two functions. build_session() builds the
+// session for (options, trace), deriving one stream per tenant when the
+// options configure several; run_session() steps it to the end,
+// checkpointing every N requests when asked. Simulator::run,
+// run_with_checkpoints and run_cases' workers all call both.
 //
 // Three layers ride on the snapshot container (src/snapshot/):
 //
@@ -13,9 +19,13 @@
 //      an uninterrupted one would without re-running finished cases.
 //
 //   3. The matrix manifest — `manifest` records the matrix fingerprint and
-//      which cases completed. run_cases_resumable() consults it on start:
-//      finished cases load from disk, the in-flight case resumes from its
-//      newest valid checkpoint, untouched cases run from scratch.
+//      which cases completed. run_cases() with a checkpoint directory reads
+//      it before any worker starts, then runs the cases in parallel as
+//      without one: finished cases load from disk, cases that were in
+//      flight resume from their newest valid checkpoint, untouched cases
+//      run from scratch. Each case in flight checkpoints under its own
+//      `case_<i>` stem, so up to threads x keep_last checkpoint files
+//      exist at a time.
 //
 // Kill a matrix run at any instant and rerun it with the same arguments:
 // the final results (and their CSV) are byte-identical to a run that was
@@ -23,6 +33,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,16 +43,25 @@
 
 namespace reqblock {
 
-struct CheckpointOptions {
-  /// Directory checkpoints/manifest live in (created if missing).
-  std::string dir;
-  /// Checkpoint after every N served requests (warmup included; 0 = only
-  /// record case completion, never mid-case state).
-  std::uint64_t every_n_requests = 0;
-  /// Newest checkpoints retained per run; older ones are pruned after
-  /// each successful save. At least 1.
-  std::uint32_t keep_last = 2;
+/// A session and the per-tenant streams it reads (empty for one tenant).
+/// The session points into the streams, so the two travel together.
+struct CaseSession {
+  TenantStreams streams;
+  std::unique_ptr<SimulationSession> session;
 };
+
+/// Builds the session that replays `trace` under `options`. With
+/// options.tenants.enabled() it derives one stream per tenant from the
+/// synthetic profile of `trace`, and throws when `trace` has none (file
+/// traces carry no generator to re-seed).
+CaseSession build_session(const SimOptions& options, TraceSource& trace);
+
+/// Steps `session` to the end and returns finish(). With a checkpoint
+/// directory and every_n_requests > 0 it saves `<dir>/<stem>.ckpt.*`
+/// every every_n_requests served requests (save_session_checkpoint).
+RunResult run_session(SimulationSession& session,
+                      const CheckpointOptions& ckpt = {},
+                      const std::string& stem = "run");
 
 /// Writes one checkpoint of `session` as `<dir>/<stem>.ckpt.<served>` and
 /// prunes older `<stem>.ckpt.*` files down to `keep_last`. Returns the
@@ -62,18 +83,11 @@ void restore_session_checkpoint(SimulationSession& session,
 std::string find_latest_checkpoint(const std::string& dir,
                                    const std::string& stem);
 
-/// Runs one trace to completion with periodic checkpoints. When
-/// `resume_from` is non-empty the session is restored from that file
-/// first (it must match `options` and `trace`). With an empty
+/// Runs one trace to completion with periodic checkpoints under the stem
+/// "run". When `resume_from` is non-empty the session is restored from
+/// that file first (it must match `options` and `trace`). With an empty
 /// CheckpointOptions::dir this degenerates to Simulator::run.
 RunResult run_with_checkpoints(const SimOptions& options, TraceSource& trace,
-                               const CheckpointOptions& ckpt,
-                               const std::string& resume_from = "");
-
-/// Multi-queue variant: one trace source per tenant (must match
-/// options.tenants.count; see SimulationSession's multi-trace ctor).
-RunResult run_with_checkpoints(const SimOptions& options,
-                               const std::vector<TraceSource*>& tenant_traces,
                                const CheckpointOptions& ckpt,
                                const std::string& resume_from = "");
 
@@ -95,17 +109,19 @@ RunResult load_run_result(const std::string& path, std::uint64_t config_hash,
 /// is refused.
 std::uint64_t matrix_fingerprint(const std::vector<ExperimentCase>& cases);
 
-/// Like run_cases, but resumable. Per-case completion is recorded in
-/// `<dir>/manifest` (rewritten atomically after every finished case);
-/// finished results are stored as `<dir>/case_<i>.result`; the in-flight
-/// case checkpoints every `every_n_requests` served requests. On start,
-/// completed cases load from disk, a case with checkpoints resumes from
-/// the newest one, and everything else runs fresh. Cases run sequentially
-/// in index order (resume granularity is one request, and matrices that
-/// need resuming are dominated by their longest single runs).
-///
-/// Throws SnapshotError when the manifest belongs to a different matrix.
-std::vector<RunResult> run_cases_resumable(
-    const std::vector<ExperimentCase>& cases, const CheckpointOptions& ckpt);
+/// Reads `<dir>/manifest` and returns the cases it marks done (none when
+/// the file does not exist yet). Throws SnapshotError when the manifest
+/// belongs to a different matrix.
+std::set<std::size_t> read_matrix_manifest(const std::string& dir,
+                                           std::uint64_t matrix_hash,
+                                           std::size_t case_count);
+
+/// Rewrites `<dir>/manifest` atomically with `done` as the finished cases.
+void write_matrix_manifest(const std::string& dir, std::uint64_t matrix_hash,
+                           std::size_t case_count,
+                           const std::set<std::size_t>& done);
+
+/// Deletes every `<stem>.ckpt.*` file under `dir`.
+void remove_checkpoints(const std::string& dir, const std::string& stem);
 
 }  // namespace reqblock

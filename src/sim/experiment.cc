@@ -4,18 +4,94 @@
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "sim/checkpoint.h"
 #include "telemetry/exporters.h"
 #include "util/atomic_file.h"
 #include "util/strings.h"
 
 namespace reqblock {
 
+namespace {
+
+/// Replays the cases of one matrix for run_cases' workers, one case per
+/// run() call, safe from several threads for distinct cases. With a
+/// checkpoint directory it keeps the matrix's manifest (sim/checkpoint.h).
+class MatrixReplay {
+ public:
+  /// With a checkpoint directory, creates it and reads the manifest;
+  /// throws SnapshotError when it belongs to a different matrix.
+  MatrixReplay(const std::vector<ExperimentCase>& cases,
+               const CheckpointOptions& ckpt)
+      : cases_(cases), ckpt_(ckpt) {
+    if (ckpt_.dir.empty()) return;
+    std::filesystem::create_directories(ckpt_.dir);
+    matrix_hash_ = matrix_fingerprint(cases_);
+    done_ = read_matrix_manifest(ckpt_.dir, matrix_hash_, cases_.size());
+  }
+
+  /// Replays case `i`. With a checkpoint directory, a case the manifest
+  /// marks done loads from `case_<i>.result`; any other resumes from its
+  /// newest `case_<i>` checkpoint or starts fresh, then stores its result,
+  /// is marked done and has its checkpoints deleted, in that order.
+  RunResult run(std::size_t i) {
+    const ExperimentCase& c = cases_[i];
+    SyntheticTraceSource trace(c.profile);
+    CaseSession replay = build_session(c.options, trace);
+    SimulationSession& session = *replay.session;
+    if (ckpt_.dir.empty()) return run_session(session);
+
+    const std::string stem = "case_" + std::to_string(i);
+    const std::string result_path =
+        (std::filesystem::path(ckpt_.dir) / (stem + ".result")).string();
+    bool done = false;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      done = done_.contains(i);
+    }
+    if (done) {
+      return load_run_result(result_path, session.config_hash(),
+                             session.trace_hash());
+    }
+    const std::string latest = find_latest_checkpoint(ckpt_.dir, stem);
+    if (!latest.empty()) restore_session_checkpoint(session, latest);
+    RunResult result = run_session(session, ckpt_, stem);
+    // Completion order matters for crash consistency: the stored result
+    // must be durable before the manifest says the case is done; stale
+    // mid-case checkpoints are deleted last (harmless leftovers if the
+    // process dies in between).
+    save_run_result(result, result_path, session.config_hash(),
+                    session.trace_hash());
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      done_.insert(i);
+      write_matrix_manifest(ckpt_.dir, matrix_hash_, cases_.size(), done_);
+    }
+    remove_checkpoints(ckpt_.dir, stem);
+    return result;
+  }
+
+ private:
+  const std::vector<ExperimentCase>& cases_;
+  const CheckpointOptions& ckpt_;
+  std::uint64_t matrix_hash_ = 0;
+  std::mutex mu_;  // guards done_ and the manifest file
+  std::set<std::size_t> done_;
+};
+
+}  // namespace
+
 std::vector<RunResult> run_cases_nothrow(
-    const std::vector<ExperimentCase>& cases, unsigned max_threads) {
+    const std::vector<ExperimentCase>& cases, unsigned max_threads,
+    const CheckpointOptions& ckpt) {
+  // Reads the manifest before any worker starts, so a checkpoint directory
+  // of another matrix is refused before anything runs.
+  MatrixReplay matrix(cases, ckpt);
   if (max_threads == 0) {
     max_threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -33,9 +109,7 @@ std::vector<RunResult> run_cases_nothrow(
       // std::terminate the whole process and lose every other result);
       // it becomes a per-case failure status instead.
       try {
-        SyntheticTraceSource trace(c.profile);
-        Simulator sim(c.options);
-        results[i] = sim.run(trace);
+        results[i] = matrix.run(i);
       } catch (const std::exception& e) {
         results[i] = RunResult{};
         results[i].trace_name = c.profile.name;
@@ -62,8 +136,10 @@ std::vector<RunResult> run_cases_nothrow(
 }
 
 std::vector<RunResult> run_cases(const std::vector<ExperimentCase>& cases,
-                                 unsigned max_threads) {
-  std::vector<RunResult> results = run_cases_nothrow(cases, max_threads);
+                                 unsigned max_threads,
+                                 const CheckpointOptions& ckpt) {
+  std::vector<RunResult> results =
+      run_cases_nothrow(cases, max_threads, ckpt);
   std::string failures;
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].ok()) continue;

@@ -22,18 +22,35 @@ struct ExperimentCase {
   std::string label;
 };
 
+struct CheckpointOptions {
+  /// Directory checkpoints/manifest live in (created if missing).
+  std::string dir;
+  /// Checkpoint after every N served requests (warmup included; 0 = only
+  /// record case completion, never mid-case state).
+  std::uint64_t every_n_requests = 0;
+  /// Newest checkpoints retained per run; older ones are pruned after
+  /// each successful save. At least 1.
+  std::uint32_t keep_last = 2;
+};
+
 /// Runs all cases, in parallel up to `max_threads` (0 = hardware
 /// concurrency). Results come back in case order. A case that throws is
 /// reported (with its index and label) via one aggregated
 /// std::runtime_error after every other case finished — a bad case can no
 /// longer std::terminate the process from inside a worker thread.
+/// With a checkpoint directory the matrix is resumable (sim/checkpoint.h,
+/// layer 3): a manifest of a different matrix is refused with
+/// SnapshotError before any case runs, and a failed case is neither
+/// stored nor marked done.
 std::vector<RunResult> run_cases(const std::vector<ExperimentCase>& cases,
-                                 unsigned max_threads = 0);
+                                 unsigned max_threads = 0,
+                                 const CheckpointOptions& ckpt = {});
 
 /// Like run_cases, but never throws on case failure: a failed case comes
 /// back with RunResult::ok() == false and the message in RunResult::error.
 std::vector<RunResult> run_cases_nothrow(
-    const std::vector<ExperimentCase>& cases, unsigned max_threads = 0);
+    const std::vector<ExperimentCase>& cases, unsigned max_threads = 0,
+    const CheckpointOptions& ckpt = {});
 
 /// Filesystem telemetry artifacts of one run. Empty strings mark files
 /// that were skipped because the run carried no matching data.

@@ -96,19 +96,7 @@ SimulationSession::SimulationSession(SimOptions options,
 
 void SimulationSession::init(const std::vector<TraceSource*>& traces) {
   REQB_CHECK_MSG(!traces.empty(), "session needs at least one trace source");
-  options_.ssd.validate();
-  REQB_CHECK_MSG(options_.cache.capacity_pages == 0 ||
-                     options_.cache.capacity_pages ==
-                         options_.policy.capacity_pages,
-                 "cache and policy capacity must agree");
-  if (options_.telemetry_env_override) {
-    options_.telemetry.apply_env();
-    options_.telemetry_env_override = false;  // already folded in
-  }
-  options_.fault.validate();
-  options_.overload.validate();
-  options_.tenants.validate();
-  check_knobs(kTelemetryKnobs, options_.telemetry);
+  prepare_sim_options(options_);
   config_hash_ = config_fingerprint(options_);
   const bool multi = traces.size() > 1;
   if (multi) {

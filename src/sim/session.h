@@ -63,9 +63,10 @@ std::uint64_t config_fingerprint(const SimOptions& options);
 class SimulationSession {
  public:
   /// Builds the full stack (device, cache, fault wiring, telemetry) and
-  /// resets the trace to its first request. Mirrors Simulator's option
-  /// validation, including the REQBLOCK_TRACE env override. Requires
-  /// options.tenants.count == 1 (the classic single-stream front end).
+  /// resets the trace to its first request. Checks the options as
+  /// Simulator does (prepare_sim_options, REQBLOCK_TRACE override
+  /// included). Requires options.tenants.count == 1 (the classic
+  /// single-stream front end).
   SimulationSession(SimOptions options, TraceSource& trace);
 
   /// Multi-queue front end: one trace source per tenant (the sources must

@@ -1,44 +1,37 @@
 #include "sim/simulator.h"
 
-#include "sim/session.h"
-#include "trace/synthetic.h"
+#include "sim/checkpoint.h"
 #include "util/check.h"
+#include "util/knobs.h"
 
 namespace reqblock {
 
-Simulator::Simulator(SimOptions options) : options_(std::move(options)) {
-  options_.ssd.validate();
-  REQB_CHECK_MSG(options_.cache.capacity_pages == 0 ||
-                     options_.cache.capacity_pages ==
-                         options_.policy.capacity_pages,
+void prepare_sim_options(SimOptions& options) {
+  options.ssd.validate();
+  REQB_CHECK_MSG(options.cache.capacity_pages == 0 ||
+                     options.cache.capacity_pages ==
+                         options.policy.capacity_pages,
                  "cache and policy capacity must agree");
-  if (options_.telemetry_env_override) options_.telemetry.apply_env();
-  options_.fault.validate();
-  options_.tenants.validate();
+  if (options.telemetry_env_override) {
+    options.telemetry.apply_env();
+    options.telemetry_env_override = false;  // already folded in
+  }
+  options.fault.validate();
+  options.overload.validate();
+  options.tenants.validate();
+  check_knobs(kTelemetryKnobs, options.telemetry);
+}
+
+Simulator::Simulator(SimOptions options) : options_(std::move(options)) {
+  prepare_sim_options(options_);
 }
 
 RunResult Simulator::run(TraceSource& trace) {
   // The stepped session is the single definition of the replay loop;
   // running it to completion in one go reproduces the historical
   // Simulator::run semantics exactly (see sim/session.h).
-  if (options_.tenants.enabled()) {
-    // Multi-tenant runs derive one stream per tenant from the base
-    // synthetic profile (file traces carry no generator to re-seed).
-    auto* synthetic = dynamic_cast<SyntheticTraceSource*>(&trace);
-    REQB_CHECK_MSG(synthetic != nullptr,
-                   "multi-tenant runs need a synthetic profile to derive "
-                   "per-tenant streams from");
-    const TenantStreams streams =
-        make_tenant_streams(synthetic->profile(), options_.tenants);
-    SimulationSession session(options_, streams.sources);
-    while (session.step()) {
-    }
-    return session.finish();
-  }
-  SimulationSession session(options_, trace);
-  while (session.step()) {
-  }
-  return session.finish();
+  CaseSession replay = build_session(options_, trace);
+  return run_session(*replay.session);
 }
 
 std::uint64_t cache_pages_for_mb(std::uint64_t mb) {

@@ -118,11 +118,19 @@ struct RunResult {
   std::uint64_t flash_write_count() const { return flash.host_page_writes; }
 };
 
+/// Folds the REQBLOCK_TRACE override into `options` (once, when
+/// telemetry_env_override is set) and checks every option block, throwing
+/// on the first invalid one. Simulator's constructor and SimulationSession
+/// both call it, so a bad option fails either one at construction.
+void prepare_sim_options(SimOptions& options);
+
 class Simulator {
  public:
   explicit Simulator(SimOptions options);
 
   /// Replays the trace once through a freshly constructed device + cache.
+  /// Multi-tenant options derive one stream per tenant from the trace's
+  /// synthetic profile (see build_session in sim/checkpoint.h).
   RunResult run(TraceSource& trace);
 
  private:

@@ -240,9 +240,10 @@ TEST(CheckpointResumeTest, RestoreRefusesMismatchedConfig) {
 
 // --- Resumable experiment matrix -------------------------------------------
 
-std::vector<ExperimentCase> small_matrix() {
+std::vector<ExperimentCase> small_matrix(
+    const std::vector<std::string>& policies = {"lru", "bplru", "reqblock"}) {
   std::vector<ExperimentCase> cases;
-  for (const char* policy : {"lru", "bplru", "reqblock"}) {
+  for (const std::string& policy : policies) {
     ExperimentCase c;
     c.profile = small_profile(1000);
     c.options = small_options(policy, false);
@@ -258,6 +259,49 @@ std::string csv_of_all(const std::vector<RunResult>& rs) {
   return os.str();
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// Stores case `i` as finished: its result file, as the runner writes it.
+void store_finished_case(const std::vector<ExperimentCase>& cases,
+                         std::size_t i, const std::string& dir) {
+  SyntheticTraceSource trace(cases[i].profile);
+  SimulationSession session(cases[i].options, trace);
+  while (session.step()) {
+  }
+  const RunResult r = session.finish();
+  save_run_result(r, dir + "/case_" + std::to_string(i) + ".result",
+                  session.config_hash(), session.trace_hash());
+}
+
+/// Checkpoints case `i` (under `options`) after `served` requests.
+void checkpoint_case(const WorkloadProfile& profile, const SimOptions& options,
+                     std::size_t i, std::uint64_t served,
+                     const std::string& dir) {
+  SyntheticTraceSource trace(profile);
+  SimulationSession session(options, trace);
+  while (session.served() < served && session.step()) {
+  }
+  save_session_checkpoint(session, dir, "case_" + std::to_string(i), 2);
+}
+
+/// Writes a manifest marking `done` finished. The manifest format is
+/// stable and documented; writing it here is a regression test of that
+/// format.
+void write_manifest_marking(const std::vector<ExperimentCase>& cases,
+                            const std::vector<std::size_t>& done,
+                            const std::string& dir) {
+  std::ofstream m(dir + "/manifest");
+  m << "reqblock-matrix-manifest 1\n"
+    << "matrix " << matrix_fingerprint(cases) << "\n"
+    << "cases " << cases.size() << "\n";
+  for (const std::size_t i : done) m << "done " << i << "\n";
+}
+
 TEST(MatrixResumeTest, FreshRunMatchesRunCasesAndRerunLoadsFromDisk) {
   const auto cases = small_matrix();
   const auto plain = run_cases(cases, 1);
@@ -266,13 +310,13 @@ TEST(MatrixResumeTest, FreshRunMatchesRunCasesAndRerunLoadsFromDisk) {
   CheckpointOptions ckpt;
   ckpt.dir = dir;
   ckpt.every_n_requests = 250;
-  const auto resumable = run_cases_resumable(cases, ckpt);
+  const auto resumable = run_cases(cases, 3, ckpt);
   EXPECT_EQ(csv_of_all(plain), csv_of_all(resumable));
 
   // A rerun over the same directory loads stored results instead of
   // re-simulating: the result files must not be rewritten.
   const auto mtime_before = fs::last_write_time(dir + "/case_1.result");
-  const auto again = run_cases_resumable(cases, ckpt);
+  const auto again = run_cases(cases, 3, ckpt);
   EXPECT_EQ(csv_of_all(plain), csv_of_all(again));
   EXPECT_EQ(fs::last_write_time(dir + "/case_1.result"), mtime_before);
 }
@@ -285,37 +329,87 @@ TEST(MatrixResumeTest, ResumesInFlightCaseMidTrace) {
   // case 0 finished (manifest + stored result), case 1 checkpointed
   // mid-trace, case 2 untouched.
   const std::string dir = scratch_dir("matrix_inflight");
-  {
-    SyntheticTraceSource trace(cases[0].profile);
-    SimulationSession session(cases[0].options, trace);
-    while (session.step()) {
-    }
-    const RunResult r0 = session.finish();
-    save_run_result(r0, dir + "/case_0.result", session.config_hash(),
-                    session.trace_hash());
-  }
-  {
-    SyntheticTraceSource trace(cases[1].profile);
-    SimulationSession session(cases[1].options, trace);
-    while (session.served() < 400 && session.step()) {
-    }
-    save_session_checkpoint(session, dir, "case_1", 2);
-  }
-  {
-    // The manifest format is stable and documented; writing it here is a
-    // regression test of that format.
-    std::ofstream m(dir + "/manifest");
-    m << "reqblock-matrix-manifest 1\n"
-      << "matrix " << matrix_fingerprint(cases) << "\n"
-      << "cases " << cases.size() << "\n"
-      << "done 0\n";
-  }
+  store_finished_case(cases, 0, dir);
+  checkpoint_case(cases[1].profile, cases[1].options, 1, 400, dir);
+  write_manifest_marking(cases, {0}, dir);
 
   CheckpointOptions ckpt;
   ckpt.dir = dir;
   ckpt.every_n_requests = 250;
-  const auto resumed = run_cases_resumable(cases, ckpt);
+  const auto resumed = run_cases(cases, 1, ckpt);
   EXPECT_EQ(csv_of_all(plain), csv_of_all(resumed));
+}
+
+// A matrix killed while several workers had cases in flight: case 0
+// finished, cases 1 and 2 each checkpointed mid-trace at different points.
+TEST(MatrixResumeTest, ResumesSeveralInFlightCasesInParallel) {
+  const auto cases = small_matrix();
+  const auto plain = run_cases(cases, 1);
+
+  const std::string dir = scratch_dir("matrix_parallel_inflight");
+  store_finished_case(cases, 0, dir);
+  checkpoint_case(cases[1].profile, cases[1].options, 1, 400, dir);
+  checkpoint_case(cases[2].profile, cases[2].options, 2, 650, dir);
+  write_manifest_marking(cases, {0}, dir);
+
+  CheckpointOptions ckpt;
+  ckpt.dir = dir;
+  ckpt.every_n_requests = 250;
+  const auto resumed = run_cases(cases, 3, ckpt);
+  EXPECT_EQ(csv_of_all(plain), csv_of_all(resumed));
+  EXPECT_EQ(find_latest_checkpoint(dir, "case_1"), "");
+  EXPECT_EQ(find_latest_checkpoint(dir, "case_2"), "");
+  EXPECT_EQ(file_bytes(dir + "/manifest"),
+            "reqblock-matrix-manifest 1\nmatrix " +
+                std::to_string(matrix_fingerprint(cases)) +
+                "\ncases 3\ndone 0\ndone 1\ndone 2\n");
+}
+
+TEST(MatrixResumeTest, ThreadCountLeavesResultsAndManifestUnchanged) {
+  const auto cases =
+      small_matrix({"lru", "fifo", "lfu", "bplru", "vbbms", "reqblock"});
+  std::vector<std::string> csvs;
+  std::vector<std::string> manifests;
+  for (const unsigned threads : {1u, 4u}) {
+    CheckpointOptions ckpt;
+    ckpt.dir = scratch_dir("matrix_threads_" + std::to_string(threads));
+    ckpt.every_n_requests = 200;
+    csvs.push_back(csv_of_all(run_cases(cases, threads, ckpt)));
+    manifests.push_back(file_bytes(ckpt.dir + "/manifest"));
+  }
+  EXPECT_EQ(csvs[0], csv_of_all(run_cases(cases, 1)));
+  EXPECT_EQ(csvs[0], csvs[1]);
+  EXPECT_EQ(manifests[0], manifests[1]);
+}
+
+// A case that throws (here: its checkpoint was taken under another
+// config, so the restore refuses it) is neither stored nor marked done;
+// the other cases finish and are stored, and the error names the case.
+TEST(MatrixResumeTest, FailedCaseIsNeitherStoredNorMarkedDone) {
+  const auto cases = small_matrix();
+  const std::string dir = scratch_dir("matrix_failed_case");
+  SimOptions other = cases[1].options;
+  other.policy.reqblock.delta = 9;
+  checkpoint_case(cases[1].profile, other, 1, 400, dir);
+
+  CheckpointOptions ckpt;
+  ckpt.dir = dir;
+  ckpt.every_n_requests = 250;
+  try {
+    run_cases(cases, 3, ckpt);
+    ADD_FAILURE() << "run_cases did not report the failed case";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("case 1 (bplru)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(fs::exists(dir + "/case_0.result"));
+  EXPECT_FALSE(fs::exists(dir + "/case_1.result"));
+  EXPECT_TRUE(fs::exists(dir + "/case_2.result"));
+  const std::string manifest = file_bytes(dir + "/manifest");
+  EXPECT_NE(manifest.find("done 0\n"), std::string::npos);
+  EXPECT_EQ(manifest.find("done 1\n"), std::string::npos);
+  EXPECT_NE(manifest.find("done 2\n"), std::string::npos);
 }
 
 TEST(MatrixResumeTest, RefusesManifestOfDifferentMatrix) {
@@ -323,11 +417,11 @@ TEST(MatrixResumeTest, RefusesManifestOfDifferentMatrix) {
   const std::string dir = scratch_dir("matrix_refuse");
   CheckpointOptions ckpt;
   ckpt.dir = dir;
-  run_cases_resumable(cases, ckpt);
+  run_cases(cases, 3, ckpt);
 
   auto other = cases;
   other[2].options.policy.reqblock.delta = 9;
-  EXPECT_THROW(run_cases_resumable(other, ckpt), SnapshotError);
+  EXPECT_THROW(run_cases(other, 3, ckpt), SnapshotError);
 }
 
 TEST(MatrixResumeTest, StoredResultRoundTripsEveryField) {

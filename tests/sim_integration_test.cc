@@ -5,6 +5,7 @@
 #include "test_util.h"
 #include "trace/profiles.h"
 #include "trace/synthetic.h"
+#include "trace/vector_source.h"
 
 namespace reqblock {
 namespace {
@@ -154,6 +155,23 @@ TEST(SimulatorTest, MismatchedCapacitiesRejected) {
   SimOptions o = quick_options("lru", 256);
   o.cache.capacity_pages = 512;
   EXPECT_THROW(Simulator{o}, std::logic_error);
+}
+
+// Simulator checks its options as SimulationSession does, so an invalid
+// overload option fails at construction, not at the first run().
+TEST(SimulatorTest, InvalidOverloadOptionRejectedAtConstruction) {
+  SimOptions o = quick_options("lru", 256);
+  o.overload.bg_flush_high = 1.5;
+  EXPECT_THROW(Simulator{o}, std::invalid_argument);
+}
+
+// Per-tenant streams are derived from a synthetic profile; a file-backed
+// trace has none to split.
+TEST(SimulatorTest, MultiTenantRunRefusesFileBackedTrace) {
+  SimOptions o = quick_options("lru", 256);
+  o.tenants.count = 2;
+  VectorTraceSource trace({}, "file");
+  EXPECT_THROW(Simulator{o}.run(trace), std::invalid_argument);
 }
 
 TEST(SimulatorTest, PaperProfilesRunEndToEnd) {
