@@ -13,6 +13,7 @@
 #include "trace/trace_stats.h"
 #include "util/args.h"
 #include "util/atomic_file.h"
+#include "util/knobs.h"
 #include "util/strings.h"
 
 using namespace reqblock;
@@ -22,10 +23,17 @@ int main(int argc, char** argv) try {
   const std::string name = args.get_or("profile", "usr_0");
   const std::uint64_t cap = args.get_u64_strict("requests", 100000);
 
+  // Read strictly: a value after the switch is refused.
+  struct {
+    bool to_stdout = false;
+  } switches;
+  apply_knobs(std::tuple{Knob{"stdout", REQB_KNOB_FIELD(to_stdout), kSwitch}},
+              switches, args);
+
   SyntheticTraceSource src(profiles::by_name(name).capped(cap));
   const auto requests = src.collect();
 
-  if (args.has("stdout")) {
+  if (switches.to_stdout) {
     write_msr_stream(std::cout, requests, 4096, name);
     return 0;
   }

@@ -85,7 +85,16 @@ int main(int argc, char** argv) try {
       args.get_or("policy", "reqblock"), args.get_u64_strict("cache-mb", 32),
       static_cast<std::uint32_t>(args.get_u64_strict("delta", 5)));
   options.warmup_requests = args.get_u64_strict("warmup", 0);
-  if (args.has("occupancy")) options.occupancy_log_interval = 10000;
+  // The driver's own switches, read strictly: a value after one is refused.
+  struct {
+    bool occupancy = false;
+    bool stats_only = false;
+  } switches;
+  apply_knobs(
+      std::tuple{Knob{"occupancy", REQB_KNOB_FIELD(occupancy), kSwitch},
+                 Knob{"stats-only", REQB_KNOB_FIELD(stats_only), kSwitch}},
+      switches, args);
+  if (switches.occupancy) options.occupancy_log_interval = 10000;
   options.fault.apply_cli(args);
   options.overload.apply_cli(args);
   // Telemetry flags ride behind a "telemetry-" namespace: trace_replay's
@@ -100,10 +109,9 @@ int main(int argc, char** argv) try {
   const auto results_csv = args.get("csv");
   const auto tenant_csv = args.get("tenant-csv");
   const auto attribution_csv = args.get("attribution-csv");
-  const bool stats_only = args.has("stats-only");
   args.reject_unread();
 
-  if (stats_only) {
+  if (switches.stats_only) {
     const auto stats = TraceStatsCollector::collect(*trace);
     TextTable t({"trace", "requests", "write-ratio", "mean-write",
                  "frequent-R", "frequent-(Wr)"});

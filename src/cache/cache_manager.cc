@@ -597,48 +597,12 @@ void CacheManager::reset_metrics() {
 
 void CacheMetrics::serialize(SnapshotWriter& w) const {
   w.tag("cache_metrics");
-  w.u64(page_lookups);
-  w.u64(page_hits);
-  w.u64(read_hits);
-  w.u64(write_hits);
-  w.u64(inserts);
-  w.u64(read_misses);
-  w.u64(bypass_pages);
-  w.u64(evictions);
-  w.u64(evicted_pages);
-  w.u64(flushed_pages);
-  w.u64(padding_pages);
-  w.u64(bg_flush_batches);
-  w.u64(bg_flush_pages);
-  reqblock::serialize(w, eviction_batch);
-  reqblock::serialize(w, metadata_bytes);
-  w.vec_u64(inserts_by_req_size);
-  w.vec_u64(hits_by_req_size);
-  w.vec_u64(pages_retired_by_req_size);
-  w.vec_u64(pages_reused_by_req_size);
+  write_fields(kCacheMetricsFields, *this, w);
 }
 
 void CacheMetrics::deserialize(SnapshotReader& r) {
   r.tag("cache_metrics");
-  page_lookups = r.u64();
-  page_hits = r.u64();
-  read_hits = r.u64();
-  write_hits = r.u64();
-  inserts = r.u64();
-  read_misses = r.u64();
-  bypass_pages = r.u64();
-  evictions = r.u64();
-  evicted_pages = r.u64();
-  flushed_pages = r.u64();
-  padding_pages = r.u64();
-  bg_flush_batches = r.u64();
-  bg_flush_pages = r.u64();
-  reqblock::deserialize(r, eviction_batch);
-  reqblock::deserialize(r, metadata_bytes);
-  inserts_by_req_size = r.vec_u64();
-  hits_by_req_size = r.vec_u64();
-  pages_retired_by_req_size = r.vec_u64();
-  pages_reused_by_req_size = r.vec_u64();
+  read_fields(kCacheMetricsFields, *this, r);
 }
 
 void CacheManager::serialize(SnapshotWriter& w) const {

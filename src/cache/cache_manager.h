@@ -27,6 +27,7 @@
 #include "telemetry/trace_buffer.h"
 #include "trace/io_request.h"
 #include "util/audit.h"
+#include "util/fields.h"
 #include "util/histogram.h"
 #include "util/lpn_table.h"
 #include "util/slot_map.h"
@@ -97,6 +98,29 @@ struct CacheMetrics {
 
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+};
+
+/// CacheMetrics' fields in snapshot order (src/util/fields.h).
+inline constexpr auto kCacheMetricsFields = std::tuple{
+    Field{REQB_KNOB_FIELD(page_lookups)},
+    Field{REQB_KNOB_FIELD(page_hits)},
+    Field{REQB_KNOB_FIELD(read_hits)},
+    Field{REQB_KNOB_FIELD(write_hits)},
+    Field{REQB_KNOB_FIELD(inserts)},
+    Field{REQB_KNOB_FIELD(read_misses)},
+    Field{REQB_KNOB_FIELD(bypass_pages)},
+    Field{REQB_KNOB_FIELD(evictions)},
+    Field{REQB_KNOB_FIELD(evicted_pages)},
+    Field{REQB_KNOB_FIELD(flushed_pages)},
+    Field{REQB_KNOB_FIELD(padding_pages)},
+    Field{REQB_KNOB_FIELD(bg_flush_batches)},
+    Field{REQB_KNOB_FIELD(bg_flush_pages)},
+    Field{REQB_KNOB_FIELD(eviction_batch)},
+    Field{REQB_KNOB_FIELD(metadata_bytes)},
+    Field{REQB_KNOB_FIELD(inserts_by_req_size)},
+    Field{REQB_KNOB_FIELD(hits_by_req_size)},
+    Field{REQB_KNOB_FIELD(pages_retired_by_req_size)},
+    Field{REQB_KNOB_FIELD(pages_reused_by_req_size)},
 };
 
 class CacheManager {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/fields.h"
 #include "util/slot_map.h"
 #include "util/types.h"
 
@@ -78,6 +79,16 @@ struct ListOccupancy {
   std::uint64_t total_pages() const {
     return irl_pages + srl_pages + drl_pages;
   }
+};
+
+/// ListOccupancy's fields in snapshot order (src/util/fields.h).
+inline constexpr auto kListOccupancyFields = std::tuple{
+    Field{REQB_KNOB_FIELD(irl_pages)},
+    Field{REQB_KNOB_FIELD(srl_pages)},
+    Field{REQB_KNOB_FIELD(drl_pages)},
+    Field{REQB_KNOB_FIELD(irl_blocks)},
+    Field{REQB_KNOB_FIELD(srl_blocks)},
+    Field{REQB_KNOB_FIELD(drl_blocks)},
 };
 
 }  // namespace reqblock

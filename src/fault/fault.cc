@@ -111,50 +111,12 @@ void FaultInjector::reset_metrics() {
 
 void FaultMetrics::serialize(SnapshotWriter& w) const {
   w.tag("fault_metrics");
-  w.b(enabled);
-  w.u64(program_faults);
-  w.u64(read_faults);
-  w.u64(erase_faults);
-  w.u64(blocks_retired);
-  w.u64(retires_refused);
-  w.u64(bad_block_marks);
-  w.u64(degraded_planes);
-  w.u64(power_loss_events);
-  w.u64(lost_dirty_pages);
-  w.i64(recovery_time_total);
-  w.u64(read_disturb_migrations);
-  w.u64(read_disturb_pages_moved);
-  w.u64(retention_scrubs);
-  w.u64(retention_pages_moved);
-  w.u64(wear_threshold_crossings);
-  w.u64(degraded_mode_enters);
-  w.u64(degraded_mode_exits);
-  w.u64(degraded_write_sheds);
-  integrity.serialize(w);
+  write_fields(kFaultMetricsFields, *this, w);
 }
 
 void FaultMetrics::deserialize(SnapshotReader& r) {
   r.tag("fault_metrics");
-  enabled = r.b();
-  program_faults = r.u64();
-  read_faults = r.u64();
-  erase_faults = r.u64();
-  blocks_retired = r.u64();
-  retires_refused = r.u64();
-  bad_block_marks = r.u64();
-  degraded_planes = r.u64();
-  power_loss_events = r.u64();
-  lost_dirty_pages = r.u64();
-  recovery_time_total = r.i64();
-  read_disturb_migrations = r.u64();
-  read_disturb_pages_moved = r.u64();
-  retention_scrubs = r.u64();
-  retention_pages_moved = r.u64();
-  wear_threshold_crossings = r.u64();
-  degraded_mode_enters = r.u64();
-  degraded_mode_exits = r.u64();
-  degraded_write_sheds = r.u64();
-  integrity.deserialize(r);
+  read_fields(kFaultMetricsFields, *this, r);
 }
 
 void FaultInjector::serialize(SnapshotWriter& w) const {

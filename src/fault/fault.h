@@ -21,6 +21,7 @@
 
 #include "fault/aging.h"
 #include "fault/integrity.h"
+#include "util/fields.h"
 #include "util/knobs.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -154,6 +155,30 @@ struct FaultMetrics {
 
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+};
+
+/// FaultMetrics' fields in snapshot order (src/util/fields.h).
+inline constexpr auto kFaultMetricsFields = std::tuple{
+    Field{REQB_KNOB_FIELD(enabled)},
+    Field{REQB_KNOB_FIELD(program_faults)},
+    Field{REQB_KNOB_FIELD(read_faults)},
+    Field{REQB_KNOB_FIELD(erase_faults)},
+    Field{REQB_KNOB_FIELD(blocks_retired)},
+    Field{REQB_KNOB_FIELD(retires_refused)},
+    Field{REQB_KNOB_FIELD(bad_block_marks)},
+    Field{REQB_KNOB_FIELD(degraded_planes)},
+    Field{REQB_KNOB_FIELD(power_loss_events)},
+    Field{REQB_KNOB_FIELD(lost_dirty_pages)},
+    Field{REQB_KNOB_FIELD(recovery_time_total)},
+    Field{REQB_KNOB_FIELD(read_disturb_migrations)},
+    Field{REQB_KNOB_FIELD(read_disturb_pages_moved)},
+    Field{REQB_KNOB_FIELD(retention_scrubs)},
+    Field{REQB_KNOB_FIELD(retention_pages_moved)},
+    Field{REQB_KNOB_FIELD(wear_threshold_crossings)},
+    Field{REQB_KNOB_FIELD(degraded_mode_enters)},
+    Field{REQB_KNOB_FIELD(degraded_mode_exits)},
+    Field{REQB_KNOB_FIELD(degraded_write_sheds)},
+    Field{REQB_KNOB_FIELD(integrity)},
 };
 
 class FaultInjector {

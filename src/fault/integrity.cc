@@ -117,38 +117,12 @@ IntegrityModel::Outcome IntegrityModel::resolve(double u,
 
 void IntegrityMetrics::serialize(SnapshotWriter& w) const {
   w.tag("integrity_metrics");
-  w.u64(ecc_attempts);
-  w.u64(ecc_corrected);
-  w.u64(ecc_escalated);
-  w.u64(retry_corrected);
-  w.u64(retry_escalated);
-  w.u64(retry_steps_total);
-  w.u64(parity_rebuilds);
-  w.u64(parity_peer_reads);
-  w.u64(uncorrectable);
-  w.u64(host_reads_lost);
-  w.u64(patrol_scrubs);
-  w.u64(patrol_pages_moved);
-  w.u64(patrol_pages_examined);
-  w.i64(recovery_time_total);
+  write_fields(kIntegrityMetricsFields, *this, w);
 }
 
 void IntegrityMetrics::deserialize(SnapshotReader& r) {
   r.tag("integrity_metrics");
-  ecc_attempts = r.u64();
-  ecc_corrected = r.u64();
-  ecc_escalated = r.u64();
-  retry_corrected = r.u64();
-  retry_escalated = r.u64();
-  retry_steps_total = r.u64();
-  parity_rebuilds = r.u64();
-  parity_peer_reads = r.u64();
-  uncorrectable = r.u64();
-  host_reads_lost = r.u64();
-  patrol_scrubs = r.u64();
-  patrol_pages_moved = r.u64();
-  patrol_pages_examined = r.u64();
-  recovery_time_total = r.i64();
+  read_fields(kIntegrityMetricsFields, *this, r);
 }
 
 }  // namespace reqblock

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/fields.h"
 #include "util/knobs.h"
 #include "util/types.h"
 
@@ -258,6 +259,24 @@ struct IntegrityMetrics {
 
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+};
+
+/// IntegrityMetrics' fields in snapshot order (src/util/fields.h).
+inline constexpr auto kIntegrityMetricsFields = std::tuple{
+    Field{REQB_KNOB_FIELD(ecc_attempts)},
+    Field{REQB_KNOB_FIELD(ecc_corrected)},
+    Field{REQB_KNOB_FIELD(ecc_escalated)},
+    Field{REQB_KNOB_FIELD(retry_corrected)},
+    Field{REQB_KNOB_FIELD(retry_escalated)},
+    Field{REQB_KNOB_FIELD(retry_steps_total)},
+    Field{REQB_KNOB_FIELD(parity_rebuilds)},
+    Field{REQB_KNOB_FIELD(parity_peer_reads)},
+    Field{REQB_KNOB_FIELD(uncorrectable)},
+    Field{REQB_KNOB_FIELD(host_reads_lost)},
+    Field{REQB_KNOB_FIELD(patrol_scrubs)},
+    Field{REQB_KNOB_FIELD(patrol_pages_moved)},
+    Field{REQB_KNOB_FIELD(patrol_pages_examined)},
+    Field{REQB_KNOB_FIELD(recovery_time_total)},
 };
 
 }  // namespace reqblock

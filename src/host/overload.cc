@@ -58,28 +58,12 @@ SimTime OverloadOptions::throttle_delay(std::uint64_t pressure_level) const {
 
 void OverloadMetrics::serialize(SnapshotWriter& w) const {
   w.tag("overload_metrics");
-  w.b(enabled);
-  w.u64(admitted);
-  w.u64(queued_waits);
-  w.u64(timeouts);
-  w.u64(sheds);
-  w.u64(retries);
-  w.u64(throttle_events);
-  w.i64(throttle_delay_total);
-  w.i64(queue_wait_total);
+  write_fields(kOverloadMetricsFields, *this, w);
 }
 
 void OverloadMetrics::deserialize(SnapshotReader& r) {
   r.tag("overload_metrics");
-  enabled = r.b();
-  admitted = r.u64();
-  queued_waits = r.u64();
-  timeouts = r.u64();
-  sheds = r.u64();
-  retries = r.u64();
-  throttle_events = r.u64();
-  throttle_delay_total = r.i64();
-  queue_wait_total = r.i64();
+  read_fields(kOverloadMetricsFields, *this, r);
 }
 
 HostAdmissionQueue::HostAdmissionQueue(const OverloadOptions& options)

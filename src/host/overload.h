@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "telemetry/trace_buffer.h"
+#include "util/fields.h"
 #include "util/knobs.h"
 #include "util/types.h"
 
@@ -128,6 +129,19 @@ struct OverloadMetrics {
 
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+};
+
+/// OverloadMetrics' fields in snapshot order (src/util/fields.h).
+inline constexpr auto kOverloadMetricsFields = std::tuple{
+    Field{REQB_KNOB_FIELD(enabled)},
+    Field{REQB_KNOB_FIELD(admitted)},
+    Field{REQB_KNOB_FIELD(queued_waits)},
+    Field{REQB_KNOB_FIELD(timeouts)},
+    Field{REQB_KNOB_FIELD(sheds)},
+    Field{REQB_KNOB_FIELD(retries)},
+    Field{REQB_KNOB_FIELD(throttle_events)},
+    Field{REQB_KNOB_FIELD(throttle_delay_total)},
+    Field{REQB_KNOB_FIELD(queue_wait_total)},
 };
 
 /// Bounded host command queue, modeled as the completion times of the

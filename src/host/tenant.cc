@@ -52,28 +52,12 @@ void TenantOptions::apply_cli(const ArgParser& args) {
 
 void TenantResult::serialize(SnapshotWriter& w) const {
   w.tag("tenant_result");
-  w.str(name);
-  w.u64(requests);
-  w.u64(read_requests);
-  w.u64(write_requests);
-  reqblock::serialize(w, response);
-  reqblock::serialize(w, queue_wait);
-  overload.serialize(w);
-  w.u64(attr_requests);
-  for (const std::uint64_t v : attr_ns) w.u64(v);
+  write_fields(kTenantResultFields, *this, w);
 }
 
 void TenantResult::deserialize(SnapshotReader& r) {
   r.tag("tenant_result");
-  name = r.str();
-  requests = r.u64();
-  read_requests = r.u64();
-  write_requests = r.u64();
-  reqblock::deserialize(r, response);
-  reqblock::deserialize(r, queue_wait);
-  overload.deserialize(r);
-  attr_requests = r.u64();
-  for (std::uint64_t& v : attr_ns) v = r.u64();
+  read_fields(kTenantResultFields, *this, r);
 }
 
 std::vector<WorkloadProfile> derive_tenant_profiles(

@@ -26,6 +26,7 @@
 #include "host/arbiter.h"
 #include "host/overload.h"
 #include "telemetry/attribution.h"
+#include "util/fields.h"
 #include "util/histogram.h"
 #include "util/knobs.h"
 #include "util/types.h"
@@ -114,6 +115,19 @@ struct TenantResult {
 
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+};
+
+/// TenantResult's fields in snapshot order (src/util/fields.h).
+inline constexpr auto kTenantResultFields = std::tuple{
+    Field{REQB_KNOB_FIELD(name)},
+    Field{REQB_KNOB_FIELD(requests)},
+    Field{REQB_KNOB_FIELD(read_requests)},
+    Field{REQB_KNOB_FIELD(write_requests)},
+    Field{REQB_KNOB_FIELD(response)},
+    Field{REQB_KNOB_FIELD(queue_wait)},
+    Field{REQB_KNOB_FIELD(overload)},
+    Field{REQB_KNOB_FIELD(attr_requests)},
+    Field{REQB_KNOB_FIELD(attr_ns)},
 };
 
 /// Derives one WorkloadProfile per tenant from a base profile: "#tN" name

@@ -28,9 +28,12 @@ constexpr const char* kManifestMagic = "reqblock-matrix-manifest 1";
 std::string ckpt_prefix(const std::string& stem) { return stem + ".ckpt."; }
 
 /// All `<stem>.ckpt.<seq>` files in `dir` as (sequence, path), ascending
-/// by sequence. Malformed suffixes are ignored.
+/// by sequence. Malformed suffixes are ignored; `leftovers`, when given,
+/// receives the `<stem>.ckpt.<seq>.tmp.*` files that a write_file_atomic
+/// killed mid-write leaves behind.
 std::vector<std::pair<std::uint64_t, std::string>> list_checkpoints(
-    const std::string& dir, const std::string& stem) {
+    const std::string& dir, const std::string& stem,
+    std::vector<std::string>* leftovers = nullptr) {
   std::vector<std::pair<std::uint64_t, std::string>> found;
   const std::string prefix = ckpt_prefix(stem);
   std::error_code ec;
@@ -38,12 +41,33 @@ std::vector<std::pair<std::uint64_t, std::string>> list_checkpoints(
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
     if (name.rfind(prefix, 0) != 0) continue;
-    const auto seq = parse_u64(name.substr(prefix.size()));
-    if (!seq) continue;
-    found.emplace_back(*seq, entry.path().string());
+    const std::string suffix = name.substr(prefix.size());
+    if (const auto seq = parse_u64(suffix)) {
+      found.emplace_back(*seq, entry.path().string());
+    } else if (leftovers != nullptr &&
+               suffix.find(".tmp.") != std::string::npos) {
+      leftovers->push_back(entry.path().string());
+    }
   }
   std::sort(found.begin(), found.end());
   return found;
+}
+
+/// Deletes all but the newest `keep` checkpoints of `stem`, and the
+/// stem's temp-file leftovers. Only the stem's one writer calls this, and
+/// only once its own save is renamed into place, so no leftover belongs
+/// to a write still in progress.
+void prune_checkpoints(const std::string& dir, const std::string& stem,
+                       std::size_t keep) {
+  std::vector<std::string> doomed;
+  const auto all = list_checkpoints(dir, stem, &doomed);
+  for (std::size_t i = 0; i + keep < all.size(); ++i) {
+    doomed.push_back(all[i].second);
+  }
+  for (const std::string& path : doomed) {
+    std::error_code ec;
+    fs::remove(path, ec);
+  }
 }
 
 }  // namespace
@@ -67,12 +91,7 @@ std::string save_session_checkpoint(const SimulationSession& session,
   save_snapshot_file(path, header, w.take());
   // Prune only after the new checkpoint is durably in place, so a crash
   // here never leaves fewer checkpoints than before the save.
-  auto all = list_checkpoints(dir, stem);
-  while (all.size() > keep_last) {
-    std::error_code ec;
-    fs::remove(all.front().second, ec);
-    all.erase(all.begin());
-  }
+  prune_checkpoints(dir, stem, keep_last);
   return path;
 }
 
@@ -145,13 +164,7 @@ void serialize_run_result(SnapshotWriter& w, const RunResult& res) {
   w.str(res.trace_name);
   w.str(res.policy_name);
   w.u64(res.cache_capacity_pages);
-  w.u64(res.requests);
-  w.u64(res.read_requests);
-  w.u64(res.write_requests);
-  serialize(w, res.response);
-  serialize(w, res.read_response);
-  serialize(w, res.write_response);
-  serialize(w, res.queue_wait);
+  write_fields(kRunRequestFields, res, w);
   res.cache.serialize(w);
   res.flash.serialize(w);
   res.fault.serialize(w);
@@ -159,24 +172,11 @@ void serialize_run_result(SnapshotWriter& w, const RunResult& res) {
   w.str(res.error);
   w.u64(res.occupancy_series.size());
   for (const ListOccupancy& occ : res.occupancy_series) {
-    w.u64(occ.irl_pages);
-    w.u64(occ.srl_pages);
-    w.u64(occ.drl_pages);
-    w.u64(occ.irl_blocks);
-    w.u64(occ.srl_blocks);
-    w.u64(occ.drl_blocks);
+    write_fields(kListOccupancyFields, occ, w);
   }
   w.tag("telemetry");
   w.u64(res.telemetry.events.size());
-  for (const TraceEvent& e : res.telemetry.events) {
-    w.i64(e.at);
-    w.i64(e.dur);
-    w.u64(e.lpn);
-    w.u64(e.arg);
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.u16(e.track);
-    w.u16(e.channel);
-  }
+  for (const TraceEvent& e : res.telemetry.events) serialize(w, e);
   w.u64(res.telemetry.events_emitted);
   w.u64(res.telemetry.events_dropped);
   w.u64(res.telemetry.events_sampled_out);
@@ -203,50 +203,19 @@ void deserialize_run_result(SnapshotReader& r, RunResult& res) {
   res.trace_name = r.str();
   res.policy_name = r.str();
   res.cache_capacity_pages = r.u64();
-  res.requests = r.u64();
-  res.read_requests = r.u64();
-  res.write_requests = r.u64();
-  deserialize(r, res.response);
-  deserialize(r, res.read_response);
-  deserialize(r, res.write_response);
-  deserialize(r, res.queue_wait);
+  read_fields(kRunRequestFields, res, r);
   res.cache.deserialize(r);
   res.flash.deserialize(r);
   res.fault.deserialize(r);
   res.overload.deserialize(r);
   res.error = r.str();
-  const std::uint64_t occ_count = r.count(48);
-  res.occupancy_series.clear();
-  res.occupancy_series.reserve(occ_count);
-  for (std::uint64_t i = 0; i < occ_count; ++i) {
-    ListOccupancy occ;
-    occ.irl_pages = r.u64();
-    occ.srl_pages = r.u64();
-    occ.drl_pages = r.u64();
-    occ.irl_blocks = r.u64();
-    occ.srl_blocks = r.u64();
-    occ.drl_blocks = r.u64();
-    res.occupancy_series.push_back(occ);
+  res.occupancy_series.assign(r.count(48), ListOccupancy{});
+  for (ListOccupancy& occ : res.occupancy_series) {
+    read_fields(kListOccupancyFields, occ, r);
   }
   r.tag("telemetry");
-  const std::uint64_t events = r.count(37);
-  res.telemetry.events.clear();
-  res.telemetry.events.reserve(events);
-  for (std::uint64_t i = 0; i < events; ++i) {
-    TraceEvent e;
-    e.at = r.i64();
-    e.dur = r.i64();
-    e.lpn = r.u64();
-    e.arg = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(EventKind::kAttrSpan)) {
-      throw SnapshotError("stored result has an unknown event kind");
-    }
-    e.kind = static_cast<EventKind>(kind);
-    e.track = r.u16();
-    e.channel = r.u16();
-    res.telemetry.events.push_back(e);
-  }
+  res.telemetry.events.assign(r.count(37), TraceEvent{});
+  for (TraceEvent& e : res.telemetry.events) deserialize(r, e);
   res.telemetry.events_emitted = r.u64();
   res.telemetry.events_dropped = r.u64();
   res.telemetry.events_sampled_out = r.u64();
@@ -385,10 +354,7 @@ std::set<std::size_t> read_matrix_manifest(const std::string& dir,
 }
 
 void remove_checkpoints(const std::string& dir, const std::string& stem) {
-  for (const auto& [seq, path] : list_checkpoints(dir, stem)) {
-    std::error_code ec;
-    fs::remove(path, ec);
-  }
+  prune_checkpoints(dir, stem, 0);
 }
 
 }  // namespace reqblock

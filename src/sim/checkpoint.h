@@ -64,8 +64,9 @@ RunResult run_session(SimulationSession& session,
                       const std::string& stem = "run");
 
 /// Writes one checkpoint of `session` as `<dir>/<stem>.ckpt.<served>` and
-/// prunes older `<stem>.ckpt.*` files down to `keep_last`. Returns the
-/// path written.
+/// prunes older `<stem>.ckpt.*` files down to `keep_last`, deleting the
+/// temp files an earlier process killed mid-save left for this stem.
+/// Returns the path written.
 std::string save_session_checkpoint(const SimulationSession& session,
                                     const std::string& dir,
                                     const std::string& stem,
@@ -121,7 +122,8 @@ void write_matrix_manifest(const std::string& dir, std::uint64_t matrix_hash,
                            std::size_t case_count,
                            const std::set<std::size_t>& done);
 
-/// Deletes every `<stem>.ckpt.*` file under `dir`.
+/// Deletes every `<stem>.ckpt.*` file under `dir`, temp-file leftovers
+/// included.
 void remove_checkpoints(const std::string& dir, const std::string& stem);
 
 }  // namespace reqblock

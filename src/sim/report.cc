@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <ostream>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -54,105 +56,134 @@ std::vector<std::string> result_row(const RunResult& r) {
   };
 }
 
+namespace {
+
+/// A results-CSV column group. The base group is always written, a gated
+/// group when some run opens its gate (write_results_csv).
+enum ColumnGroup { kBase, kFault, kOverload, kAging, kIntegrity };
+
+/// One results-CSV column: its header name, its group and its cell.
+struct ResultColumn {
+  const char* name;
+  ColumnGroup group;
+  void (*cell)(std::ostream&, const RunResult&);
+};
+
+const IntegrityMetrics& in(const RunResult& r) { return r.fault.integrity; }
+
+#define REQB_CELL(expr) \
+  [](std::ostream& os, const RunResult& r) { os << (expr); }
+
+/// The results CSV in column order, walked for the header and every row.
+constexpr ResultColumn kResultColumns[] = {
+    {"trace", kBase, REQB_CELL(r.trace_name)},
+    {"policy", kBase, REQB_CELL(r.policy_name)},
+    {"cache_pages", kBase, REQB_CELL(r.cache_capacity_pages)},
+    {"requests", kBase, REQB_CELL(r.requests)},
+    {"hit_ratio", kBase, REQB_CELL(format_double(r.hit_ratio(), 6))},
+    {"mean_ns", kBase, REQB_CELL(std::int64_t(r.response.mean()))},
+    {"p50_ns", kBase, REQB_CELL(r.response.p50())},
+    {"p95_ns", kBase, REQB_CELL(r.response.p95())},
+    {"p99_ns", kBase, REQB_CELL(r.response.p99())},
+    {"p999_ns", kBase, REQB_CELL(r.response.p999())},
+    {"flash_writes", kBase, REQB_CELL(r.flash.host_page_writes)},
+    {"flash_reads", kBase, REQB_CELL(r.flash.host_page_reads)},
+    {"gc_moves", kBase, REQB_CELL(r.flash.gc_page_moves)},
+    {"erases", kBase, REQB_CELL(r.flash.erases)},
+    {"waf", kBase, REQB_CELL(format_double(r.flash.waf(), 4))},
+    {"pages_per_evict", kBase,
+     REQB_CELL(format_double(r.cache.eviction_batch.mean(), 3))},
+    {"metadata_pct", kBase, REQB_CELL(format_double(metadata_percent(r), 4))},
+    {"channel_util", kBase, REQB_CELL(format_double(r.channel_utilization, 4))},
+    {"chip_util", kBase, REQB_CELL(format_double(r.chip_utilization, 4))},
+    {"program_faults", kFault, REQB_CELL(r.fault.program_faults)},
+    {"read_faults", kFault, REQB_CELL(r.fault.read_faults)},
+    {"erase_faults", kFault, REQB_CELL(r.fault.erase_faults)},
+    {"bad_block_marks", kFault, REQB_CELL(r.fault.bad_block_marks)},
+    {"blocks_retired", kFault, REQB_CELL(r.fault.blocks_retired)},
+    {"retires_refused", kFault, REQB_CELL(r.fault.retires_refused)},
+    {"degraded_planes", kFault, REQB_CELL(r.fault.degraded_planes)},
+    {"power_loss_events", kFault, REQB_CELL(r.fault.power_loss_events)},
+    {"lost_dirty_pages", kFault, REQB_CELL(r.fault.lost_dirty_pages)},
+    {"recovery_ns", kFault, REQB_CELL(r.fault.recovery_time_total)},
+    {"queue_p50_ns", kOverload, REQB_CELL(r.queue_wait.p50())},
+    {"queue_p95_ns", kOverload, REQB_CELL(r.queue_wait.p95())},
+    {"queue_p99_ns", kOverload, REQB_CELL(r.queue_wait.p99())},
+    {"queue_p999_ns", kOverload, REQB_CELL(r.queue_wait.p999())},
+    {"queue_wait_ns", kOverload, REQB_CELL(r.overload.queue_wait_total)},
+    {"timeouts", kOverload, REQB_CELL(r.overload.timeouts)},
+    {"sheds", kOverload, REQB_CELL(r.overload.sheds)},
+    {"retries", kOverload, REQB_CELL(r.overload.retries)},
+    {"throttle_events", kOverload, REQB_CELL(r.overload.throttle_events)},
+    {"throttle_ns", kOverload, REQB_CELL(r.overload.throttle_delay_total)},
+    {"bg_flush_batches", kOverload, REQB_CELL(r.cache.bg_flush_batches)},
+    {"bg_flush_pages", kOverload, REQB_CELL(r.cache.bg_flush_pages)},
+    {"disturb_migrations", kAging, REQB_CELL(r.fault.read_disturb_migrations)},
+    {"disturb_pages_moved", kAging,
+     REQB_CELL(r.fault.read_disturb_pages_moved)},
+    {"retention_scrubs", kAging, REQB_CELL(r.fault.retention_scrubs)},
+    {"retention_pages_moved", kAging, REQB_CELL(r.fault.retention_pages_moved)},
+    {"wear_threshold_crossings", kAging,
+     REQB_CELL(r.fault.wear_threshold_crossings)},
+    {"degraded_enters", kAging, REQB_CELL(r.fault.degraded_mode_enters)},
+    {"degraded_exits", kAging, REQB_CELL(r.fault.degraded_mode_exits)},
+    {"degraded_write_sheds", kAging, REQB_CELL(r.fault.degraded_write_sheds)},
+    {"ecc_attempts", kIntegrity, REQB_CELL(in(r).ecc_attempts)},
+    {"ecc_corrected", kIntegrity, REQB_CELL(in(r).ecc_corrected)},
+    {"retry_corrected", kIntegrity, REQB_CELL(in(r).retry_corrected)},
+    {"retry_steps", kIntegrity, REQB_CELL(in(r).retry_steps_total)},
+    {"parity_rebuilds", kIntegrity, REQB_CELL(in(r).parity_rebuilds)},
+    {"parity_peer_reads", kIntegrity, REQB_CELL(in(r).parity_peer_reads)},
+    {"uncorrectable", kIntegrity, REQB_CELL(in(r).uncorrectable)},
+    {"host_reads_lost", kIntegrity, REQB_CELL(in(r).host_reads_lost)},
+    {"patrol_scrubs", kIntegrity, REQB_CELL(in(r).patrol_scrubs)},
+    {"patrol_pages_examined", kIntegrity,
+     REQB_CELL(in(r).patrol_pages_examined)},
+    {"patrol_pages_moved", kIntegrity, REQB_CELL(in(r).patrol_pages_moved)},
+    {"integrity_recovery_ns", kIntegrity, REQB_CELL(in(r).recovery_time_total)},
+};
+
+#undef REQB_CELL
+
+/// Writes `cell(column)` for each column, comma-separated.
+template <typename Columns, typename Cell>
+void write_cells(std::ostream& os, const Columns& columns, Cell&& cell) {
+  const char* sep = "";
+  for (const auto& c : columns) {
+    os << std::exchange(sep, ",");
+    cell(c);
+  }
+}
+
+}  // namespace
+
 void write_results_csv(std::ostream& os,
                        const std::vector<RunResult>& results) {
-  // Fault columns appear only when some run injected faults, so fault-free
-  // result files stay byte-identical to builds without the fault subsystem.
-  const bool any_fault =
-      std::any_of(results.begin(), results.end(),
-                  [](const RunResult& r) { return r.fault.enabled; });
-  const bool any_overload =
-      std::any_of(results.begin(), results.end(),
-                  [](const RunResult& r) { return r.overload.enabled; });
-  // Aging columns follow the same rule: they appear only when some run
-  // actually aged (any_aging() looks at the counters, not the plan, so a
-  // plan that never fired keeps the historical layout).
-  const bool any_aging =
-      std::any_of(results.begin(), results.end(),
-                  [](const RunResult& r) { return r.fault.any_aging(); });
-  // Integrity columns fold in only when some run actually saw bit errors
-  // or scrubbed — an enabled-but-silent integrity model keeps error-free
-  // exports byte-stable.
-  const bool any_integrity =
-      std::any_of(results.begin(), results.end(),
-                  [](const RunResult& r) { return r.fault.integrity.any(); });
-  os << "trace,policy,cache_pages,requests,hit_ratio,mean_ns,p50_ns,"
-        "p95_ns,p99_ns,p999_ns,flash_writes,flash_reads,gc_moves,erases,"
-        "waf,pages_per_evict,metadata_pct,channel_util,chip_util";
-  if (any_fault) {
-    os << ",program_faults,read_faults,erase_faults,"
-          "bad_block_marks,blocks_retired,retires_refused,degraded_planes,"
-          "power_loss_events,lost_dirty_pages,recovery_ns";
-  }
-  if (any_overload) {
-    os << ",queue_p50_ns,queue_p95_ns,queue_p99_ns,queue_p999_ns,"
-          "queue_wait_ns,timeouts,sheds,retries,throttle_events,"
-          "throttle_ns,bg_flush_batches,bg_flush_pages";
-  }
-  if (any_aging) {
-    os << ",disturb_migrations,disturb_pages_moved,retention_scrubs,"
-          "retention_pages_moved,wear_threshold_crossings,"
-          "degraded_enters,degraded_exits,degraded_write_sheds";
-  }
-  if (any_integrity) {
-    os << ",ecc_attempts,ecc_corrected,retry_corrected,retry_steps,"
-          "parity_rebuilds,parity_peer_reads,uncorrectable,host_reads_lost,"
-          "patrol_scrubs,patrol_pages_examined,patrol_pages_moved,"
-          "integrity_recovery_ns";
-  }
+  const auto any = [&](bool (*gate)(const RunResult&)) {
+    return std::any_of(results.begin(), results.end(), gate);
+  };
+  // Indexed by ColumnGroup. Aging and integrity look at the counters, not
+  // the plan: a plan that never fired keeps the historical layout.
+  const bool shown[] = {
+      true,
+      any([](const RunResult& r) { return r.fault.enabled; }),
+      any([](const RunResult& r) { return r.overload.enabled; }),
+      any([](const RunResult& r) { return r.fault.any_aging(); }),
+      any([](const RunResult& r) { return r.fault.integrity.any(); }),
+  };
+  std::vector<ResultColumn> columns;
+  std::copy_if(std::begin(kResultColumns), std::end(kResultColumns),
+               std::back_inserter(columns),
+               [&](const ResultColumn& c) { return shown[c.group]; });
+  write_cells(os, columns, [&](const ResultColumn& c) { os << c.name; });
   os << '\n';
-  for (const auto& r : results) {
-    os << r.trace_name << ',' << r.policy_name << ','
-       << r.cache_capacity_pages << ',' << r.requests << ','
-       << format_double(r.hit_ratio(), 6) << ','
-       << static_cast<std::int64_t>(r.response.mean()) << ','
-       << r.response.p50() << ',' << r.response.p95() << ','
-       << r.response.p99() << ',' << r.response.p999() << ','
-       << r.flash.host_page_writes << ',' << r.flash.host_page_reads << ','
-       << r.flash.gc_page_moves << ',' << r.flash.erases << ','
-       << format_double(r.flash.waf(), 4) << ','
-       << format_double(r.cache.eviction_batch.mean(), 3) << ','
-       << format_double(metadata_percent(r), 4) << ','
-       << format_double(r.channel_utilization, 4) << ','
-       << format_double(r.chip_utilization, 4);
-    if (any_fault) {
-      os << ',' << r.fault.program_faults << ',' << r.fault.read_faults
-         << ',' << r.fault.erase_faults
-         << ',' << r.fault.bad_block_marks << ',' << r.fault.blocks_retired
-         << ',' << r.fault.retires_refused << ',' << r.fault.degraded_planes
-         << ',' << r.fault.power_loss_events << ','
-         << r.fault.lost_dirty_pages << ',' << r.fault.recovery_time_total;
-    }
-    if (any_overload) {
-      os << ',' << r.queue_wait.p50() << ',' << r.queue_wait.p95() << ','
-         << r.queue_wait.p99() << ',' << r.queue_wait.p999() << ','
-         << r.overload.queue_wait_total << ',' << r.overload.timeouts << ','
-         << r.overload.sheds << ',' << r.overload.retries << ','
-         << r.overload.throttle_events << ','
-         << r.overload.throttle_delay_total << ','
-         << r.cache.bg_flush_batches << ',' << r.cache.bg_flush_pages;
-    }
-    if (any_aging) {
-      os << ',' << r.fault.read_disturb_migrations << ','
-         << r.fault.read_disturb_pages_moved << ','
-         << r.fault.retention_scrubs << ','
-         << r.fault.retention_pages_moved << ','
-         << r.fault.wear_threshold_crossings << ','
-         << r.fault.degraded_mode_enters << ',' << r.fault.degraded_mode_exits
-         << ',' << r.fault.degraded_write_sheds;
-    }
-    if (any_integrity) {
-      const IntegrityMetrics& in = r.fault.integrity;
-      os << ',' << in.ecc_attempts << ',' << in.ecc_corrected << ','
-         << in.retry_corrected << ',' << in.retry_steps_total << ','
-         << in.parity_rebuilds << ',' << in.parity_peer_reads << ','
-         << in.uncorrectable << ',' << in.host_reads_lost << ','
-         << in.patrol_scrubs << ',' << in.patrol_pages_examined << ','
-         << in.patrol_pages_moved << ',' << in.recovery_time_total;
-    }
+  for (const RunResult& r : results) {
+    write_cells(os, columns, [&](const ResultColumn& c) { c.cell(os, r); });
     os << '\n';
   }
 }
+
+namespace {
 
 void write_fault_summary(std::ostream& os, const RunResult& r) {
   if (!r.fault.enabled) return;
@@ -217,6 +248,8 @@ void write_integrity_summary(std::ostream& os, const RunResult& r) {
                                kMillisecond, 2) + "ms"});
   t.print(os);
 }
+
+}  // namespace
 
 void write_reliability_summary(std::ostream& os, const RunResult& r) {
   // One fixed section order — fault, aging, integrity — so a report's
@@ -394,29 +427,59 @@ void write_tenant_summary(std::ostream& os, const RunResult& r) {
   t.print(os);
 }
 
+namespace {
+
+/// One tenant-CSV column: its header name and its cell.
+struct TenantColumn {
+  const char* name;
+  void (*cell)(std::ostream&, const RunResult&, const TenantResult&);
+};
+
+#define REQB_CELL(expr)                                             \
+  [](std::ostream& os, [[maybe_unused]] const RunResult& r,         \
+     [[maybe_unused]] const TenantResult& tn) { os << (expr); }
+
+/// The tenant CSV's columns before the attr_<component>_ns group, which
+/// write_tenant_csv generates from kAttrComponents.
+constexpr TenantColumn kTenantColumns[] = {
+    {"trace", REQB_CELL(r.trace_name)},
+    {"policy", REQB_CELL(r.policy_name)},
+    {"tenant", REQB_CELL(tn.name)},
+    {"requests", REQB_CELL(tn.requests)},
+    {"read_requests", REQB_CELL(tn.read_requests)},
+    {"write_requests", REQB_CELL(tn.write_requests)},
+    {"admitted", REQB_CELL(tn.overload.admitted)},
+    {"queued_waits", REQB_CELL(tn.overload.queued_waits)},
+    {"timeouts", REQB_CELL(tn.overload.timeouts)},
+    {"sheds", REQB_CELL(tn.overload.sheds)},
+    {"retries", REQB_CELL(tn.overload.retries)},
+    {"queue_wait_total_ns", REQB_CELL(tn.overload.queue_wait_total)},
+    {"queue_p50_ns", REQB_CELL(tn.queue_wait.p50())},
+    {"queue_p95_ns", REQB_CELL(tn.queue_wait.p95())},
+    {"queue_p99_ns", REQB_CELL(tn.queue_wait.p99())},
+    {"queue_p999_ns", REQB_CELL(tn.queue_wait.p999())},
+    {"resp_mean_ns", REQB_CELL(format_double(tn.response.mean(), 1))},
+    {"resp_p50_ns", REQB_CELL(tn.response.p50())},
+    {"resp_p99_ns", REQB_CELL(tn.response.p99())},
+    {"resp_p999_ns", REQB_CELL(tn.response.p999())},
+    {"attr_requests", REQB_CELL(tn.attr_requests)},
+};
+
+#undef REQB_CELL
+
+}  // namespace
+
 void write_tenant_csv(std::ostream& os,
                       const std::vector<RunResult>& results) {
-  os << "trace,policy,tenant,requests,read_requests,write_requests,"
-        "admitted,queued_waits,timeouts,sheds,retries,"
-        "queue_wait_total_ns,queue_p50_ns,queue_p95_ns,queue_p99_ns,"
-        "queue_p999_ns,resp_mean_ns,resp_p50_ns,resp_p99_ns,resp_p999_ns,"
-        "attr_requests";
+  write_cells(os, kTenantColumns, [&](const TenantColumn& c) { os << c.name; });
   for (std::size_t c = 0; c < kAttrComponents; ++c) {
     os << ",attr_" << to_string(static_cast<AttrComponent>(c)) << "_ns";
   }
   os << '\n';
-  for (const auto& r : results) {
+  for (const RunResult& r : results) {
     for (const TenantResult& tn : r.tenants) {
-      os << r.trace_name << ',' << r.policy_name << ',' << tn.name << ','
-         << tn.requests << ',' << tn.read_requests << ','
-         << tn.write_requests << ',' << tn.overload.admitted << ','
-         << tn.overload.queued_waits << ',' << tn.overload.timeouts << ','
-         << tn.overload.sheds << ',' << tn.overload.retries << ','
-         << tn.overload.queue_wait_total << ',' << tn.queue_wait.p50() << ','
-         << tn.queue_wait.p95() << ',' << tn.queue_wait.p99() << ','
-         << tn.queue_wait.p999() << ',' << format_double(tn.response.mean(), 1)
-         << ',' << tn.response.p50() << ',' << tn.response.p99() << ','
-         << tn.response.p999() << ',' << tn.attr_requests;
+      write_cells(os, kTenantColumns,
+                  [&](const TenantColumn& c) { c.cell(os, r, tn); });
       for (const std::uint64_t comp : tn.attr_ns) os << ',' << comp;
       os << '\n';
     }

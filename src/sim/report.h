@@ -22,38 +22,14 @@ std::vector<std::string> result_row(const RunResult& r);
 /// Metadata overhead as a percentage of the data-cache capacity (Fig. 12).
 double metadata_percent(const RunResult& r);
 
-/// Machine-readable export: one CSV row per run, with a header line.
-/// Columns: trace, policy, cache_pages, requests, hit_ratio, mean_ns,
-/// p50_ns, p95_ns, p99_ns, p999_ns, flash_writes, flash_reads, gc_moves,
-/// erases, waf, pages_per_evict, metadata_pct, channel_util, chip_util.
-/// When at least one run injected faults, the fault columns
-/// (program_faults .. recovery_ns) are appended; likewise the overload
-/// columns (queue_p50_ns .. bg_flush_pages) appear only when some run
-/// enabled overload protection, the aging columns
-/// (disturb_migrations .. degraded_write_sheds) only when some run's aging
-/// counters fired, and the data-integrity columns
-/// (ecc_attempts .. integrity_recovery_ns) only when some run saw bit
-/// errors or ran the patrol scrubber. Fault-free, overload-free, un-aged,
-/// error-free exports keep the historical layout byte for byte.
+/// Machine-readable export: one CSV row per run, with a header line. The
+/// columns are kResultColumns in src/sim/report.cc: 19 base columns, then
+/// the fault, overload, aging and data-integrity groups, each written only
+/// when some run enabled the subsystem (fault, overload) or its counters
+/// fired (aging, integrity). Exports without them keep the historical
+/// layout byte for byte.
 void write_results_csv(std::ostream& os,
                        const std::vector<RunResult>& results);
-
-/// Fault-injection summary table of one run (counts per fault class and
-/// their outcomes). Prints nothing when the run injected no faults.
-void write_fault_summary(std::ostream& os, const RunResult& r);
-
-/// Device-aging summary of one run: refresh traffic (read-disturb
-/// migrations, retention scrubs), rated-wear crossings, and end-of-life
-/// accounting (degraded-mode transitions, shed writes, retired blocks).
-/// Prints nothing when the run never aged (FaultMetrics::any_aging()).
-void write_aging_summary(std::ostream& os, const RunResult& r);
-
-/// Data-integrity summary of one run: the recovery hierarchy's tier
-/// counts (ECC corrections, read-retry rescues, parity rebuilds,
-/// uncorrectable losses) and patrol-scrub traffic. Prints nothing when
-/// the run saw no bit errors and never scrubbed
-/// (IntegrityMetrics::any()).
-void write_integrity_summary(std::ostream& os, const RunResult& r);
 
 /// All reliability tables of one run — fault injection, device aging,
 /// data integrity — in that fixed order. Drivers print this per result
@@ -82,10 +58,11 @@ void write_snapshot_summary(std::ostream& os, const RunResult& r);
 /// single-tenant runs (RunResult::tenants empty).
 void write_tenant_summary(std::ostream& os, const RunResult& r);
 
-/// Machine-readable per-tenant export: one CSV row per (run, tenant) with
-/// integer-ns percentiles and per-component attribution totals. Rows
-/// appear only for multi-tenant runs, so single-tenant exports are empty
-/// beyond the header.
+/// Machine-readable per-tenant export: one CSV row per (run, tenant). The
+/// columns are kTenantColumns in src/sim/report.cc (integer-ns
+/// percentiles), then one attr_<component>_ns total per latency component.
+/// Rows appear only for multi-tenant runs, so single-tenant exports are
+/// empty beyond the header.
 void write_tenant_csv(std::ostream& os,
                       const std::vector<RunResult>& results);
 

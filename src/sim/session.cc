@@ -532,15 +532,7 @@ RunResult SimulationSession::finish() {
   // single queue's metrics when there is one tenant).
   OverloadMetrics total;
   for (const Tenant& t : tenants_) {
-    const OverloadMetrics& m = t.queue->metrics();
-    total.admitted += m.admitted;
-    total.queued_waits += m.queued_waits;
-    total.timeouts += m.timeouts;
-    total.sheds += m.sheds;
-    total.retries += m.retries;
-    total.throttle_events += m.throttle_events;
-    total.throttle_delay_total += m.throttle_delay_total;
-    total.queue_wait_total += m.queue_wait_total;
+    add_fields(kOverloadMetricsFields, total, t.queue->metrics());
   }
   total.enabled = options_.overload.enabled();
   result_.overload = total;
@@ -601,22 +593,11 @@ void SimulationSession::serialize(SnapshotWriter& w) const {
 
   // Partial result accumulators.
   w.tag("partial_result");
-  w.u64(result_.requests);
-  w.u64(result_.read_requests);
-  w.u64(result_.write_requests);
-  reqblock::serialize(w, result_.response);
-  reqblock::serialize(w, result_.read_response);
-  reqblock::serialize(w, result_.write_response);
-  reqblock::serialize(w, result_.queue_wait);
+  write_fields(kRunRequestFields, result_, w);
   w.i64(result_.sim_end);
   w.u64(result_.occupancy_series.size());
   for (const ListOccupancy& occ : result_.occupancy_series) {
-    w.u64(occ.irl_pages);
-    w.u64(occ.srl_pages);
-    w.u64(occ.drl_pages);
-    w.u64(occ.irl_blocks);
-    w.u64(occ.srl_blocks);
-    w.u64(occ.drl_blocks);
+    write_fields(kListOccupancyFields, occ, w);
   }
   result_.telemetry.snapshots.serialize(w);
   result_.attribution.serialize(w);
@@ -672,26 +653,11 @@ void SimulationSession::deserialize(SnapshotReader& r) {
   for (SimTime& t : warmup_chip_busy_) t = r.i64();
 
   r.tag("partial_result");
-  result_.requests = r.u64();
-  result_.read_requests = r.u64();
-  result_.write_requests = r.u64();
-  reqblock::deserialize(r, result_.response);
-  reqblock::deserialize(r, result_.read_response);
-  reqblock::deserialize(r, result_.write_response);
-  reqblock::deserialize(r, result_.queue_wait);
+  read_fields(kRunRequestFields, result_, r);
   result_.sim_end = r.i64();
-  const std::uint64_t occ_count = r.count(48);
-  result_.occupancy_series.clear();
-  result_.occupancy_series.reserve(occ_count);
-  for (std::uint64_t i = 0; i < occ_count; ++i) {
-    ListOccupancy occ;
-    occ.irl_pages = r.u64();
-    occ.srl_pages = r.u64();
-    occ.drl_pages = r.u64();
-    occ.irl_blocks = r.u64();
-    occ.srl_blocks = r.u64();
-    occ.drl_blocks = r.u64();
-    result_.occupancy_series.push_back(occ);
+  result_.occupancy_series.assign(r.count(48), ListOccupancy{});
+  for (ListOccupancy& occ : result_.occupancy_series) {
+    read_fields(kListOccupancyFields, occ, r);
   }
   result_.telemetry.snapshots.deserialize(r);
   result_.attribution.deserialize(r);

@@ -15,6 +15,7 @@
 #include "ssd/ftl.h"
 #include "telemetry/telemetry.h"
 #include "trace/io_request.h"
+#include "util/fields.h"
 #include "util/histogram.h"
 #include "util/types.h"
 
@@ -116,6 +117,19 @@ struct RunResult {
   /// Flash programs caused by cache flushes + bypasses (paper Fig. 11's
   /// "write count to flash memory").
   std::uint64_t flash_write_count() const { return flash.host_page_writes; }
+};
+
+/// RunResult's request counts and latency histograms, in the order both
+/// the session snapshot and the stored result write them
+/// (src/util/fields.h).
+inline constexpr auto kRunRequestFields = std::tuple{
+    Field{REQB_KNOB_FIELD(requests)},
+    Field{REQB_KNOB_FIELD(read_requests)},
+    Field{REQB_KNOB_FIELD(write_requests)},
+    Field{REQB_KNOB_FIELD(response)},
+    Field{REQB_KNOB_FIELD(read_response)},
+    Field{REQB_KNOB_FIELD(write_response)},
+    Field{REQB_KNOB_FIELD(queue_wait)},
 };
 
 /// Folds the REQBLOCK_TRACE override into `options` (once, when

@@ -772,22 +772,12 @@ SimTime Ftl::program_batch(std::span<const FlushPage> pages, SimTime issue,
 
 void FlashMetrics::serialize(SnapshotWriter& w) const {
   w.tag("flash_metrics");
-  w.u64(host_page_reads);
-  w.u64(host_page_writes);
-  w.u64(unmapped_reads);
-  w.u64(gc_runs);
-  w.u64(gc_page_moves);
-  w.u64(erases);
+  write_fields(kFlashMetricsFields, *this, w);
 }
 
 void FlashMetrics::deserialize(SnapshotReader& r) {
   r.tag("flash_metrics");
-  host_page_reads = r.u64();
-  host_page_writes = r.u64();
-  unmapped_reads = r.u64();
-  gc_runs = r.u64();
-  gc_page_moves = r.u64();
-  erases = r.u64();
+  read_fields(kFlashMetricsFields, *this, r);
 }
 
 void Ftl::serialize(SnapshotWriter& w) const {

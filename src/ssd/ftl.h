@@ -28,6 +28,7 @@
 #include "telemetry/profiler.h"
 #include "telemetry/trace_buffer.h"
 #include "util/audit.h"
+#include "util/fields.h"
 #include "util/lpn_table.h"
 #include "util/types.h"
 
@@ -58,6 +59,16 @@ struct FlashMetrics {
 
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+};
+
+/// FlashMetrics' fields in snapshot order (src/util/fields.h).
+inline constexpr auto kFlashMetricsFields = std::tuple{
+    Field{REQB_KNOB_FIELD(host_page_reads)},
+    Field{REQB_KNOB_FIELD(host_page_writes)},
+    Field{REQB_KNOB_FIELD(unmapped_reads)},
+    Field{REQB_KNOB_FIELD(gc_runs)},
+    Field{REQB_KNOB_FIELD(gc_page_moves)},
+    Field{REQB_KNOB_FIELD(erases)},
 };
 
 class Ftl {

@@ -89,6 +89,9 @@ enum class EventKind : std::uint8_t {
   kPatrolScrub,         // scrubber refreshed a block nearing the ECC limit
 };
 
+/// The last EventKind: a snapshot byte past it names no kind.
+inline constexpr EventKind kLastEventKind = EventKind::kPatrolScrub;
+
 enum class EventCategory : std::uint8_t { kCache = 1, kFlash = 2 };
 
 constexpr EventCategory category_of(EventKind k) {

@@ -83,6 +83,31 @@ void TraceBuffer::clear() {
   offered_[0] = offered_[1] = 0;
 }
 
+void serialize(SnapshotWriter& w, const TraceEvent& e) {
+  w.i64(e.at);
+  w.i64(e.dur);
+  w.u64(e.lpn);
+  w.u64(e.arg);
+  w.u8(static_cast<std::uint8_t>(e.kind));
+  w.u16(e.track);
+  w.u16(e.channel);
+}
+
+void deserialize(SnapshotReader& r, TraceEvent& e) {
+  e.at = r.i64();
+  e.dur = r.i64();
+  e.lpn = r.u64();
+  e.arg = r.u64();
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(kLastEventKind)) {
+    throw SnapshotError("snapshot has an unknown event kind " +
+                        std::to_string(kind));
+  }
+  e.kind = static_cast<EventKind>(kind);
+  e.track = r.u16();
+  e.channel = r.u16();
+}
+
 void TraceBuffer::serialize(SnapshotWriter& w) const {
   w.tag("trace_buffer");
   // Events go out oldest-first (drain order), which normalizes the ring
@@ -90,15 +115,7 @@ void TraceBuffer::serialize(SnapshotWriter& w) const {
   // positions produce identical bytes.
   const std::vector<TraceEvent> events = drain();
   w.u64(events.size());
-  for (const TraceEvent& e : events) {
-    w.i64(e.at);
-    w.i64(e.dur);
-    w.u64(e.lpn);
-    w.u64(e.arg);
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.u16(e.track);
-    w.u16(e.channel);
-  }
+  for (const TraceEvent& e : events) reqblock::serialize(w, e);
   w.u64(emitted_);
   w.u64(sampled_out_);
   w.u64(offered_[0]);
@@ -114,23 +131,8 @@ void TraceBuffer::deserialize(SnapshotReader& r) {
   if (count > config_.capacity) {
     throw SnapshotError("trace-buffer snapshot exceeds the ring capacity");
   }
-  ring_.clear();
-  ring_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    TraceEvent e;
-    e.at = r.i64();
-    e.dur = r.i64();
-    e.lpn = r.u64();
-    e.arg = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(EventKind::kAttrSpan)) {
-      throw SnapshotError("trace-buffer snapshot has an unknown event kind");
-    }
-    e.kind = static_cast<EventKind>(kind);
-    e.track = r.u16();
-    e.channel = r.u16();
-    ring_.push_back(e);
-  }
+  ring_.assign(count, TraceEvent{});
+  for (TraceEvent& e : ring_) reqblock::deserialize(r, e);
   size_ = ring_.size();
   // Restoring in oldest-first order means the oldest event sits in slot 0;
   // when the ring is full the next emit must overwrite exactly there.

@@ -61,6 +61,12 @@ TraceLevel parse_trace_level(std::string_view text, TraceLevel fallback);
 /// malformed.
 TraceLevel trace_level_from_env(TraceLevel fallback = TraceLevel::kOff);
 
+/// One event's snapshot encoding: its seven fields at fixed widths, 37
+/// bytes. The trace-buffer section and stored run results both use it.
+/// Reading refuses a kind past kLastEventKind.
+void serialize(SnapshotWriter& w, const TraceEvent& e);
+void deserialize(SnapshotReader& r, TraceEvent& e);
+
 struct TraceConfig {
   TraceLevel level = TraceLevel::kOff;
   /// Ring capacity in events (48 B each); oldest events are overwritten.

@@ -424,6 +424,36 @@ TEST(MatrixResumeTest, RefusesManifestOfDifferentMatrix) {
   EXPECT_THROW(run_cases(other, 3, ckpt), SnapshotError);
 }
 
+// A process killed mid-save leaves `<stem>.ckpt.<seq>.tmp.<pid>.<n>`
+// behind. A checkpoint save deletes its own stem's leftovers, and so does
+// the case's cleanup once its result is stored; another stem's stay.
+TEST(MatrixResumeTest, DeletesItsOwnTempFileLeftovers) {
+  const auto cases = small_matrix();
+  const auto plain = run_cases(cases, 1);
+
+  const std::string dir = scratch_dir("matrix_leftovers");
+  std::ofstream(dir + "/case_1.ckpt.100.tmp.1.0") << "partial";
+  SyntheticTraceSource trace(cases[1].profile);
+  SimulationSession session(cases[1].options, trace);
+  while (session.served() < 250 && session.step()) {
+  }
+  save_session_checkpoint(session, dir, "case_1", 2);
+  EXPECT_FALSE(fs::exists(dir + "/case_1.ckpt.100.tmp.1.0"));
+
+  std::ofstream(dir + "/case_0.ckpt.2000.tmp.1.0") << "partial";
+  std::ofstream(dir + "/other.ckpt.2000.tmp.1.0") << "partial";
+  CheckpointOptions ckpt;
+  ckpt.dir = dir;
+  ckpt.every_n_requests = 250;
+  EXPECT_EQ(csv_of_all(plain), csv_of_all(run_cases(cases, 3, ckpt)));
+  std::vector<std::string> temps;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp.") != std::string::npos) temps.push_back(name);
+  }
+  EXPECT_EQ(temps, std::vector<std::string>{"other.ckpt.2000.tmp.1.0"});
+}
+
 TEST(MatrixResumeTest, StoredResultRoundTripsEveryField) {
   auto cases = small_matrix();
   cases[0].options.telemetry.trace.level = TraceLevel::kAll;

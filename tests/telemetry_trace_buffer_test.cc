@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "snapshot/snapshot.h"
+
 namespace reqblock {
 namespace {
 
@@ -112,6 +114,36 @@ TEST(TraceBufferTest, SetTimeIsVisibleToEmitters) {
   EXPECT_EQ(buf.time(), 12345u);
   buf.emit({buf.time(), 0, 1, 0, EventKind::kReqBlockPromote, 0, 0});
   EXPECT_EQ(buf.drain()[0].at, 12345u);
+}
+
+// Every kind survives a snapshot, the aging and integrity kinds after
+// kAttrSpan included; a kind byte past the last kind is refused.
+TEST(TraceBufferTest, SnapshotKeepsEveryEventKind) {
+  constexpr int kKinds = static_cast<int>(kLastEventKind) + 1;
+  TraceBuffer buf({TraceLevel::kAll, 64, 1});
+  for (int k = 0; k < kKinds; ++k) {
+    buf.emit({k, 1, 2, 3, static_cast<EventKind>(k), 4, 5});
+  }
+  SnapshotWriter w;
+  buf.serialize(w);
+  TraceBuffer back({TraceLevel::kAll, 64, 1});
+  SnapshotReader r(w.buffer());
+  back.deserialize(r);
+  r.expect_end();
+  const auto events = back.drain();
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kKinds));
+  for (int k = 0; k < kKinds; ++k) {
+    EXPECT_EQ(events[k].kind, static_cast<EventKind>(k));
+  }
+
+  SnapshotWriter one;
+  serialize(one, events.back());
+  std::string bytes = one.take();
+  ASSERT_EQ(bytes.size(), 37u);
+  bytes[32] = static_cast<char>(kKinds);  // the kind byte
+  SnapshotReader bad(bytes);
+  TraceEvent e;
+  EXPECT_THROW(deserialize(bad, e), SnapshotError);
 }
 
 TEST(TraceLevelTest, ParseRoundTripsAndFallsBack) {

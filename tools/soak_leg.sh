@@ -3,7 +3,8 @@
 #   1. two runs with the same flags write byte-identical results CSVs (and
 #      per-tenant CSVs), which contain PATTERN: the leg's subsystem fired;
 #   2. a run checkpointing every 4000 requests is SIGKILLed once its first
-#      checkpoint exists; rerun, it resumes to byte-identical CSVs.
+#      checkpoint exists; rerun, it resumes to byte-identical CSVs and
+#      leaves no temp file in its checkpoint directory.
 #
 # Usage: tools/soak_leg.sh NAME PATTERN TENANTS DRIVER [flags...]
 #
@@ -13,7 +14,7 @@
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
-  sed -n '2,12p' "$0" >&2
+  sed -n '2,13p' "$0" >&2
   exit 2
 fi
 name=$1 pattern=$2 tenants=$3
@@ -57,4 +58,10 @@ test ! -f "${name}_never.csv"  # died before writing results
 replay "${name}_resumed" --checkpoint-dir "$ckpt" --checkpoint-every-n 4000
 "${cmd[@]}"
 same "${name}_a" "${name}_resumed"
+# The wait loop's glob also matches a checkpoint's temp file, so the kill
+# can land mid-save; the resumed run deletes what such a save left.
+if ls "$ckpt"/*.tmp.* >/dev/null 2>&1; then
+  echo "soak_leg: $name: temp files left in $ckpt:" "$ckpt"/*.tmp.* >&2
+  exit 1
+fi
 echo "soak_leg: $name: same-seed runs and the resumed run are byte-identical"
