@@ -77,7 +77,7 @@ struct Artifact {
 /// Every artifact, each defined in its own bench_*.cc source.
 extern const Artifact kTable2, kFig2, kFig3, kFig7, kFig8, kFig9, kFig10,
     kFig11, kFig12, kFig13, kAblationFreq, kAblationMerge, kAblationFlush,
-    kAttribution, kIntegrity, kSoak, kMultitenant, kOverload;
+    kAttribution, kIntegrity, kSoak, kMultitenant, kOverload, kGc;
 
 /// Appends `c` to `cells` under `label`.
 inline void add_cell(std::vector<ExperimentCase>& cells, std::string label,

@@ -1,10 +1,11 @@
 // reproduce: regenerates the paper's Table 2 and Figs. 2-13, ablations
-// A1-A3 and the ledger studies from one table of artifacts.
+// A1-A3, the ledger studies and the GC study from one table of
+// artifacts.
 //
 //   reproduce [NAME...] [--checkpoint-dir DIR] [--checkpoint-every-n N]
 //   reproduce --help
 //
-// NAMEs are artifact names (table2, fig2, ..., overload); with none, every
+// NAMEs are artifact names (table2, fig2, ..., gc); with none, every
 // artifact runs, in table order. reproduce collects the cells of the
 // selected artifacts and simulates each distinct cell (same config
 // fingerprint, same trace identity) once: Figs. 8, 9, 11 and 12 share one
@@ -36,7 +37,7 @@ namespace {
 const Artifact* const kArtifacts[] = {
     &kTable2, &kFig2, &kFig3, &kFig7, &kFig8, &kFig9, &kFig10, &kFig11,
     &kFig12, &kFig13, &kAblationFreq, &kAblationMerge, &kAblationFlush,
-    &kAttribution, &kIntegrity, &kSoak, &kMultitenant, &kOverload};
+    &kAttribution, &kIntegrity, &kSoak, &kMultitenant, &kOverload, &kGc};
 
 /// Every artifact name in table order, each after a space.
 std::string artifact_names() {
@@ -63,11 +64,20 @@ std::vector<const Artifact*> select(const std::vector<std::string>& names) {
   return selected;
 }
 
-void print_header(const Artifact& a) {
+/// The device size of an artifact's cells, which share one device, or the
+/// experiment default for an artifact that simulates nothing.
+std::uint64_t device_bytes(const Cells& cells) {
+  if (cells.slots.empty()) {
+    return SsdConfig::experiment_default().capacity_bytes;
+  }
+  return (*cells.cases)[cells.slots.begin()->second]
+      .options.ssd.capacity_bytes;
+}
+
+void print_header(const Artifact& a, const Cells& cells) {
   std::cout << "=== " << a.title << " ===\n"
             << "Device: Table 1 geometry on a "
-            << format_bytes(static_cast<double>(
-                   SsdConfig::experiment_default().capacity_bytes))
+            << format_bytes(static_cast<double>(device_bytes(cells)))
             << " device (see DESIGN.md).\n"
             << "Requests per trace via REQBLOCK_BENCH_REQUESTS (0 = full "
                "traces).\n\n\n";
@@ -110,7 +120,7 @@ int run(const ArgParser& args) {
     const Artifact& a = *selected[i];
     views[i].cases = &cases;
     views[i].results = &results;
-    print_header(a);
+    print_header(a, views[i]);
     a.report(views[i]);
     if (a.check == nullptr) continue;
     for (std::string& claim : a.check(views[i])) {

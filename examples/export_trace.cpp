@@ -20,6 +20,12 @@ using namespace reqblock;
 
 int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: " << args.program()
+              << " [--profile NAME] [--requests N] [--out FILE | --stdout]\n"
+                 "profiles: hm_1 lun_1 usr_0 src1_2 ts_0 proj_0\n";
+    return 0;
+  }
   const std::string name = args.get_or("profile", "usr_0");
   const std::uint64_t cap = args.get_u64_strict("requests", 100000);
 
@@ -29,6 +35,10 @@ int main(int argc, char** argv) try {
   } switches;
   apply_knobs(std::tuple{Knob{"stdout", REQB_KNOB_FIELD(to_stdout), kSwitch}},
               switches, args);
+  // --out is not read with --stdout, so the pair is refused below.
+  const std::string path =
+      switches.to_stdout ? "" : args.get_or("out", "/tmp/" + name + ".csv");
+  args.reject_unread();
 
   SyntheticTraceSource src(profiles::by_name(name).capped(cap));
   const auto requests = src.collect();
@@ -38,7 +48,6 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  const std::string path = args.get_or("out", "/tmp/" + name + ".csv");
   // Atomic write: readers never observe a half-exported trace.
   std::ostringstream out;
   write_msr_stream(out, requests, 4096, name);

@@ -8,19 +8,29 @@
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
 #include "util/args.h"
+#include "util/knobs.h"
 #include "util/strings.h"
 
 using namespace reqblock;
 
 int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: " << args.program() << " [--requests N]\n";
+    write_knob_help(std::cout, "cache", kCacheChoiceKnobs);
+    return 0;
+  }
+  const std::uint64_t requests = args.get_u64_strict("requests", 200000);
+  CacheChoice cache{.cache_mb = 16};
+  apply_knobs(kCacheChoiceKnobs, cache, args);
+  args.reject_unread();
 
   // 1. Describe the workload: a hot set of small write requests (high
   //    reuse) plus cold sequential streams of large writes — the exact
   //    structure the paper's Observations 1-2 identify in real traces.
   WorkloadProfile profile;
   profile.name = "quickstart";
-  profile.total_requests = args.get_u64_strict("requests", 200000);
+  profile.total_requests = requests;
   profile.seed = 42;
   profile.write_ratio = 0.7;
   profile.hot_extents = 4096;
@@ -31,9 +41,8 @@ int main(int argc, char** argv) try {
   SyntheticTraceSource trace(profile);
 
   // 2. Configure the device (Table 1 geometry) and the cache policy.
-  SimOptions options = make_sim_options(
-      "reqblock", args.get_u64_strict("cache-mb", 16),
-      static_cast<std::uint32_t>(args.get_u64_strict("delta", 5)));
+  SimOptions options =
+      make_sim_options("reqblock", cache.cache_mb, cache.delta);
   options.occupancy_log_interval = 10000;
 
   std::cout << "SSD configuration:\n";

@@ -37,14 +37,14 @@ int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
   if (args.has("help")) {
     std::cout << "usage: " << args.program()
-              << " [--profile NAME] [--requests N] [--cache-mb MB]"
-                 " [--delta D] [--policies a,b,c] [--csv FILE]"
-                 " [--tenant-csv FILE] [--attribution]"
+              << " [--profile NAME] [--requests N] [--policies a,b,c]"
+                 " [--csv FILE] [--tenant-csv FILE] [--attribution]"
                  " [--attribution-csv FILE]\n"
                  "checkpointing: [--checkpoint-dir DIR]"
                  " [--checkpoint-every-n REQS]\n"
                  "profiles: hm_1 lun_1 usr_0 src1_2 ts_0 proj_0\n"
                  "policies: lru fifo lfu cflru fab bplru vbbms reqblock\n";
+    write_knob_help(std::cout, "cache", kCacheChoiceKnobs);
     write_knob_help(std::cout, "fault injection", kFaultKnobs);
     write_knob_help(std::cout, "device aging", kAgingKnobs);
     write_knob_help(std::cout, "data integrity", kIntegrityKnobs);
@@ -72,9 +72,9 @@ int main(int argc, char** argv) try {
   }
 
   // The option blocks do not depend on the policy: apply them once.
-  SimOptions base = make_sim_options(
-      "", args.get_u64_strict("cache-mb", 32),
-      static_cast<std::uint32_t>(args.get_u64_strict("delta", 5)));
+  CacheChoice cache;
+  apply_knobs(kCacheChoiceKnobs, cache, args);
+  SimOptions base = make_sim_options("", cache.cache_mb, cache.delta);
   base.fault.apply_cli(args);
   base.overload.apply_cli(args);
   base.tenants.apply_cli(args);

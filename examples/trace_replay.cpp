@@ -7,6 +7,7 @@
 //
 // The MSR path accepts the Microsoft Research Cambridge CSV format, so the
 // paper's original traces can be replayed unchanged when available.
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -27,29 +28,39 @@ using namespace reqblock;
 
 namespace {
 
-std::unique_ptr<TraceSource> open_trace(const ArgParser& args) {
+using TraceOpener = std::function<std::unique_ptr<TraceSource>()>;
+
+/// Reads the trace flags and returns what opens the trace, so that a bad
+/// flag fails the run before a trace file is parsed.
+TraceOpener trace_opener(const ArgParser& args) {
   if (const auto path = args.get("trace")) {
     MsrParseOptions opts;
     opts.max_requests = args.get_u64_strict("requests", 0);
-    auto requests = parse_msr_file(*path, opts);
-    std::cout << "Loaded " << requests.size() << " requests from " << *path
-              << "\n";
-    return std::make_unique<VectorTraceSource>(std::move(requests), *path);
+    return [path = *path, opts]() -> std::unique_ptr<TraceSource> {
+      auto requests = parse_msr_file(path, opts);
+      std::cout << "Loaded " << requests.size() << " requests from " << path
+                << "\n";
+      return std::make_unique<VectorTraceSource>(std::move(requests), path);
+    };
   }
   if (const auto path = args.get("spc")) {
     SpcParseOptions opts;
     opts.max_requests = args.get_u64_strict("requests", 0);
-    auto requests = parse_spc_file(*path, opts);
-    std::cout << "Loaded " << requests.size() << " SPC requests from "
-              << *path << "\n";
-    return std::make_unique<VectorTraceSource>(std::move(requests), *path);
+    return [path = *path, opts]() -> std::unique_ptr<TraceSource> {
+      auto requests = parse_spc_file(path, opts);
+      std::cout << "Loaded " << requests.size() << " SPC requests from "
+                << path << "\n";
+      return std::make_unique<VectorTraceSource>(std::move(requests), path);
+    };
   }
   const std::string name = args.get_or("profile", "usr_0");
   auto profile =
       profiles::by_name(name).capped(args.get_u64_strict("requests", 300000));
   // Burst-arrival modulation and workload drift (synthetic profiles only).
   apply_knobs(kWorkloadShapeKnobs, profile, args);
-  return std::make_unique<SyntheticTraceSource>(profile);
+  return [profile]() -> std::unique_ptr<TraceSource> {
+    return std::make_unique<SyntheticTraceSource>(profile);
+  };
 }
 
 }  // namespace
@@ -59,13 +70,14 @@ int main(int argc, char** argv) try {
   if (args.has("help")) {
     std::cout << "usage: " << args.program()
               << " [--profile NAME | --trace MSR_FILE | --spc SPC_FILE]"
-                 " [--policy NAME] [--cache-mb MB] [--requests N]"
-                 " [--delta D] [--warmup N] [--occupancy] [--stats-only]"
+                 " [--policy NAME] [--requests N] [--warmup N]"
+                 " [--occupancy] [--stats-only]"
                  " [--csv FILE] [--tenant-csv FILE] [--attribution-csv FILE]\n"
                  "checkpointing: [--checkpoint-dir DIR]"
                  " [--checkpoint-every-n REQS] [--resume-from FILE]\n"
                  "profiles: hm_1 lun_1 usr_0 src1_2 ts_0 proj_0\n"
                  "policies: lru fifo lfu cflru fab bplru vbbms reqblock\n";
+    write_knob_help(std::cout, "cache", kCacheChoiceKnobs);
     write_knob_help(std::cout, "fault injection", kFaultKnobs);
     write_knob_help(std::cout, "device aging", kAgingKnobs);
     write_knob_help(std::cout, "data integrity", kIntegrityKnobs);
@@ -79,11 +91,12 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  auto trace = open_trace(args);
+  const TraceOpener open_trace = trace_opener(args);
 
-  SimOptions options = make_sim_options(
-      args.get_or("policy", "reqblock"), args.get_u64_strict("cache-mb", 32),
-      static_cast<std::uint32_t>(args.get_u64_strict("delta", 5)));
+  CacheChoice cache;
+  apply_knobs(kCacheChoiceKnobs, cache, args);
+  SimOptions options = make_sim_options(args.get_or("policy", "reqblock"),
+                                        cache.cache_mb, cache.delta);
   options.warmup_requests = args.get_u64_strict("warmup", 0);
   // The driver's own switches, read strictly: a value after one is refused.
   struct {
@@ -110,6 +123,7 @@ int main(int argc, char** argv) try {
   const auto tenant_csv = args.get("tenant-csv");
   const auto attribution_csv = args.get("attribution-csv");
   args.reject_unread();
+  const std::unique_ptr<TraceSource> trace = open_trace();
 
   if (switches.stats_only) {
     const auto stats = TraceStatsCollector::collect(*trace);

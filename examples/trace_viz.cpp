@@ -61,8 +61,8 @@ int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
   if (args.has("help")) {
     std::cout << "usage: " << args.program()
-              << " [--requests N] [--cache-mb MB] [--policy NAME]"
-                 " [--out-dir DIR]\n";
+              << " [--requests N] [--policy NAME] [--out-dir DIR]\n";
+    write_knob_help(std::cout, "cache", std::tuple{kCacheMbKnob});
     write_knob_help(std::cout, "telemetry", kTelemetryKnobs);
     write_knob_help(std::cout, "fault injection", kFaultKnobs);
     write_knob_help(std::cout, "device aging", kAgingKnobs);
@@ -83,8 +83,10 @@ int main(int argc, char** argv) try {
   profile.hot_zipf_theta = 1.1;
   SyntheticTraceSource trace(profile);
 
-  SimOptions options = make_sim_options(
-      args.get_or("policy", "reqblock"), args.get_u64_strict("cache-mb", 16));
+  CacheChoice cache{.cache_mb = 16};
+  apply_knobs(std::tuple{kCacheMbKnob}, cache, args);
+  SimOptions options =
+      make_sim_options(args.get_or("policy", "reqblock"), cache.cache_mb);
 
   // Telemetry on by default here — that is the point of this example.
   // Flags (and REQBLOCK_TRACE) can still narrow or widen it.
@@ -124,10 +126,11 @@ int main(int argc, char** argv) try {
   std::cout << "\n";
 
   // Per-kind legend: how many events of each kind the export holds and
-  // the Perfetto lane they render on (fault and overload kinds included).
+  // the Perfetto lane they render on (fault, overload, aging and integrity
+  // kinds included).
   if (!result.telemetry.events.empty()) {
     constexpr std::size_t kKinds =
-        static_cast<std::size_t>(EventKind::kAttrSpan) + 1;
+        static_cast<std::size_t>(kLastEventKind) + 1;
     std::array<std::uint64_t, kKinds> counts{};
     for (const TraceEvent& e : result.telemetry.events) {
       ++counts[static_cast<std::size_t>(e.kind)];

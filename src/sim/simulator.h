@@ -156,6 +156,23 @@ SimOptions make_sim_options(const std::string& policy_name,
                             std::uint64_t cache_mb,
                             std::uint32_t delta = 5);
 
+/// make_sim_options' cache size and Req-block delta as the examples read
+/// them from --cache-mb and --delta; each example sets its own defaults.
+struct CacheChoice {
+  std::uint64_t cache_mb = 32;
+  std::uint32_t delta = 5;
+};
+
+/// --cache-mb refuses 0 and any size whose byte count overflows 64 bits.
+inline constexpr Knob kCacheMbKnob{"cache-mb", REQB_KNOB_FIELD(cache_mb),
+                                   Syntax{"MB"},
+                                   Range{1.0, 0x1p44, false, true,
+                                         "in [1, 2^44)"}};
+/// --delta refuses 0 and, by the field's width, anything above 2^32 - 1.
+inline constexpr auto kCacheChoiceKnobs =
+    std::tuple{kCacheMbKnob, Knob{"delta", REQB_KNOB_FIELD(delta),
+                                  Syntax{"D"}, kAtLeastOne}};
+
 /// Cache capacity in pages for a size in MB (4 KB pages).
 std::uint64_t cache_pages_for_mb(std::uint64_t mb);
 

@@ -7,9 +7,8 @@
 
 namespace reqblock {
 
-/// Collects rows of string cells and prints them column-aligned. Used by the
-/// benchmark harness to emit paper-style tables next to google-benchmark's
-/// own output.
+/// Collects rows of string cells and prints them column-aligned. Used by
+/// `reproduce` for its paper-style tables and by the examples' reports.
 class TextTable {
  public:
   explicit TextTable(std::vector<std::string> header);
