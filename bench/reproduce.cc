@@ -91,8 +91,7 @@ int run(const ArgParser& args) {
     return 0;
   }
   CheckpointOptions ckpt;
-  ckpt.dir = args.get_or("checkpoint-dir", "");
-  ckpt.every_n_requests = args.get_u64_strict("checkpoint-every-n", 0);
+  ckpt.apply_cli(args);
   args.reject_unread();
   const std::vector<const Artifact*> selected = select(args.positional());
 

@@ -64,9 +64,9 @@ int main(int argc, char** argv) try {
   std::vector<std::string> policies;
   if (const auto list = args.get("policies")) {
     for (const auto piece : split(*list, ',')) {
-      const auto name = trim(piece);
-      if (!name.empty()) policies.emplace_back(name);
+      policies.emplace_back(trim(piece));
     }
+    check_policy_names(policies, "policies");
   } else {
     policies = known_policy_names();
   }
@@ -94,8 +94,7 @@ int main(int argc, char** argv) try {
   }
 
   CheckpointOptions ckpt;
-  ckpt.dir = args.get_or("checkpoint-dir", "");
-  ckpt.every_n_requests = args.get_u64_strict("checkpoint-every-n", 0);
+  ckpt.apply_cli(args);
   const auto results_csv = args.get("csv");
   const auto tenant_csv = args.get("tenant-csv");
   const auto attribution_csv = args.get("attribution-csv");

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 
+#include "cache/policy_factory.h"
 #include "sim/checkpoint.h"
 #include "sim/report.h"
 #include "trace/msr_trace.h"
@@ -95,8 +96,9 @@ int main(int argc, char** argv) try {
 
   CacheChoice cache;
   apply_knobs(kCacheChoiceKnobs, cache, args);
-  SimOptions options = make_sim_options(args.get_or("policy", "reqblock"),
-                                        cache.cache_mb, cache.delta);
+  const std::string policy = args.get_or("policy", "reqblock");
+  check_policy_names({policy}, "policy");
+  SimOptions options = make_sim_options(policy, cache.cache_mb, cache.delta);
   options.warmup_requests = args.get_u64_strict("warmup", 0);
   // The driver's own switches, read strictly: a value after one is refused.
   struct {
@@ -116,8 +118,7 @@ int main(int argc, char** argv) try {
   options.tenants.apply_cli(args);
 
   CheckpointOptions ckpt;
-  ckpt.dir = args.get_or("checkpoint-dir", "");
-  ckpt.every_n_requests = args.get_u64_strict("checkpoint-every-n", 0);
+  ckpt.apply_cli(args);
   std::string resume_from = args.get_or("resume-from", "");
   const auto results_csv = args.get("csv");
   const auto tenant_csv = args.get("tenant-csv");

@@ -18,11 +18,7 @@ CacheManager::CacheManager(const CacheOptions& options,
                  "bg-flush low watermark above the high watermark");
   REQB_CHECK_MSG(options_.bg_flush_high_pages <= options_.capacity_pages,
                  "bg-flush high watermark exceeds cache capacity");
-  const std::uint32_t buckets = options_.max_tracked_request_pages + 1;
-  metrics_.inserts_by_req_size.assign(buckets, 0);
-  metrics_.hits_by_req_size.assign(buckets, 0);
-  metrics_.pages_retired_by_req_size.assign(buckets, 0);
-  metrics_.pages_reused_by_req_size.assign(buckets, 0);
+  reset_metrics();
 }
 
 std::uint32_t CacheManager::size_bucket(std::uint32_t pages) const {
@@ -43,10 +39,27 @@ void CacheManager::sample_metadata() {
   }
 }
 
-void CacheManager::retire_entry(Lpn /*lpn*/, const PageEntry& entry) {
+void CacheManager::emit(EventKind kind, SimTime at, SimTime dur, Lpn lpn,
+                        std::uint64_t arg) {
+  if (trace_ == nullptr) return;
+  trace_->emit({at, dur, lpn, arg, kind, kTrackManager, 0});
+}
+
+void CacheManager::retire_entry(const PageEntry& entry) {
   const std::uint32_t b = size_bucket(entry.insert_req_pages);
   ++metrics_.pages_retired_by_req_size[b];
   if (entry.reused) ++metrics_.pages_reused_by_req_size[b];
+}
+
+CacheManager::PageEntry CacheManager::release(Lpn lpn) {
+  const Slot slot = pages_.find(lpn);
+  REQB_CHECK_MSG(slot != kNoSlot,
+                 "policy evicted a page the cache does not hold");
+  const PageEntry entry = pages_[slot];
+  if (entry.dirty) --dirty_pages_;
+  retire_entry(entry);
+  pages_.erase_slot(slot);
+  return entry;
 }
 
 SimTime CacheManager::evict_once(SimTime now, bool& evicted,
@@ -64,18 +77,10 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
   std::vector<FlushPage> flush;
   flush.reserve(victim.pages.size() + victim.padding_reads.size());
   for (const Lpn lpn : victim.pages) {
-    const Slot slot = pages_.find(lpn);
-    REQB_CHECK_MSG(slot != kNoSlot,
-                   "policy evicted a page the cache does not hold");
-    const PageEntry& entry = pages_[slot];
-    if (entry.dirty) {
-      flush.push_back(FlushPage{lpn, entry.version});
-      --dirty_pages_;
-    }
-    retire_entry(lpn, entry);
-    pages_.erase_slot(slot);
-    ++metrics_.evicted_pages;
+    const PageEntry entry = release(lpn);
+    if (entry.dirty) flush.push_back(FlushPage{lpn, entry.version});
   }
+  metrics_.evicted_pages += victim.pages.size();
   metrics_.flushed_pages += flush.size();  // dirty victim pages only
 
   // BPLRU page padding: read the block's missing (but previously written)
@@ -120,14 +125,10 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
     span->gc = batch_attr.gc;
     span->fault = padding_crit.fault + batch_attr.fault;
   }
-  if (trace_ != nullptr) {
-    const Lpn first = victim.pages.empty() ? 0 : victim.pages.front();
-    trace_->emit({now, done - now, first, victim.pages.size(),
-                  EventKind::kCacheEvict, kTrackManager, 0});
-    if (!flush.empty()) {
-      trace_->emit({now, done - now, first, flush.size(),
-                    EventKind::kCacheFlush, kTrackManager, 0});
-    }
+  const Lpn first = victim.pages.empty() ? 0 : victim.pages.front();
+  emit(EventKind::kCacheEvict, now, done - now, first, victim.pages.size());
+  if (!flush.empty()) {
+    emit(EventKind::kCacheFlush, now, done - now, first, flush.size());
   }
   return done;
 }
@@ -152,10 +153,7 @@ void CacheManager::maybe_background_flush(SimTime now) {
     ++metrics_.bg_flush_batches;
     const std::uint64_t flushed = dirty_before - dirty_pages_;
     metrics_.bg_flush_pages += flushed;
-    if (trace_ != nullptr) {
-      trace_->emit({now, 0, 0, flushed, EventKind::kBgFlush,
-                    kTrackManager, 0});
-    }
+    emit(EventKind::kBgFlush, now, 0, 0, flushed);
   }
   run_audit("CacheManager (bg flush)", AuditLevel::kLight,
             [&](AuditReport& r) {
@@ -198,10 +196,7 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
       if (!entry.dirty) ++dirty_pages_;  // clean read-admit rewritten
       entry.dirty = true;
       entry.reused = true;
-      if (trace_ != nullptr) {
-        trace_->emit({issue, 0, lpn, 1, EventKind::kCacheHit,
-                      kTrackManager, 0});
-      }
+      emit(EventKind::kCacheHit, issue, 0, lpn, 1);
       policy_->on_hit(lpn, req, /*is_write=*/true);
       const SimTime cand = issue + ftl_.config().cache_access_latency;
       if (cand > done) {
@@ -211,10 +206,7 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
       }
       continue;
     }
-    if (trace_ != nullptr) {
-      trace_->emit({issue, 0, lpn, 1, EventKind::kCacheMiss,
-                    kTrackManager, 0});
-    }
+    emit(EventKind::kCacheMiss, issue, 0, lpn, 1);
 
     // Miss: make room, then admit. Occupancy is measured at the policy's
     // allocation granularity (whole block units for BPLRU), so one insert
@@ -241,10 +233,7 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
     }
     if (!space_ok) {
       ++metrics_.bypass_pages;
-      if (trace_ != nullptr) {
-        trace_->emit({issue, 0, lpn, 1, EventKind::kCacheBypass,
-                      kTrackManager, 0});
-      }
+      emit(EventKind::kCacheBypass, issue, 0, lpn, 1);
       OpAttribution prog;
       const SimTime cand = ftl_.program_page(lpn, version, issue, &prog);
       if (cand > done) {
@@ -264,10 +253,7 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
     ++dirty_pages_;
     ++metrics_.inserts;
     ++metrics_.inserts_by_req_size[size_bucket(req.pages)];
-    if (trace_ != nullptr) {
-      trace_->emit({admit_at, 0, lpn, 1, EventKind::kCacheInsert,
-                    kTrackManager, 0});
-    }
+    emit(EventKind::kCacheInsert, admit_at, 0, lpn, 1);
     policy_->on_insert(lpn, req, /*is_write=*/true);
     const SimTime cand = admit_at + ftl_.config().cache_access_latency;
     if (cand > done) {
@@ -311,10 +297,7 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
         REQB_CHECK_MSG(entry.version == expected_version(lpn),
                        "cached version diverged from the write oracle");
       }
-      if (trace_ != nullptr) {
-        trace_->emit({req.arrival, 0, lpn, 0, EventKind::kCacheHit,
-                      kTrackManager, 0});
-      }
+      emit(EventKind::kCacheHit, req.arrival, 0, lpn, 0);
       policy_->on_hit(lpn, req, /*is_write=*/false);
       const SimTime cand = req.arrival + ftl_.config().cache_access_latency;
       if (cand > done) {
@@ -326,10 +309,7 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
     }
 
     ++metrics_.read_misses;
-    if (trace_ != nullptr) {
-      trace_->emit({req.arrival, 0, lpn, 0, EventKind::kCacheMiss,
-                    kTrackManager, 0});
-    }
+    emit(EventKind::kCacheMiss, req.arrival, 0, lpn, 0);
     const auto rr = ftl_.read_page(lpn, req.arrival, &read_attr);
     if (options_.verify_consistency) {
       // rr.version reports what the host asked for (captured before any
@@ -372,10 +352,7 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
         entry.insert_req_pages = req.pages;
         ++metrics_.inserts;
         ++metrics_.inserts_by_req_size[size_bucket(req.pages)];
-        if (trace_ != nullptr) {
-          trace_->emit({cursor, 0, lpn, 0, EventKind::kCacheInsert,
-                        kTrackManager, 0});
-        }
+        emit(EventKind::kCacheInsert, cursor, 0, lpn, 0);
         policy_->on_insert(lpn, req, /*is_write=*/false);
         cand = cursor;
         chained = true;
@@ -507,20 +484,13 @@ SimTime CacheManager::power_loss(SimTime at, FaultInjector& fault) {
     REQB_CHECK_MSG(!victim.empty(),
                    "policy withheld pages while draining after power loss");
     for (const Lpn lpn : victim.pages) {
-      const Slot slot = pages_.find(lpn);
-      REQB_CHECK_MSG(slot != kNoSlot,
-                     "policy evicted a page the cache does not hold");
-      const PageEntry& entry = pages_[slot];
-      if (entry.dirty) {
+      if (release(lpn).dirty) {
         // The only copy was volatile: the write is gone. Roll the oracle
         // back to the version flash still holds so post-recovery reads
         // verify against the surviving data instead of the lost write.
         ++lost_dirty;
-        --dirty_pages_;
         last_version_.set(lpn, ftl_.version_of(lpn));
       }
-      retire_entry(lpn, entry);
-      pages_.erase_slot(slot);
     }
   }
   REQB_CHECK(pages_.empty());
@@ -534,10 +504,7 @@ SimTime CacheManager::power_loss(SimTime at, FaultInjector& fault) {
       fault.plan().power_loss_downtime +
       static_cast<SimTime>(lost_dirty) * fault.plan().recovery_replay_per_page;
   fm.recovery_time_total += recovery;
-  if (trace_ != nullptr) {
-    trace_->emit({at, recovery, 0, lost_dirty, EventKind::kPowerLoss,
-                  kTrackManager, 0});
-  }
+  emit(EventKind::kPowerLoss, at, recovery, 0, lost_dirty);
   run_audit("CacheManager", AuditLevel::kLight,
             [this](AuditReport& r) { audit(r, audit_level()); });
   return at + recovery;
@@ -545,7 +512,7 @@ SimTime CacheManager::power_loss(SimTime at, FaultInjector& fault) {
 
 void CacheManager::finalize() {
   pages_.for_each_unordered(
-      [this](Lpn lpn, const PageEntry& entry) { retire_entry(lpn, entry); });
+      [this](Lpn, const PageEntry& entry) { retire_entry(entry); });
 }
 
 void CacheManager::set_telemetry(TraceBuffer* trace, Profiler* profiler) {

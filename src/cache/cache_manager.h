@@ -219,7 +219,14 @@ class CacheManager {
   /// flush latency lands on the device timelines but the current request
   /// does not wait for it — that is the whole point.
   void maybe_background_flush(SimTime now);
-  void retire_entry(Lpn lpn, const PageEntry& entry);
+  /// Takes a victim page out of the resident set (evicted or dropped by a
+  /// power loss): checks that the cache holds it, keeps the dirty count
+  /// and retires it into the Fig. 3 reuse counters. Returns its entry.
+  PageEntry release(Lpn lpn);
+  void retire_entry(const PageEntry& entry);
+  /// Emits one manager-lane event (no-op unless cache events are on).
+  void emit(EventKind kind, SimTime at, SimTime dur, Lpn lpn,
+            std::uint64_t arg);
   void sample_metadata();
   std::uint32_t size_bucket(std::uint32_t pages) const;
 

@@ -11,14 +11,19 @@ void LruPolicy::on_hit(Lpn lpn, const IoRequest&, bool) {
   list_.move_to_front(slot);
 }
 
-void LruPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
+void FifoPolicy::on_hit(Lpn lpn, const IoRequest&, bool) {
+  REQB_CHECK_MSG(nodes_.contains(lpn), "FIFO hit on untracked page");
+  // FIFO: recency does not matter.
+}
+
+void PageListPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
   const auto [slot, inserted] = nodes_.try_emplace(lpn);
-  REQB_CHECK_MSG(inserted, "LRU double insert");
+  REQB_CHECK_MSG(inserted, std::string(label_) + " double insert");
   nodes_[slot].lpn = lpn;
   list_.push_front(slot);
 }
 
-VictimBatch LruPolicy::select_victim() {
+VictimBatch PageListPolicy::select_victim() {
   VictimBatch batch;
   const Slot tail = list_.pop_back();
   if (tail == kNoSlot) return batch;
@@ -27,7 +32,7 @@ VictimBatch LruPolicy::select_victim() {
   return batch;
 }
 
-void LruPolicy::audit(AuditReport& report) const {
+void PageListPolicy::audit(AuditReport& report) const {
   REQB_AUDIT(report, nodes_.validate());
   REQB_AUDIT(report, list_.validate());
   REQB_AUDIT_MSG(report, list_.size() == nodes_.size(),
@@ -42,26 +47,30 @@ void LruPolicy::audit(AuditReport& report) const {
   });
 }
 
-bool LruPolicy::enumerate_pages(const std::function<void(Lpn)>& fn) const {
+bool PageListPolicy::enumerate_pages(
+    const std::function<void(Lpn)>& fn) const {
   nodes_.for_each_unordered([&](Lpn lpn, const Node&) { fn(lpn); });
   return true;
 }
 
-void LruPolicy::serialize(SnapshotWriter& w) const {
-  w.tag("lru");
+void PageListPolicy::serialize(SnapshotWriter& w) const {
+  w.tag(tag_);
   w.u64(nodes_.size());
   // Head-to-tail list order is the entire replacement state.
   list_.for_each([&](Slot s) { w.u64(nodes_[s].lpn); });
 }
 
-void LruPolicy::deserialize(SnapshotReader& r) {
-  r.tag("lru");
-  REQB_CHECK_MSG(nodes_.empty(), "deserialize into a non-fresh LRU policy");
+void PageListPolicy::deserialize(SnapshotReader& r) {
+  r.tag(tag_);
+  REQB_CHECK_MSG(nodes_.empty(), "deserialize into a non-fresh " +
+                                     std::string(label_) + " policy");
   const std::uint64_t count = r.u64();
   for (std::uint64_t i = 0; i < count; ++i) {
     const Lpn lpn = r.u64();
     const auto [slot, inserted] = nodes_.try_emplace(lpn);
-    if (!inserted) throw SnapshotError("LRU snapshot repeats a page");
+    if (!inserted) {
+      throw SnapshotError(std::string(label_) + " snapshot repeats a page");
+    }
     nodes_[slot].lpn = lpn;
     list_.push_back(slot);
   }

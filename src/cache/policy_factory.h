@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/bplru.h"
@@ -27,7 +28,15 @@ struct PolicyConfig {
 };
 
 /// Builds a policy; throws std::invalid_argument on an unknown name.
+/// Names match in any case, and "req-block" names Req-block.
 std::unique_ptr<WriteBufferPolicy> make_policy(const PolicyConfig& cfg);
+
+/// Checks the names a driver's `flag` gave the way make_policy resolves
+/// them, so that a bad name fails before any trace is opened or any case
+/// runs. Throws std::invalid_argument naming the flag and listing the
+/// known policies on an empty list, an empty name or an unknown name.
+void check_policy_names(const std::vector<std::string>& names,
+                        std::string_view flag);
 
 /// All recognized policy names.
 std::vector<std::string> known_policy_names();

@@ -48,7 +48,6 @@
 #include "cache/cache_manager.h"
 #include "cache/cflru.h"
 #include "cache/fab.h"
-#include "cache/fifo.h"
 #include "cache/lfu.h"
 #include "cache/lru.h"
 #include "cache/policy_factory.h"

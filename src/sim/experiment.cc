@@ -135,6 +135,15 @@ std::vector<RunResult> run_cases_nothrow(
   return results;
 }
 
+void CheckpointOptions::apply_cli(const ArgParser& args) {
+  dir = args.get_or("checkpoint-dir", dir);
+  every_n_requests =
+      args.get_u64_strict("checkpoint-every-n", every_n_requests);
+  if (args.has("checkpoint-every-n") && dir.empty()) {
+    throw std::invalid_argument("--checkpoint-every-n: needs --checkpoint-dir");
+  }
+}
+
 std::vector<RunResult> run_cases(const std::vector<ExperimentCase>& cases,
                                  unsigned max_threads,
                                  const CheckpointOptions& ckpt) {

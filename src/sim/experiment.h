@@ -31,6 +31,11 @@ struct CheckpointOptions {
   /// Newest checkpoints retained per run; older ones are pruned after
   /// each successful save. At least 1.
   std::uint32_t keep_last = 2;
+
+  /// Reads --checkpoint-dir and --checkpoint-every-n. A cadence needs a
+  /// directory to write into: --checkpoint-every-n without
+  /// --checkpoint-dir throws std::invalid_argument naming both flags.
+  void apply_cli(const ArgParser& args);
 };
 
 /// Runs all cases, in parallel up to `max_threads` (0 = hardware

@@ -290,6 +290,15 @@ SimulationSession::ServeOutcome SimulationSession::serve_request(
   ServeOutcome out;
   const bool attribute = options_.telemetry.attribution;
   out.host_arrival = req.arrival;
+  // A shed request ends at its last attempt, which moves the arbitration
+  // clock like a completion does.
+  const auto shed_at = [&](SimTime at) {
+    out.shed = true;
+    out.service_start = at;
+    out.done = at;
+    if (at > arb_now_) arb_now_ = at;
+    return out;
+  };
   if (req.arrival < resume_at_) {
     // Waiting out power-loss recovery is fault time by definition.
     out.bd[AttrComponent::kFaultRetry] = resume_at_ - req.arrival;
@@ -304,11 +313,7 @@ SimulationSession::ServeOutcome SimulationSession::serve_request(
   if (fault_ != nullptr && options_.fault.aging.enabled() && req.is_write() &&
       ftl_->update_degraded_mode(req.arrival)) {
     ++fault_->metrics().degraded_write_sheds;
-    out.shed = true;
-    out.service_start = req.arrival;
-    out.done = req.arrival;
-    if (req.arrival > arb_now_) arb_now_ = req.arrival;
-    return out;
+    return shed_at(req.arrival);
   }
   // GC-pressure throttle: stretch host writes deterministically when the
   // fullest plane nears the collection threshold, before they compete for
@@ -323,13 +328,7 @@ SimulationSession::ServeOutcome SimulationSession::serve_request(
     }
   }
   const HostAdmissionQueue::Admission adm = t.queue->admit(req.arrival);
-  if (!adm.admitted) {
-    out.shed = true;
-    out.service_start = adm.admit_at;
-    out.done = adm.admit_at;
-    if (adm.admit_at > arb_now_) arb_now_ = adm.admit_at;
-    return out;
-  }
+  if (!adm.admitted) return shed_at(adm.admit_at);
   req.arrival = adm.admit_at;
   out.wait = adm.wait;
   out.service_start = adm.admit_at;
@@ -363,64 +362,43 @@ SimulationSession::ServeOutcome SimulationSession::serve_request(
   return out;
 }
 
-void SimulationSession::on_power_loss(SimTime at) {
-  for (Tenant& t : tenants_) t.queue->on_power_loss(at, resume_at_);
-}
-
-void SimulationSession::maybe_patrol_scrub(SimTime now) {
-  const std::uint64_t every = options_.fault.integrity.scrub_every_requests;
-  if (fault_ == nullptr || every == 0 || served_ == 0 ||
-      served_ % every != 0) {
-    return;
+void SimulationSession::close_request(SimTime done, bool measured) {
+  ++served_;
+  if (fault_ != nullptr && fault_->power_loss_due(served_)) {
+    resume_at_ = cache_->power_loss(done, *fault_);
+    for (Tenant& t : tenants_) t.queue->on_power_loss(done, resume_at_);
+    if (measured) result_.sim_end = std::max(result_.sim_end, resume_at_);
   }
-  // The pass rides the idle window after this request's completion (the
-  // same convention as the watermark flusher and the aging refreshes):
-  // it occupies the chip timelines from `now` on, delaying future
-  // requests, never the one that triggered it. Cadence on served_ makes
-  // the schedule deterministic and resumable — served_ is checkpointed.
-  ftl_->patrol_scrub(now);
+  // The patrol scrub rides the idle window after the completion, like the
+  // watermark flusher and the aging refreshes: it delays future requests,
+  // never this one. Cadence on the checkpointed served_ makes the schedule
+  // deterministic and resumable.
+  const std::uint64_t every = options_.fault.integrity.scrub_every_requests;
+  if (fault_ != nullptr && every != 0 && served_ % every == 0) {
+    ftl_->patrol_scrub(std::max(done, resume_at_));
+  }
 }
 
 void SimulationSession::serve_measured(IoRequest& req, Tenant& t) {
   const ServeOutcome out = serve_request(req, t);
   const bool multi = tenants_.size() > 1;
-  if (out.shed) {
-    // A shed request still counts as an arrival (it consumed a trace slot
-    // and a queue attempt) but never completes, so it stays out of the
-    // response histograms.
-    if (req.is_write()) {
-      ++result_.write_requests;
-    } else {
-      ++result_.read_requests;
-    }
-    if (multi) {
-      ++t.acct.requests;
-      if (req.is_write()) {
-        ++t.acct.write_requests;
-      } else {
-        ++t.acct.read_requests;
-      }
-    }
-  } else {
+  // A shed request still counts as an arrival (it consumed a trace slot
+  // and a queue attempt) but never completes, so it stays out of the
+  // response histograms.
+  ++(req.is_write() ? result_.write_requests : result_.read_requests);
+  if (multi) {
+    ++t.acct.requests;
+    ++(req.is_write() ? t.acct.write_requests : t.acct.read_requests);
+  }
+  if (!out.shed) {
     if (options_.overload.queue_enabled()) {
       result_.queue_wait.record(out.wait);
     }
     const SimTime latency = out.done - out.host_arrival;
     result_.response.record(latency);
-    if (req.is_write()) {
-      ++result_.write_requests;
-      result_.write_response.record(latency);
-    } else {
-      ++result_.read_requests;
-      result_.read_response.record(latency);
-    }
+    (req.is_write() ? result_.write_response : result_.read_response)
+        .record(latency);
     if (multi) {
-      ++t.acct.requests;
-      if (req.is_write()) {
-        ++t.acct.write_requests;
-      } else {
-        ++t.acct.read_requests;
-      }
       t.acct.response.record(latency);
       if (options_.overload.queue_enabled()) {
         t.acct.queue_wait.record(out.wait);
@@ -449,13 +427,7 @@ void SimulationSession::serve_measured(IoRequest& req, Tenant& t) {
   }
   ++result_.requests;
   result_.sim_end = std::max(result_.sim_end, out.done);
-  ++served_;
-  if (fault_ != nullptr && fault_->power_loss_due(served_)) {
-    resume_at_ = cache_->power_loss(out.done, *fault_);
-    on_power_loss(out.done);
-    result_.sim_end = std::max(result_.sim_end, resume_at_);
-  }
-  maybe_patrol_scrub(std::max(out.done, resume_at_));
+  close_request(out.done, /*measured=*/true);
 
   if (req_block_ != nullptr && options_.occupancy_log_interval != 0 &&
       result_.requests % options_.occupancy_log_interval == 0) {
@@ -493,13 +465,8 @@ bool SimulationSession::step() {
     if (result_.warmup_requests < options_.warmup_requests) {
       const ServeOutcome out = serve_request(req, t);
       ++result_.warmup_requests;
-      ++served_;
       last_warmup_arrival_ = out.service_start;
-      if (fault_ != nullptr && fault_->power_loss_due(served_)) {
-        resume_at_ = cache_->power_loss(out.done, *fault_);
-        on_power_loss(out.done);
-      }
-      maybe_patrol_scrub(std::max(out.done, resume_at_));
+      close_request(out.done, /*measured=*/false);
       if (result_.warmup_requests >= options_.warmup_requests) end_warmup();
       return true;
     }
@@ -586,10 +553,10 @@ void SimulationSession::serialize(SnapshotWriter& w) const {
   w.i64(last_warmup_arrival_);
   w.i64(warmup_end_);
   w.i64(arb_now_);
-  w.u64(warmup_channel_busy_.size());
-  for (const SimTime t : warmup_channel_busy_) w.i64(t);
-  w.u64(warmup_chip_busy_.size());
-  for (const SimTime t : warmup_chip_busy_) w.i64(t);
+  for (const auto* busy : {&warmup_channel_busy_, &warmup_chip_busy_}) {
+    w.u64(busy->size());
+    for (const SimTime t : *busy) w.i64(t);
+  }
 
   // Partial result accumulators.
   w.tag("partial_result");
@@ -643,14 +610,14 @@ void SimulationSession::deserialize(SnapshotReader& r) {
   last_warmup_arrival_ = r.i64();
   warmup_end_ = r.i64();
   arb_now_ = r.i64();
-  if (r.u64() != warmup_channel_busy_.size()) {
-    throw SnapshotError("session snapshot has a different channel count");
+  for (const auto& [busy, what] : {std::pair{&warmup_channel_busy_, "channel"},
+                                   std::pair{&warmup_chip_busy_, "chip"}}) {
+    if (r.u64() != busy->size()) {
+      throw SnapshotError(std::string("session snapshot has a different ") +
+                          what + " count");
+    }
+    for (SimTime& t : *busy) t = r.i64();
   }
-  for (SimTime& t : warmup_channel_busy_) t = r.i64();
-  if (r.u64() != warmup_chip_busy_.size()) {
-    throw SnapshotError("session snapshot has a different chip count");
-  }
-  for (SimTime& t : warmup_chip_busy_) t = r.i64();
 
   r.tag("partial_result");
   read_fields(kRunRequestFields, result_, r);

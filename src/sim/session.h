@@ -160,11 +160,12 @@ class SimulationSession {
   /// admission, then CacheManager::serve for admitted requests.
   ServeOutcome serve_request(IoRequest& req, Tenant& t);
   void serve_measured(IoRequest& req, Tenant& t);
-  void on_power_loss(SimTime at);
-  /// Patrol-scrub cadence (integrity subsystem): runs one pass when the
-  /// served-request counter hits the plan's interval, in the idle window
-  /// after the triggering request's completion.
-  void maybe_patrol_scrub(SimTime now);
+  /// The close-out of every served request, warmup or measured, that
+  /// completed at `done`: counts it in served_, injects a scheduled power
+  /// loss (a measured request raises sim_end to the recovery's end), and
+  /// runs a patrol-scrub pass (integrity subsystem) when served_ hits the
+  /// plan's interval.
+  void close_request(SimTime done, bool measured);
   void take_snapshot();
 
   SimOptions options_;

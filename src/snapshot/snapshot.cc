@@ -1,5 +1,6 @@
 #include "snapshot/snapshot.h"
 
+#include <array>
 #include <bit>
 #include <fstream>
 #include <sstream>
@@ -16,34 +17,30 @@ namespace {
 // 8-byte magic: identifies the container and its byte order in one read.
 constexpr char kMagic[8] = {'R', 'Q', 'B', 'S', 'N', 'A', 'P', '1'};
 
-void append_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-  out.append(buf, 4);
+// The one little-endian codec of every integer the snapshot stores: the
+// container header, the payload writer and reader, and Fingerprint.
+template <typename T>
+std::array<char, sizeof(T)> le_bytes(T v) {
+  std::array<char, sizeof(T)> buf;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    buf[i] = static_cast<char>(v >> (8 * i));
+  }
+  return buf;
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-  out.append(buf, 8);
-}
-
-std::uint32_t read_u32_at(std::string_view s, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(s[pos + i]))
-         << (8 * i);
+template <typename T>
+T load_le(const char* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>(v | static_cast<T>(static_cast<unsigned char>(p[i]))
+                               << (8 * i));
   }
   return v;
 }
 
-std::uint64_t read_u64_at(std::string_view s, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(s[pos + i]))
-         << (8 * i);
-  }
-  return v;
+template <typename T>
+void append_le(std::string& out, T v) {
+  out.append(le_bytes(v).data(), sizeof(T));
 }
 
 }  // namespace
@@ -59,9 +56,7 @@ std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
 }
 
 Fingerprint& Fingerprint::add(std::uint64_t v) {
-  unsigned char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<unsigned char>(v >> (8 * i));
-  hash_ = fnv1a64(buf, sizeof(buf), hash_);
+  hash_ = fnv1a64(le_bytes(v).data(), sizeof(v), hash_);
   return *this;
 }
 
@@ -85,22 +80,9 @@ void SnapshotWriter::tag(std::string_view name) {
   str(name);
 }
 
-void SnapshotWriter::u16(std::uint16_t v) {
-  char buf[2] = {static_cast<char>(v), static_cast<char>(v >> 8)};
-  raw(buf, 2);
-}
-
-void SnapshotWriter::u32(std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-  raw(buf, 4);
-}
-
-void SnapshotWriter::u64(std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-  raw(buf, 8);
-}
+void SnapshotWriter::u16(std::uint16_t v) { append_le(buffer_, v); }
+void SnapshotWriter::u32(std::uint32_t v) { append_le(buffer_, v); }
+void SnapshotWriter::u64(std::uint64_t v) { append_le(buffer_, v); }
 
 void SnapshotWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -155,30 +137,15 @@ std::uint8_t SnapshotReader::u8() {
 }
 
 std::uint16_t SnapshotReader::u16() {
-  const char* p = need(2);
-  return static_cast<std::uint16_t>(
-      static_cast<unsigned char>(p[0]) |
-      (static_cast<unsigned char>(p[1]) << 8));
+  return load_le<std::uint16_t>(need(2));
 }
 
 std::uint32_t SnapshotReader::u32() {
-  const char* p = need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
+  return load_le<std::uint32_t>(need(4));
 }
 
 std::uint64_t SnapshotReader::u64() {
-  const char* p = need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
+  return load_le<std::uint64_t>(need(8));
 }
 
 double SnapshotReader::f64() { return std::bit_cast<double>(u64()); }
@@ -235,19 +202,19 @@ std::string encode_snapshot(const SnapshotHeader& header,
   std::string out;
   out.reserve(payload.size() + 96);
   out.append(kMagic, sizeof(kMagic));
-  append_u32(out, header.format_version);
-  append_u32(out, static_cast<std::uint32_t>(header.kind.size()));
+  append_le<std::uint32_t>(out, header.format_version);
+  append_le(out, static_cast<std::uint32_t>(header.kind.size()));
   out.append(header.kind);
-  append_u64(out, header.config_hash);
-  append_u64(out, header.trace_hash);
-  append_u64(out, header.sequence);
-  append_u64(out, payload.size());
+  append_le(out, header.config_hash);
+  append_le(out, header.trace_hash);
+  append_le(out, header.sequence);
+  append_le<std::uint64_t>(out, payload.size());
   // The checksum chains over the header prefix and then the payload, so
   // a bit flip anywhere in the file — kind string, identity hashes,
   // sequence, length, or data — is refused at decode, not discovered
   // later (or never) by whatever consumes the fields.
-  append_u64(out, fnv1a64(payload.data(), payload.size(),
-                          fnv1a64(out.data(), out.size())));
+  append_le<std::uint64_t>(out, fnv1a64(payload.data(), payload.size(),
+                                        fnv1a64(out.data(), out.size())));
   out.append(payload);
   return out;
 }
@@ -271,7 +238,7 @@ std::string decode_snapshot(std::string_view file_bytes,
   pos += sizeof(kMagic);
 
   need(4, "format version");
-  header.format_version = read_u32_at(file_bytes, pos);
+  header.format_version = load_le<std::uint32_t>(file_bytes.data() + pos);
   pos += 4;
   if (header.format_version != kSnapshotFormatVersion) {
     std::ostringstream os;
@@ -281,23 +248,23 @@ std::string decode_snapshot(std::string_view file_bytes,
   }
 
   need(4, "kind length");
-  const std::uint32_t kind_size = read_u32_at(file_bytes, pos);
+  const auto kind_size = load_le<std::uint32_t>(file_bytes.data() + pos);
   pos += 4;
   need(kind_size, "kind");
   header.kind.assign(file_bytes.data() + pos, kind_size);
   pos += kind_size;
 
   need(8 * 5, "header fields");
-  header.config_hash = read_u64_at(file_bytes, pos);
-  pos += 8;
-  header.trace_hash = read_u64_at(file_bytes, pos);
-  pos += 8;
-  header.sequence = read_u64_at(file_bytes, pos);
-  pos += 8;
-  const std::uint64_t payload_size = read_u64_at(file_bytes, pos);
-  pos += 8;
-  const std::uint64_t checksum = read_u64_at(file_bytes, pos);
-  pos += 8;
+  const auto next_u64 = [&] {
+    const auto v = load_le<std::uint64_t>(file_bytes.data() + pos);
+    pos += 8;
+    return v;
+  };
+  header.config_hash = next_u64();
+  header.trace_hash = next_u64();
+  header.sequence = next_u64();
+  const std::uint64_t payload_size = next_u64();
+  const std::uint64_t checksum = next_u64();
 
   if (file_bytes.size() - pos != payload_size) {
     std::ostringstream os;

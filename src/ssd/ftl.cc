@@ -115,11 +115,7 @@ SimTime Ftl::flash_read(std::uint32_t plane, std::uint32_t block, Ppn ppn,
     const SimTime begin = cell_done;
     cell_done = chips_[chip].acquire(cell_done, cfg_.read_latency);
     if (attr != nullptr) attr->fault = cell_done - begin;
-    if (trace_ != nullptr) {
-      trace_->emit({begin, cell_done - begin, lpn, 0, EventKind::kReadRetry,
-                    static_cast<std::uint16_t>(chip),
-                    static_cast<std::uint16_t>(ch)});
-    }
+    emit(EventKind::kReadRetry, plane, begin, cell_done - begin, lpn, 0);
   }
   if (block != FlashArray::kNoBlock && fault_ != nullptr &&
       fault_->integrity().enabled()) {
@@ -129,11 +125,7 @@ SimTime Ftl::flash_read(std::uint32_t plane, std::uint32_t block, Ppn ppn,
   const SimTime done =
       channels_[ch].acquire(cell_done, cfg_.page_transfer_time());
   ++metrics_.host_page_reads;
-  if (trace_ != nullptr) {
-    trace_->emit({issue, done - issue, lpn, 0, EventKind::kPageRead,
-                  static_cast<std::uint16_t>(chip),
-                  static_cast<std::uint16_t>(ch)});
-  }
+  emit(EventKind::kPageRead, plane, issue, done - issue, lpn, 0);
   if (disturb_due || scrub_due) {
     // Background refresh: the relocation rides the chip timeline after
     // the host read's data is already on the bus, so it delays future
@@ -155,17 +147,11 @@ SimTime Ftl::integrity_recover(std::uint32_t plane, std::uint32_t block,
                                      data_age);
   if (out.tier == IntegrityModel::Tier::kClean) return cell_done;
   const std::uint32_t chip = amap_.chip_global(plane);
-  const std::uint16_t chip16 = static_cast<std::uint16_t>(chip);
-  const std::uint16_t ch16 =
-      static_cast<std::uint16_t>(amap_.channel_of_plane(plane));
   IntegrityMetrics& m = fault_->metrics().integrity;
   if (out.tier == IntegrityModel::Tier::kEccCorrected) {
     // Tier 1: the fast engine rides the sense — no extra chip time.
-    const std::uint8_t errs = array_.note_page_error(ppn);
-    if (trace_ != nullptr) {
-      trace_->emit({cell_done, 0, lpn, errs, EventKind::kEccCorrect, chip16,
-                    ch16});
-    }
+    emit(EventKind::kEccCorrect, plane, cell_done, 0, lpn,
+         array_.note_page_error(ppn));
     return cell_done;
   }
   // Tier 2: escalating re-senses. kRetryCorrected performed out.retry_steps
@@ -175,10 +161,8 @@ SimTime Ftl::integrity_recover(std::uint32_t plane, std::uint32_t block,
     const SimTime begin = cell_done;
     cell_done = chips_[chip].acquire(
         cell_done, fault_->integrity().retry_step_cost(step));
-    if (trace_ != nullptr) {
-      trace_->emit({begin, cell_done - begin, lpn, step,
-                    EventKind::kReadRetryStep, chip16, ch16});
-    }
+    emit(EventKind::kReadRetryStep, plane, begin, cell_done - begin, lpn,
+         step);
   }
   if (out.tier == IntegrityModel::Tier::kParity) {
     // Tier 3: RAIN rebuild — read every peer page of the stripe
@@ -196,10 +180,8 @@ SimTime Ftl::integrity_recover(std::uint32_t plane, std::uint32_t block,
       ++m.parity_rebuilds;
       m.parity_peer_reads += stripe_pages;
       array_.note_page_error(ppn);
-      if (trace_ != nullptr) {
-        trace_->emit({begin, cell_done - begin, lpn, stripe_pages,
-                      EventKind::kParityRebuild, chip16, ch16});
-      }
+      emit(EventKind::kParityRebuild, plane, begin, cell_done - begin, lpn,
+           stripe_pages);
       rebuilt = true;
     }
     if (!rebuilt) {
@@ -211,10 +193,7 @@ SimTime Ftl::integrity_recover(std::uint32_t plane, std::uint32_t block,
       array_.invalidate(ppn);
       l2p_.erase(lpn);
       if (lost != nullptr) *lost = true;
-      if (trace_ != nullptr) {
-        trace_->emit({cell_done, 0, lpn, errs, EventKind::kUncorrectable,
-                      chip16, ch16});
-      }
+      emit(EventKind::kUncorrectable, plane, cell_done, 0, lpn, errs);
     }
   } else {
     array_.note_page_error(ppn);
@@ -265,55 +244,49 @@ SimTime Ftl::maybe_close_stripe(std::uint32_t plane, Ppn fresh, SimTime t) {
 void Ftl::maybe_collect(std::uint32_t plane, SimTime t) {
   if (!array_.gc_needed(plane)) return;
   const ScopedTimer timer(profiler_, Profiler::Section::kGc);
-  const std::uint32_t chip = amap_.chip_global(plane);
-  const std::uint16_t chip16 = static_cast<std::uint16_t>(chip);
-  const std::uint16_t ch16 =
-      static_cast<std::uint16_t>(amap_.channel_of_plane(plane));
   const SimTime gc_begin = t;
   std::uint64_t moves = 0;
-  if (trace_ != nullptr) {
-    trace_->emit({gc_begin, 0, 0, plane, EventKind::kGcStart, chip16, ch16});
-  }
+  emit(EventKind::kGcStart, plane, gc_begin, 0, 0, plane);
   while (array_.gc_needed(plane)) {
     const std::uint32_t victim = array_.pick_gc_victim(plane);
     if (victim == FlashArray::kNoBlock) break;  // nothing reclaimable
     ++metrics_.gc_runs;
-    // Move still-valid pages, versions included, within the plane
-    // (copyback: chip-internal read + program, no bus transfer), then
-    // erase.
-    array_.for_each_valid_page(
-        plane, victim, [&](Ppn old, Lpn lpn, std::uint64_t version) {
-          const Ppn fresh = array_.program(plane, lpn, version);
-          array_.invalidate(old);
-          l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
+    moves += relocate_block(plane, victim, t, /*gc=*/true);
+  }
+  emit(EventKind::kGcEnd, plane, gc_begin, t - gc_begin, 0, moves);
+}
+
+std::uint64_t Ftl::relocate_block(std::uint32_t plane, std::uint32_t block,
+                                  SimTime& t, bool gc) {
+  const std::uint32_t chip = amap_.chip_global(plane);
+  std::uint64_t moved = 0;
+  // Move still-valid pages, versions included, within the plane
+  // (copyback: chip-internal read + program, no bus transfer), then
+  // erase or retire the block.
+  array_.for_each_valid_page(
+      plane, block, [&](Ppn old, Lpn lpn, std::uint64_t version) {
+        const Ppn fresh = array_.program(plane, lpn, version);
+        array_.invalidate(old);
+        l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
+        const SimTime begin = t;
+        t = chips_[chip].acquire(t, cfg_.read_latency + cfg_.program_latency);
+        array_.note_program(fresh, t);
+        t = maybe_close_stripe(plane, fresh, t);
+        if (gc) {
           ++metrics_.gc_page_moves;
-          const SimTime begin = t;
-          t = chips_[chip].acquire(t,
-                                   cfg_.read_latency + cfg_.program_latency);
-          array_.note_program(fresh, t);
-          t = maybe_close_stripe(plane, fresh, t);
-          if (trace_ != nullptr) {
-            trace_->emit({begin, t - begin, lpn, victim, EventKind::kGcMove,
-                          chip16, ch16});
-          }
-          ++moves;
-        });
-    if (fault_ == nullptr || !maybe_retire(plane, victim, t)) {
-      array_.erase_block(plane, victim);
-      ++metrics_.erases;
-      const SimTime begin = t;
-      t = chips_[chip].acquire(t, cfg_.erase_latency);
-      note_erase_wear(plane, victim, t);
-      if (trace_ != nullptr) {
-        trace_->emit({begin, t - begin, 0, victim, EventKind::kBlockErase,
-                      chip16, ch16});
-      }
-    }
+          emit(EventKind::kGcMove, plane, begin, t - begin, lpn, block);
+        }
+        ++moved;
+      });
+  if (fault_ == nullptr || !maybe_retire(plane, block, t)) {
+    array_.erase_block(plane, block);
+    ++metrics_.erases;
+    const SimTime begin = t;
+    t = chips_[chip].acquire(t, cfg_.erase_latency);
+    note_erase_wear(plane, block, t);
+    emit(EventKind::kBlockErase, plane, begin, t - begin, 0, block);
   }
-  if (trace_ != nullptr) {
-    trace_->emit({gc_begin, t - gc_begin, 0, moves, EventKind::kGcEnd, chip16,
-                  ch16});
-  }
+  return moved;
 }
 
 SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
@@ -362,11 +335,8 @@ SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
     array_.invalidate(fresh);
     const SimTime backoff_begin = t;
     t = chips_[chip].acquire(t, fault_->program_backoff(chip));
-    if (trace_ != nullptr) {
-      trace_->emit({backoff_begin, t - backoff_begin, lpn, attempt,
-                    EventKind::kProgramRetry, static_cast<std::uint16_t>(chip),
-                    static_cast<std::uint16_t>(ch)});
-    }
+    emit(EventKind::kProgramRetry, plane, backoff_begin, t - backoff_begin,
+         lpn, attempt);
     if (attempt >= fault_->plan().max_program_retries) {
       if (array_.mark_bad(plane, failed_block)) {
         ++fault_->metrics().bad_block_marks;
@@ -399,19 +369,11 @@ SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
   if (old != kUnmapped) array_.invalidate(old);
   l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
   ++metrics_.host_page_writes;
-  if (trace_ != nullptr) {
-    trace_->emit({issue, done - issue, lpn, version, EventKind::kPageProgram,
-                  static_cast<std::uint16_t>(chip),
-                  static_cast<std::uint16_t>(ch)});
-  }
+  emit(EventKind::kPageProgram, plane, issue, done - issue, lpn, version);
   return done;
 }
 
 bool Ftl::maybe_retire(std::uint32_t plane, std::uint32_t block, SimTime& t) {
-  const std::uint32_t chip = amap_.chip_global(plane);
-  const std::uint16_t chip16 = static_cast<std::uint16_t>(chip);
-  const std::uint16_t ch16 =
-      static_cast<std::uint16_t>(amap_.channel_of_plane(plane));
   bool want_retire = array_.is_marked_bad(plane, block);
   const double wear_extra =
       fault_->aging().enabled()
@@ -422,11 +384,8 @@ bool Ftl::maybe_retire(std::uint32_t plane, std::uint32_t block, SimTime& t) {
     // The failed erase attempt occupies the chip before the controller
     // gives up on the block.
     const SimTime begin = t;
-    t = chips_[chip].acquire(t, cfg_.erase_latency);
-    if (trace_ != nullptr) {
-      trace_->emit({begin, t - begin, 0, block, EventKind::kEraseFault,
-                    chip16, ch16});
-    }
+    t = chips_[amap_.chip_global(plane)].acquire(t, cfg_.erase_latency);
+    emit(EventKind::kEraseFault, plane, begin, t - begin, 0, block);
     want_retire = true;
   }
   if (!want_retire) return false;
@@ -440,9 +399,7 @@ bool Ftl::maybe_retire(std::uint32_t plane, std::uint32_t block, SimTime& t) {
     ++fault_->metrics().degraded_planes;
   }
   ++fault_->metrics().blocks_retired;
-  if (trace_ != nullptr) {
-    trace_->emit({t, 0, 0, block, EventKind::kBlockRetire, chip16, ch16});
-  }
+  emit(EventKind::kBlockRetire, plane, t, 0, 0, block);
   return true;
 }
 
@@ -462,36 +419,11 @@ bool Ftl::can_retire_block(std::uint32_t plane) const {
 void Ftl::reclaim_block(std::uint32_t plane, std::uint32_t block, SimTime t,
                         EventKind kind) {
   if (array_.free_blocks(plane) == 0) return;  // defer to a later read
-  const std::uint32_t chip = amap_.chip_global(plane);
-  const std::uint16_t chip16 = static_cast<std::uint16_t>(chip);
-  const std::uint16_t ch16 =
-      static_cast<std::uint16_t>(amap_.channel_of_plane(plane));
   // The active block can be reclaimed too (a long read-only phase never
   // closes it); the next host program simply opens a fresh one.
   if (array_.is_active(plane, block)) array_.close_active(plane);
   const SimTime begin = t;
-  std::uint64_t moved = 0;
-  array_.for_each_valid_page(
-      plane, block, [&](Ppn old, Lpn lpn, std::uint64_t version) {
-        const Ppn fresh = array_.program(plane, lpn, version);
-        array_.invalidate(old);
-        l2p_.set(lpn, static_cast<std::uint32_t>(fresh));
-        t = chips_[chip].acquire(t, cfg_.read_latency + cfg_.program_latency);
-        array_.note_program(fresh, t);
-        t = maybe_close_stripe(plane, fresh, t);
-        ++moved;
-      });
-  if (fault_ == nullptr || !maybe_retire(plane, block, t)) {
-    array_.erase_block(plane, block);
-    ++metrics_.erases;
-    const SimTime erase_begin = t;
-    t = chips_[chip].acquire(t, cfg_.erase_latency);
-    note_erase_wear(plane, block, t);
-    if (trace_ != nullptr) {
-      trace_->emit({erase_begin, t - erase_begin, 0, block,
-                    EventKind::kBlockErase, chip16, ch16});
-    }
-  }
+  const std::uint64_t moved = relocate_block(plane, block, t, /*gc=*/false);
   FaultMetrics& m = fault_->metrics();
   switch (kind) {
     case EventKind::kReadDisturbMigrate:
@@ -507,9 +439,7 @@ void Ftl::reclaim_block(std::uint32_t plane, std::uint32_t block, SimTime t,
       m.retention_pages_moved += moved;
       break;
   }
-  if (trace_ != nullptr) {
-    trace_->emit({begin, t - begin, block, moved, kind, chip16, ch16});
-  }
+  emit(kind, plane, begin, t - begin, block, moved);
 }
 
 void Ftl::patrol_scrub(SimTime now) {
@@ -564,11 +494,7 @@ void Ftl::note_erase_wear(std::uint32_t plane, std::uint32_t block,
     return;
   }
   ++fault_->metrics().wear_threshold_crossings;
-  if (trace_ != nullptr) {
-    trace_->emit({t, 0, block, 0, EventKind::kWearThreshold,
-                  static_cast<std::uint16_t>(amap_.chip_global(plane)),
-                  static_cast<std::uint16_t>(amap_.channel_of_plane(plane))});
-  }
+  emit(EventKind::kWearThreshold, plane, t, 0, block, 0);
 }
 
 bool Ftl::update_degraded_mode(SimTime now) {
@@ -606,14 +532,8 @@ bool Ftl::update_degraded_mode(SimTime now) {
   } else {
     ++m.degraded_mode_exits;
   }
-  if (trace_ != nullptr) {
-    trace_->emit({now, 0, 0, worst_plane,
-                  next ? EventKind::kDegradedModeEnter
-                       : EventKind::kDegradedModeExit,
-                  static_cast<std::uint16_t>(amap_.chip_global(worst_plane)),
-                  static_cast<std::uint16_t>(
-                      amap_.channel_of_plane(worst_plane))});
-  }
+  emit(next ? EventKind::kDegradedModeEnter : EventKind::kDegradedModeExit,
+       worst_plane, now, 0, 0, worst_plane);
   return degraded_mode_;
 }
 
@@ -720,50 +640,45 @@ void Ftl::audit(AuditReport& report) const {
 SimTime Ftl::program_batch(std::span<const FlushPage> pages, SimTime issue,
                            bool colocate, OpAttribution* attr) {
   REQB_CHECK_MSG(!pages.empty(), "program_batch needs at least one page");
+  // Colocated: the whole batch is pinned to one channel, striped over its
+  // chips/planes so the channel (not a single chip) is the congested
+  // resource.
+  const std::uint32_t ch = colocate ? colocate_channel(pages.front().lpn) : 0;
+  const std::uint32_t planes_in_channel =
+      cfg_.chips_per_channel * cfg_.planes_per_chip;
+  std::uint32_t next = 0;
+  const auto colocated_plane = [&] {
+    std::uint32_t plane = ch * planes_in_channel + (next % planes_in_channel);
+    if (fault_ != nullptr) {
+      // Same load-shedding as pick_write_plane, restricted to the pinned
+      // channel's planes.
+      for (std::uint32_t i = 0; i < planes_in_channel; ++i) {
+        const std::uint32_t cand =
+            ch * planes_in_channel + ((next + i) % planes_in_channel);
+        if (array_.can_accept_page(cand)) {
+          plane = cand;
+          next += i;
+          break;
+        }
+      }
+    }
+    ++next;
+    return plane;
+  };
   // Track the critical-path page: the batch's latency is its slowest
   // page's, so the batch-level GC/fault attribution is that page's.
   // Strict `>` keeps the first achiever on ties (deterministic).
   SimTime done = issue;
   OpAttribution critical;
   OpAttribution page_attr;
-  if (colocate) {
-    // Whole batch pinned to one channel; stripe its chips/planes so the
-    // channel (not a single chip) is the congested resource.
-    const std::uint32_t ch = colocate_channel(pages.front().lpn);
-    const std::uint32_t planes_in_channel =
-        cfg_.chips_per_channel * cfg_.planes_per_chip;
-    std::uint32_t next = 0;
-    for (const auto& p : pages) {
-      std::uint32_t plane = ch * planes_in_channel + (next % planes_in_channel);
-      if (fault_ != nullptr) {
-        // Same load-shedding as pick_write_plane, restricted to the
-        // pinned channel's planes.
-        for (std::uint32_t i = 0; i < planes_in_channel; ++i) {
-          const std::uint32_t cand =
-              ch * planes_in_channel + ((next + i) % planes_in_channel);
-          if (array_.can_accept_page(cand)) {
-            plane = cand;
-            next += i;
-            break;
-          }
-        }
-      }
-      ++next;
-      const SimTime d =
-          program_to_plane(plane, p.lpn, p.version, issue, &page_attr);
-      if (d > done) {
-        done = d;
-        critical = page_attr;
-      }
-    }
-  } else {
-    for (const auto& p : pages) {
-      const SimTime d = program_to_plane(pick_write_plane(), p.lpn, p.version,
-                                         issue, &page_attr);
-      if (d > done) {
-        done = d;
-        critical = page_attr;
-      }
+  for (const auto& p : pages) {
+    const std::uint32_t plane =
+        colocate ? colocated_plane() : pick_write_plane();
+    const SimTime d =
+        program_to_plane(plane, p.lpn, p.version, issue, &page_attr);
+    if (d > done) {
+      done = d;
+      critical = page_attr;
     }
   }
   if (attr != nullptr) *attr = critical;
@@ -804,15 +719,12 @@ void Ftl::serialize(SnapshotWriter& w) const {
   w.u32(scrub_plane_);
   w.u32(scrub_block_);
   metrics_.serialize(w);
-  w.u64(channels_.size());
-  for (const auto& tl : channels_) {
-    w.i64(tl.next_free());
-    w.i64(tl.busy_time());
-  }
-  w.u64(chips_.size());
-  for (const auto& tl : chips_) {
-    w.i64(tl.next_free());
-    w.i64(tl.busy_time());
+  for (const auto* timelines : {&channels_, &chips_}) {
+    w.u64(timelines->size());
+    for (const auto& tl : *timelines) {
+      w.i64(tl.next_free());
+      w.i64(tl.busy_time());
+    }
   }
   array_.serialize(w);
 }
@@ -891,21 +803,17 @@ void Ftl::deserialize(SnapshotReader& r) {
                         ", outside the device geometry");
   }
   metrics_.deserialize(r);
-  if (r.u64() != channels_.size()) {
-    throw SnapshotError("FTL snapshot has a different channel count");
-  }
-  for (auto& tl : channels_) {
-    const SimTime next_free = r.i64();
-    const SimTime busy = r.i64();
-    tl.restore(next_free, busy);
-  }
-  if (r.u64() != chips_.size()) {
-    throw SnapshotError("FTL snapshot has a different chip count");
-  }
-  for (auto& tl : chips_) {
-    const SimTime next_free = r.i64();
-    const SimTime busy = r.i64();
-    tl.restore(next_free, busy);
+  for (const auto& [timelines, what] :
+       {std::pair{&channels_, "channel"}, std::pair{&chips_, "chip"}}) {
+    if (r.u64() != timelines->size()) {
+      throw SnapshotError(std::string("FTL snapshot has a different ") + what +
+                          " count");
+    }
+    for (auto& tl : *timelines) {
+      const SimTime next_free = r.i64();
+      const SimTime busy = r.i64();
+      tl.restore(next_free, busy);
+    }
   }
   array_.deserialize(r);
   // Every mapping must land on a valid page that holds its LPN (the audit's

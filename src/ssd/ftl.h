@@ -246,18 +246,33 @@ class Ftl {
   /// relocation — calls this so parity coverage is a pure function of the
   /// write pointer.
   SimTime maybe_close_stripe(std::uint32_t plane, Ppn fresh, SimTime t);
-  /// Relocates a block's valid pages (read-disturb refresh or retention
-  /// scrub) and erases or retires it, charging copyback time on the chip
-  /// timeline from `t` on. Emits `kind` with arg = pages moved. Skipped
-  /// (deferred to a later read) when the plane has no free block to
-  /// receive the data.
+  /// Refreshes a block (read-disturb migration, retention scrub or patrol
+  /// scrub): closes it if it is the active block, relocates it, counts the
+  /// refresh by `kind` and emits `kind` with lpn = block, arg = pages
+  /// moved. Skipped (deferred to a later read) when the plane has no free
+  /// block to receive the data.
   void reclaim_block(std::uint32_t plane, std::uint32_t block, SimTime t,
                      EventKind kind);
+  /// The one relocation routine of GC and every refresh: copies `block`'s
+  /// valid pages, versions included, within the plane (copyback, on the
+  /// chip timeline from `t` on), then erases or retires it. `gc` counts
+  /// the copies as GC moves with one kGcMove each. Returns the pages moved.
+  std::uint64_t relocate_block(std::uint32_t plane, std::uint32_t block,
+                               SimTime& t, bool gc);
   /// Emits kWearThreshold when `block`'s P/E count just crossed the
   /// plan's rated cycles.
   void note_erase_wear(std::uint32_t plane, std::uint32_t block, SimTime t);
   /// Runs greedy GC on the plane until it is above the free threshold.
   void maybe_collect(std::uint32_t plane, SimTime t);
+  /// Emits one event on `plane`'s chip and channel (no-op unless flash
+  /// events are on).
+  void emit(EventKind kind, std::uint32_t plane, SimTime at, SimTime dur,
+            Lpn lpn, std::uint64_t arg) {
+    if (trace_ == nullptr) return;
+    trace_->emit({at, dur, lpn, arg, kind,
+                  static_cast<std::uint16_t>(amap_.chip_global(plane)),
+                  static_cast<std::uint16_t>(amap_.channel_of_plane(plane))});
+  }
   /// Retires `block` instead of erasing it when the injector demands it
   /// (grown-bad mark or injected erase fault) and capacity allows.
   /// Advances `t` by any failed-erase attempt it charged on the chip.

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "cache/fifo.h"
 #include "cache/lfu.h"
+#include "cache/lru.h"
 #include "test_util.h"
 
 namespace reqblock {

@@ -13,7 +13,6 @@
 #include "cache/bplru.h"
 #include "cache/cflru.h"
 #include "cache/fab.h"
-#include "cache/fifo.h"
 #include "cache/lfu.h"
 #include "cache/lru.h"
 #include "cache/vbbms.h"
