@@ -17,12 +17,11 @@
 // (served requests / weight) quantifies how evenly service tracked
 // entitlement.
 //
-// Machine-readable output: BENCH_multitenant.json (written atomically to
-// the working directory), one record per (arbiter, tenant) cell.
-#include <sstream>
-
+// Machine-readable output: one LedgerWriter record per arbiter cell,
+// appended to BENCH_multitenant.json in the working directory. Each record
+// carries every tenant's requests, admissions, sheds, queue-wait p99 and
+// response p99 and mean (t0_requests, ...) and the cell's jain_weighted.
 #include "bench_common.h"
-#include "util/atomic_file.h"
 
 namespace reqblock::benchx {
 namespace {
@@ -81,9 +80,7 @@ std::vector<ExperimentCase> cells(std::uint64_t cap) {
 void report(const Cells& cells) {
   TextTable t({"Arbiter", "Tenant", "Requests", "Admitted", "Sheds",
                "q-wait p99 (ms)", "resp p99 (ms)", "Jain"});
-  std::ostringstream json;
-  json << "{\n  \"trace\": \"" << kTrace << "\",\n  \"tenants\": [\n";
-  bool first = true;
+  LedgerWriter ledger("BENCH_multitenant.json");
   SimTime rr_victim_p99 = 0;
   SimTime drr_victim_p99 = 0;
   for (const ArbiterKind kind : arbiters()) {
@@ -96,6 +93,7 @@ void report(const Cells& cells) {
           static_cast<double>(weights[i]));
     }
     const double jain = jain_index(weighted_share);
+    std::vector<LedgerField> extra;
     for (std::size_t i = 0; i < r.tenants.size(); ++i) {
       const TenantResult& tn = r.tenants[i];
       t.add_row({to_string(kind), tn.name, std::to_string(tn.requests),
@@ -106,18 +104,19 @@ void report(const Cells& cells) {
                  format_double(static_cast<double>(tn.response.p99()) /
                                    kMillisecond, 2),
                  i == 0 ? format_double(jain, 4) : ""});
-      if (!first) json << ",\n";
-      first = false;
-      json << "    {\"arbiter\": \"" << to_string(kind) << "\", \"tenant\": \""
-           << tn.name << "\", \"requests\": " << tn.requests
-           << ", \"admitted\": " << tn.overload.admitted
-           << ", \"sheds\": " << tn.overload.sheds
-           << ", \"queue_wait_p99_ns\": " << tn.queue_wait.p99()
-           << ", \"resp_p99_ns\": " << tn.response.p99()
-           << ", \"resp_mean_ns\": " << static_cast<std::int64_t>(
-                  tn.response.mean())
-           << ", \"jain_weighted\": " << format_double(jain, 6) << "}";
+      const std::string& p = tn.name;
+      extra.insert(
+          extra.end(),
+          {{p + "_requests", std::to_string(tn.requests)},
+           {p + "_admitted", std::to_string(tn.overload.admitted)},
+           {p + "_sheds", std::to_string(tn.overload.sheds)},
+           {p + "_queue_wait_p99_ns", std::to_string(tn.queue_wait.p99())},
+           {p + "_resp_p99_ns", std::to_string(tn.response.p99())},
+           {p + "_resp_mean_ns",
+            std::to_string(static_cast<std::int64_t>(tn.response.mean()))}});
     }
+    extra.emplace_back("jain_weighted", format_double(jain, 6));
+    ledger.add(cell_name(kind), cells.case_of(cell_name(kind)), r, extra);
     if (kind == ArbiterKind::kRoundRobin) {
       rr_victim_p99 = r.tenants[0].response.p99();
     }
@@ -125,10 +124,8 @@ void report(const Cells& cells) {
       drr_victim_p99 = r.tenants[0].response.p99();
     }
   }
-  json << "\n  ]\n}\n";
   t.print(std::cout);
-  write_file_atomic("BENCH_multitenant.json", json.str());
-  std::cout << "Wrote BENCH_multitenant.json\n";
+  ledger.append();
   expect_line("DRR 4:1 bounds the victim tenant's p99 below round-robin",
               "weighted deficit service shields t0 from the x8 burst",
               "rr " +

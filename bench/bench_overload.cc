@@ -8,12 +8,10 @@
 // batches in the idle gaps absorbs the next spike, so the p99 *write*
 // latency drops measurably for reqblock once the device saturates.
 //
-// Machine-readable output: BENCH_overload.json (written atomically to the
-// working directory), one record per (policy, bg, rate) cell.
-#include <sstream>
-
+// Machine-readable output: one LedgerWriter record per (policy, bg, rate)
+// cell, appended to BENCH_overload.json in the working directory, with
+// p99_write_ns, bg_flush_batches and bg_flush_pages as its study fields.
 #include "bench_common.h"
-#include "util/atomic_file.h"
 
 namespace reqblock::benchx {
 namespace {
@@ -62,15 +60,14 @@ std::vector<ExperimentCase> cells(std::uint64_t cap) {
 void report(const Cells& cells) {
   TextTable t({"Policy", "Mode", "Rate", "p99 (ms)", "p99 write (ms)",
                "bg batches", "bg pages"});
-  std::ostringstream json;
-  json << "{\n  \"trace\": \"" << kTrace << "\",\n  \"curve\": [\n";
-  bool first = true;
+  LedgerWriter ledger("BENCH_overload.json");
   int reqblock_bg_wins = 0;
   int reqblock_points = 0;
   for (const auto& policy : {"reqblock", "lru", "bplru"}) {
     for (const bool bg : {false, true}) {
       for (const double rate : rate_multipliers()) {
-        const RunResult& r = cells[cell_name(policy, bg, rate)];
+        const std::string name = cell_name(policy, bg, rate);
+        const RunResult& r = cells[name];
         t.add_row({policy, bg ? "bg-flush" : "sync",
                    "x" + format_double(rate, 0),
                    format_double(static_cast<double>(r.response.p99()) /
@@ -79,17 +76,11 @@ void report(const Cells& cells) {
                                      kMillisecond, 2),
                    std::to_string(r.cache.bg_flush_batches),
                    std::to_string(r.cache.bg_flush_pages)});
-        if (!first) json << ",\n";
-        first = false;
-        json << "    {\"policy\": \"" << policy << "\", \"bg_flush\": "
-             << (bg ? "true" : "false") << ", \"rate_x\": "
-             << format_double(rate, 0)
-             << ", \"p99_ns\": " << r.response.p99()
-             << ", \"p99_write_ns\": " << r.write_response.p99()
-             << ", \"mean_ns\": " << static_cast<std::int64_t>(
-                    r.response.mean())
-             << ", \"bg_flush_batches\": " << r.cache.bg_flush_batches
-             << ", \"bg_flush_pages\": " << r.cache.bg_flush_pages << "}";
+        ledger.add(
+            name, cells.case_of(name), r,
+            {{"p99_write_ns", std::to_string(r.write_response.p99())},
+             {"bg_flush_batches", std::to_string(r.cache.bg_flush_batches)},
+             {"bg_flush_pages", std::to_string(r.cache.bg_flush_pages)}});
         if (bg && std::string(policy) == "reqblock") {
           ++reqblock_points;
           if (r.write_response.p99() <
@@ -100,10 +91,8 @@ void report(const Cells& cells) {
       }
     }
   }
-  json << "\n  ]\n}\n";
   t.print(std::cout);
-  write_file_atomic("BENCH_overload.json", json.str());
-  std::cout << "Wrote BENCH_overload.json\n";
+  ledger.append();
   expect_line("bg flush lowers reqblock p99 write latency",
               "watermark pre-drain absorbs the spike",
               std::to_string(reqblock_bg_wins) + "/" +

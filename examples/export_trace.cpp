@@ -8,8 +8,8 @@
 #include <iostream>
 #include <sstream>
 
-#include "trace/msr_trace.h"
 #include "trace/profiles.h"
+#include "trace/trace_file.h"
 #include "trace/trace_stats.h"
 #include "util/args.h"
 #include "util/atomic_file.h"

@@ -15,9 +15,8 @@
 #include "cache/policy_factory.h"
 #include "sim/checkpoint.h"
 #include "sim/report.h"
-#include "trace/msr_trace.h"
 #include "trace/profiles.h"
-#include "trace/spc_trace.h"
+#include "trace/trace_file.h"
 #include "trace/trace_stats.h"
 #include "trace/vector_source.h"
 #include "util/args.h"

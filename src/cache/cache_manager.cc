@@ -23,7 +23,7 @@ CacheManager::CacheManager(const CacheOptions& options,
 
 std::uint32_t CacheManager::size_bucket(std::uint32_t pages) const {
   // Bucket 0 aggregates requests larger than the tracked maximum.
-  return pages <= options_.max_tracked_request_pages ? pages : 0;
+  return pages <= kMaxTrackedRequestPages ? pages : 0;
 }
 
 std::uint64_t CacheManager::expected_version(Lpn lpn) const {
@@ -32,7 +32,7 @@ std::uint64_t CacheManager::expected_version(Lpn lpn) const {
 }
 
 void CacheManager::sample_metadata() {
-  if (++lookup_since_sample_ >= options_.metadata_sample_interval) {
+  if (++lookup_since_sample_ >= kMetadataSampleInterval) {
     lookup_since_sample_ = 0;
     metrics_.metadata_bytes.record(
         static_cast<double>(policy_->metadata_bytes()));
@@ -293,10 +293,8 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
       ++metrics_.read_hits;
       ++metrics_.hits_by_req_size[size_bucket(entry.insert_req_pages)];
       entry.reused = true;
-      if (options_.verify_consistency) {
-        REQB_CHECK_MSG(entry.version == expected_version(lpn),
-                       "cached version diverged from the write oracle");
-      }
+      REQB_CHECK_MSG(entry.version == expected_version(lpn),
+                     "cached version diverged from the write oracle");
       emit(EventKind::kCacheHit, req.arrival, 0, lpn, 0);
       policy_->on_hit(lpn, req, /*is_write=*/false);
       const SimTime cand = req.arrival + ftl_.config().cache_access_latency;
@@ -311,13 +309,11 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
     ++metrics_.read_misses;
     emit(EventKind::kCacheMiss, req.arrival, 0, lpn, 0);
     const auto rr = ftl_.read_page(lpn, req.arrival, &read_attr);
-    if (options_.verify_consistency) {
-      // rr.version reports what the host asked for (captured before any
-      // uncorrectable loss dropped the mapping), so the oracle check
-      // holds even for reads that came back lost.
-      REQB_CHECK_MSG(rr.version == expected_version(lpn),
-                     "flash version diverged from the write oracle");
-    }
+    // rr.version reports what the host asked for (captured before any
+    // uncorrectable loss dropped the mapping), so the oracle check holds
+    // even for reads that came back lost.
+    REQB_CHECK_MSG(rr.version == expected_version(lpn),
+                   "flash version diverged from the write oracle");
     if (rr.lost) {
       // Recovery exhausted: the stored data is gone. Roll the oracle
       // back to what flash now holds (nothing) so later reads verify
@@ -554,7 +550,7 @@ void CacheManager::register_metrics(MetricsRegistry& registry) const {
 
 void CacheManager::reset_metrics() {
   metrics_ = CacheMetrics{};
-  const std::uint32_t buckets = options_.max_tracked_request_pages + 1;
+  const std::uint32_t buckets = kMaxTrackedRequestPages + 1;
   metrics_.inserts_by_req_size.assign(buckets, 0);
   metrics_.hits_by_req_size.assign(buckets, 0);
   metrics_.pages_retired_by_req_size.assign(buckets, 0);

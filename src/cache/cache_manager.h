@@ -36,18 +36,17 @@
 
 namespace reqblock {
 
+/// Policy metadata size is sampled every this many page lookups (Fig. 12).
+inline constexpr std::uint32_t kMetadataSampleInterval = 1024;
+/// The per-request-size instrumentation arrays track requests up to this
+/// many pages; larger ones share bucket 0.
+inline constexpr std::uint32_t kMaxTrackedRequestPages = 256;
+
 struct CacheOptions {
   std::uint64_t capacity_pages = 4096;  // 16 MB of 4 KB pages
   /// Admit read-miss data as clean pages (CFLRU extension; off in the
   /// paper's write-buffer setting).
   bool cache_reads = false;
-  /// Verify the per-LPN version oracle on every read (cheap; keeps the
-  /// whole stack honest). Disable only for profiling.
-  bool verify_consistency = true;
-  /// Sample policy metadata size every N page lookups for Fig. 12.
-  std::uint32_t metadata_sample_interval = 1024;
-  /// Cap of the per-request-size instrumentation arrays.
-  std::uint32_t max_tracked_request_pages = 256;
   /// Watermark background flusher: when resident dirty pages reach
   /// bg_flush_high_pages at the start of a serve, victim batches are
   /// pre-drained (same select_victim/batch-flush path as synchronous

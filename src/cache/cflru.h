@@ -16,10 +16,15 @@
 
 namespace reqblock {
 
+/// The clean-first region's share of capacity that make_policy builds
+/// CFLRU with.
+inline constexpr double kCflruWindow = 0.1;
+
 class CflruPolicy final : public WriteBufferPolicy {
  public:
   /// window_fraction: portion of capacity forming the clean-first region.
-  CflruPolicy(std::uint64_t capacity_pages, double window_fraction = 0.1);
+  CflruPolicy(std::uint64_t capacity_pages,
+              double window_fraction = kCflruWindow);
 
   std::string name() const override { return "CFLRU"; }
 

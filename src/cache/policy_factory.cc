@@ -7,6 +7,7 @@
 #include "cache/fab.h"
 #include "cache/lfu.h"
 #include "cache/lru.h"
+#include "cache/vbbms.h"
 #include "util/strings.h"
 
 namespace reqblock {
@@ -31,15 +32,14 @@ std::unique_ptr<WriteBufferPolicy> make_policy(const PolicyConfig& cfg) {
   if (n == "fifo") return std::make_unique<FifoPolicy>();
   if (n == "lfu") return std::make_unique<LfuPolicy>();
   if (n == "cflru") {
-    return std::make_unique<CflruPolicy>(cfg.capacity_pages,
-                                         cfg.cflru_window);
+    return std::make_unique<CflruPolicy>(cfg.capacity_pages);
   }
   if (n == "fab") return std::make_unique<FabPolicy>(cfg.pages_per_block);
   if (n == "bplru") {
     return std::make_unique<BplruPolicy>(cfg.pages_per_block, cfg.bplru);
   }
   if (n == "vbbms") {
-    return std::make_unique<VbbmsPolicy>(cfg.capacity_pages, cfg.vbbms);
+    return std::make_unique<VbbmsPolicy>(cfg.capacity_pages);
   }
   if (n == "reqblock") return std::make_unique<ReqBlockPolicy>(cfg.reqblock);
   throw std::invalid_argument("unknown cache policy: " + cfg.name);
@@ -64,10 +64,6 @@ void check_policy_names(const std::vector<std::string>& names,
 
 std::vector<std::string> known_policy_names() {
   return {"lru", "fifo", "lfu", "cflru", "fab", "bplru", "vbbms", "reqblock"};
-}
-
-std::vector<std::string> paper_policy_names() {
-  return {"lru", "bplru", "vbbms", "reqblock"};
 }
 
 }  // namespace reqblock

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "cache/bplru.h"
-#include "cache/vbbms.h"
 #include "cache/write_buffer.h"
 #include "core/req_block_policy.h"
 
@@ -22,9 +21,7 @@ struct PolicyConfig {
   std::uint32_t pages_per_block = 64;
 
   ReqBlockOptions reqblock;
-  VbbmsOptions vbbms;
   BplruOptions bplru;
-  double cflru_window = 0.1;
 };
 
 /// Builds a policy; throws std::invalid_argument on an unknown name.
@@ -40,9 +37,5 @@ void check_policy_names(const std::vector<std::string>& names,
 
 /// All recognized policy names.
 std::vector<std::string> known_policy_names();
-
-/// The four policies compared throughout the paper's evaluation, in the
-/// figures' order: LRU, BPLRU, VBBMS, Req-block.
-std::vector<std::string> paper_policy_names();
 
 }  // namespace reqblock

@@ -3,14 +3,19 @@
 //   #include <reqblock.h>     (installed)
 //   #include "reqblock.h"     (in-tree)
 //
-// Layering (each header can also be included individually):
-//   util/ -> telemetry/ -> trace/ -> ssd/ -> cache/ + core/ -> sim/
+// Layering (each header can also be included individually; all of them
+// build into one library, reqblock_sim):
+//   util/ -> snapshot/ -> fault/ telemetry/ trace/ -> ssd/ host/ -> cache/
+//   core/ -> sim/
 #pragma once
 
 // Utilities
 #include "util/args.h"
+#include "util/atomic_file.h"
+#include "util/audit.h"
 #include "util/check.h"
 #include "util/histogram.h"
+#include "util/knobs.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -18,7 +23,14 @@
 #include "util/types.h"
 #include "util/zipf.h"
 
-// Telemetry: event tracing, metric snapshots, self-profiling
+// Snapshots, fault injection, device aging, data integrity
+#include "snapshot/snapshot.h"
+#include "fault/aging.h"
+#include "fault/fault.h"
+#include "fault/integrity.h"
+
+// Telemetry: event tracing, metric snapshots, self-profiling, attribution
+#include "telemetry/attribution.h"
 #include "telemetry/event.h"
 #include "telemetry/exporters.h"
 #include "telemetry/metrics_registry.h"
@@ -29,10 +41,9 @@
 // Workloads
 #include "trace/io_request.h"
 #include "trace/micro_workloads.h"
-#include "trace/msr_trace.h"
 #include "trace/profiles.h"
-#include "trace/spc_trace.h"
 #include "trace/synthetic.h"
+#include "trace/trace_file.h"
 #include "trace/trace_stats.h"
 #include "trace/vector_source.h"
 
@@ -42,6 +53,11 @@
 #include "ssd/flash_array.h"
 #include "ssd/ftl.h"
 #include "ssd/timeline.h"
+
+// Host front end: tenants, arbiters, admission and overload control
+#include "host/arbiter.h"
+#include "host/overload.h"
+#include "host/tenant.h"
 
 // Cache framework and policies
 #include "cache/bplru.h"
@@ -60,6 +76,8 @@
 #include "core/req_block_policy.h"
 
 // Simulation harness
+#include "sim/checkpoint.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
+#include "sim/session.h"
 #include "sim/simulator.h"

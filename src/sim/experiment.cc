@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cctype>
-#include <cstdlib>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -214,17 +213,9 @@ RunArtifacts export_run_artifacts(const RunResult& result,
 }
 
 std::uint64_t bench_request_cap(std::uint64_t fallback) {
-  // Read-only environment access; nothing in the process calls setenv.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("REQBLOCK_BENCH_REQUESTS");
-  if (env == nullptr) return fallback;
-  const auto parsed = parse_u64(env);
-  if (!parsed) {
-    throw std::invalid_argument(
-        std::string("REQBLOCK_BENCH_REQUESTS: invalid value '") + env +
-        "' (expected a non-negative integer with no trailing characters)");
-  }
-  return *parsed;
+  return env_value("REQBLOCK_BENCH_REQUESTS", parse_u64,
+                   "a non-negative integer with no trailing characters")
+      .value_or(fallback);
 }
 
 }  // namespace reqblock

@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "cache/cflru.h"
+#include "cache/vbbms.h"
 #include "core/req_block_policy.h"
 #include "snapshot/snapshot.h"
 #include "util/audit.h"
@@ -33,9 +35,12 @@ std::uint64_t config_fingerprint(const SimOptions& o) {
   const CacheOptions& c = o.cache;
   fp.add(c.capacity_pages);
   fp.add_bool(c.cache_reads);
-  fp.add_bool(c.verify_consistency);
-  fp.add(c.metadata_sample_interval);
-  fp.add(c.max_tracked_request_pages);
+  // Constants that were options: the oracle check (always on), the two
+  // instrumentation settings, and below VBBMS's options and CFLRU's window.
+  // Their values keep the options' positions, so stored fingerprints hold.
+  fp.add_bool(true);
+  fp.add(kMetadataSampleInterval);
+  fp.add(kMaxTrackedRequestPages);
   const PolicyConfig& p = o.policy;
   fp.add_string(p.name);
   fp.add(p.capacity_pages);
@@ -44,13 +49,14 @@ std::uint64_t config_fingerprint(const SimOptions& o) {
   fp.add_bool(p.reqblock.merge_on_evict);
   fp.add(static_cast<std::uint64_t>(p.reqblock.freq_mode));
   fp.add_bool(p.reqblock.colocate_flush);
-  fp.add_double(p.vbbms.random_fraction);
-  fp.add(p.vbbms.random_vb_pages);
-  fp.add(p.vbbms.seq_vb_pages);
-  fp.add(p.vbbms.seq_request_threshold);
+  const VbbmsOptions vbbms;
+  fp.add_double(vbbms.random_fraction);
+  fp.add(vbbms.random_vb_pages);
+  fp.add(vbbms.seq_vb_pages);
+  fp.add(vbbms.seq_request_threshold);
   fp.add_bool(p.bplru.page_padding);
   fp.add_bool(p.bplru.block_unit_allocation);
-  fp.add_double(p.cflru_window);
+  fp.add_double(kCflruWindow);
   fp.add(o.occupancy_log_interval);
   fp.add(o.max_requests);
   fp.add(o.warmup_requests);

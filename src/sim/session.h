@@ -84,8 +84,6 @@ class SimulationSession {
   /// Requests served so far, warmup + measured (the checkpoint cadence
   /// counter).
   std::uint64_t served() const { return served_; }
-  /// Measured (post-warmup) requests served so far.
-  std::uint64_t measured_requests() const { return result_.requests; }
   /// Host-queue commands currently in flight across all tenants (0 when
   /// admission control is off). Lets callers checkpoint "mid-burst with a
   /// non-empty queue".

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include "sim/checkpoint.h"
+#include "util/audit.h"
 #include "util/check.h"
 #include "util/knobs.h"
 
@@ -16,6 +17,9 @@ void prepare_sim_options(SimOptions& options) {
     options.telemetry.apply_env();
     options.telemetry_env_override = false;  // already folded in
   }
+  // Reads REQBLOCK_AUDIT on first use: a value that names no level fails
+  // here, before the run, instead of at its first audit.
+  static_cast<void>(audit_level());
   options.fault.validate();
   options.overload.validate();
   options.tenants.validate();

@@ -1,7 +1,5 @@
 #include "telemetry/trace_buffer.h"
 
-#include <cstdlib>
-
 #include "snapshot/snapshot.h"
 #include "util/check.h"
 #include "util/strings.h"
@@ -25,11 +23,9 @@ TraceLevel parse_trace_level(std::string_view text, TraceLevel fallback) {
 }
 
 TraceLevel trace_level_from_env(TraceLevel fallback) {
-  // Read-only environment access; nothing in the process calls setenv.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("REQBLOCK_TRACE");
-  if (env == nullptr) return fallback;
-  return parse_trace_level(env, fallback);
+  return env_value("REQBLOCK_TRACE", trace_level_from_name,
+                   "off, cache, flash or all")
+      .value_or(fallback);
 }
 
 TraceBuffer::TraceBuffer(TraceConfig config) : config_(config) {

@@ -57,8 +57,9 @@ std::optional<TraceLevel> trace_level_from_name(std::string_view text);
 /// trace_level_from_name, with `fallback` for unrecognized text.
 TraceLevel parse_trace_level(std::string_view text, TraceLevel fallback);
 
-/// The REQBLOCK_TRACE environment variable, or `fallback` when unset or
-/// malformed.
+/// The REQBLOCK_TRACE environment variable, or `fallback` when it is
+/// unset. Text that names no level throws std::invalid_argument naming the
+/// variable and its value.
 TraceLevel trace_level_from_env(TraceLevel fallback = TraceLevel::kOff);
 
 /// One event's snapshot encoding: its seven fields at fixed widths, 37

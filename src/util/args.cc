@@ -22,20 +22,38 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags_[body].value = argv[++i];
     } else {
-      flags_[body].value = "true";  // boolean switch
+      flags_[body].value.reset();
     }
   }
 }
 
+const ArgParser::Flag* ArgParser::find(const std::string& key) const {
+  const auto it = flags_.find(key);
+  if (it == flags_.end()) return nullptr;
+  it->second.read = true;
+  return &it->second;
+}
+
 bool ArgParser::has(const std::string& key) const {
-  return get(key).has_value();
+  return find(key) != nullptr;
 }
 
 std::optional<std::string> ArgParser::get(const std::string& key) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return std::nullopt;
-  it->second.read = true;
-  return it->second.value;
+  const Flag* flag = find(key);
+  if (flag == nullptr) return std::nullopt;
+  if (!flag->value) throw std::invalid_argument("--" + key + ": needs a value");
+  return flag->value;
+}
+
+bool ArgParser::get_switch(const std::string& key) const {
+  const Flag* flag = find(key);
+  if (flag == nullptr) return false;
+  if (flag->value && *flag->value != "true") {
+    throw std::invalid_argument("--" + key + ": invalid value '" +
+                                *flag->value +
+                                "' (expected no value after a switch)");
+  }
+  return true;
 }
 
 std::string ArgParser::get_or(const std::string& key,

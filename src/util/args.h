@@ -1,6 +1,8 @@
 // Minimal command-line flag parsing for the example binaries.
 //
-// Supports "--key value" and "--key=value" forms plus boolean switches.
+// Supports "--key value" and "--key=value" forms plus boolean switches. A
+// flag followed by another flag or by nothing is bare: it has no value, so
+// every value reader refuses it and only has() and get_switch() accept it.
 #pragma once
 
 #include <cstdint>
@@ -15,10 +17,17 @@ class ArgParser {
  public:
   ArgParser(int argc, const char* const* argv);
 
-  /// has() and get() also mark the flag as read (see reject_unread).
+  /// Every accessor also marks the flag as read (see reject_unread).
   bool has(const std::string& key) const;
+  /// The flag's value, or nullopt when it is absent. A bare flag throws
+  /// std::invalid_argument ("--key: needs a value"), and so does every
+  /// value reader below.
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, std::string fallback) const;
+
+  /// A switch: false when absent, true when bare or given as "true". Any
+  /// other value throws std::invalid_argument naming the flag.
+  bool get_switch(const std::string& key) const;
 
   /// Strict numeric accessors. A missing flag returns the fallback; a
   /// present but malformed, negative, or trailing-garbage value ("5x",
@@ -41,9 +50,12 @@ class ArgParser {
 
  private:
   struct Flag {
-    std::string value;
+    std::optional<std::string> value;  // nullopt: given bare
     mutable bool read = false;
   };
+
+  /// The flag, marked read, or nullptr when absent.
+  const Flag* find(const std::string& key) const;
 
   std::string program_;
   std::map<std::string, Flag> flags_;

@@ -1,9 +1,10 @@
 #include "util/audit.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/strings.h"
 
 namespace reqblock {
 
@@ -15,22 +16,24 @@ AuditLevel clamp_to_compiled(AuditLevel level) {
 }
 
 std::atomic<int>& level_storage() {
-  // REQBLOCK_AUDIT is read once under the static-init guard and the
-  // process never calls setenv, so getenv's mt-unsafety cannot bite.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  static const char* env = std::getenv("REQBLOCK_AUDIT");
+  // REQBLOCK_AUDIT is read once, under the static-init guard.
   static std::atomic<int> level{static_cast<int>(clamp_to_compiled(
-      parse_audit_level(env != nullptr ? env : "", AuditLevel::kLight)))};
+      env_value("REQBLOCK_AUDIT", audit_level_from_name, "off, light or full")
+          .value_or(AuditLevel::kLight)))};
   return level;
 }
 
 }  // namespace
 
-AuditLevel parse_audit_level(std::string_view text, AuditLevel fallback) {
+std::optional<AuditLevel> audit_level_from_name(std::string_view text) {
   if (text == "off" || text == "0" || text == "none") return AuditLevel::kOff;
   if (text == "light" || text == "1") return AuditLevel::kLight;
   if (text == "full" || text == "2" || text == "on") return AuditLevel::kFull;
-  return fallback;
+  return std::nullopt;
+}
+
+AuditLevel parse_audit_level(std::string_view text, AuditLevel fallback) {
+  return audit_level_from_name(text).value_or(fallback);
 }
 
 AuditLevel audit_level() {

@@ -25,6 +25,7 @@
 
 #include <exception>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -53,15 +54,20 @@ inline constexpr AuditLevel kAuditCompiledMax =
     static_cast<AuditLevel>(REQBLOCK_AUDIT_MAX_LEVEL);
 
 /// Active level: min(compiled max, runtime selection). The runtime value is
-/// initialized from the REQBLOCK_AUDIT environment variable on first use.
+/// initialized from the REQBLOCK_AUDIT environment variable on first use,
+/// which throws std::invalid_argument naming the variable and its value
+/// when the text names no level.
 AuditLevel audit_level();
 
 /// Overrides the runtime level (clamped to the compiled maximum). Returns
 /// the previous runtime level so tests can restore it. Thread-safe.
 AuditLevel set_audit_level(AuditLevel level);
 
-/// Parses an REQBLOCK_AUDIT-style string ("off"/"0", "light"/"1",
-/// "full"/"2"/"on"); unrecognized text yields `fallback`.
+/// Parses an REQBLOCK_AUDIT-style string ("off"/"0"/"none", "light"/"1",
+/// "full"/"2"/"on"); nullopt for unrecognized text.
+std::optional<AuditLevel> audit_level_from_name(std::string_view text);
+
+/// audit_level_from_name, with `fallback` for unrecognized text.
 AuditLevel parse_audit_level(std::string_view text, AuditLevel fallback);
 
 /// True when audits at `level` are both compiled in and runtime-enabled.

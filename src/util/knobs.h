@@ -32,8 +32,8 @@
 
 namespace reqblock {
 
-/// How a flag's value is written. A bool field is a switch: the flag
-/// takes no value and sets the field to true.
+/// How a flag's value is written. A bool field is a switch (get_switch):
+/// the flag takes no value and sets the field to true.
 struct Syntax {
   const char* placeholder = "";  // the value in --help
   bool fractions = false;        // a number, else a non-negative integer
@@ -110,16 +110,13 @@ void for_each(const Table& table, F&& f) {
 template <typename Syn, typename T>
 void parse_into(const Syn& syntax, const Range& range, T& field,
                 std::string_view flag, std::string_view text) {
+  static_assert(!std::is_same_v<T, bool>,
+                "a switch takes no value: read it with get_switch");
   T value{};
   if constexpr (!std::is_same_v<Syn, Syntax>) {
     const auto v = syntax.parse(text);
     if (!v) refuse(flag, text, std::string("one of ") + syntax.placeholder);
     value = *v;
-  } else if constexpr (std::is_same_v<T, bool>) {
-    // ArgParser records a bare switch as "true"; other text was typed as a
-    // value the switch cannot take.
-    if (text != "true") refuse(flag, text, "no value after a switch");
-    value = true;
   } else if constexpr (std::is_arithmetic_v<T>) {
     if (std::is_floating_point_v<T> || syntax.fractions) {
       const auto v = parse_double(text);
@@ -167,9 +164,12 @@ void apply_knobs(const Table& table, S& owner, const ArgParser& args,
                  std::string_view prefix = {}) {
   knob_detail::for_each(table, [&](const auto& row) {
     const auto apply = [&](const std::string& flag) {
-      if (const auto text = args.get(flag)) {
-        knob_detail::parse_into(row.syntax, row.range, row.get(owner), flag,
-                                *text);
+      auto& field = row.get(owner);
+      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(field)>,
+                                   bool>) {
+        if (args.get_switch(flag)) field = true;
+      } else if (const auto text = args.get(flag)) {
+        knob_detail::parse_into(row.syntax, row.range, field, flag, *text);
       }
     };
     if (row.flag == nullptr) return;

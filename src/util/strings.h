@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,5 +35,21 @@ std::string format_double(double v, int decimals);
 
 /// Human-friendly byte count, e.g. "16.0MB".
 std::string format_bytes(double bytes);
+
+/// The environment variable `name` read through `parse`; nullopt when it
+/// is unset. Text `parse` refuses, the empty string included, throws
+/// std::invalid_argument naming the variable, the value and `expected`.
+template <typename T>
+std::optional<T> env_value(const char* name,
+                           std::optional<T> (*parse)(std::string_view),
+                           std::string_view expected) {
+  // Nothing in the process calls setenv, so getenv cannot race.
+  // NOLINTNEXTLINE(concurrency-mt-unsafe)
+  const char* text = std::getenv(name);
+  if (text == nullptr) return std::nullopt;
+  if (auto value = parse(text)) return value;
+  throw std::invalid_argument(std::string(name) + ": invalid value '" + text +
+                              "' (expected " + std::string(expected) + ")");
+}
 
 }  // namespace reqblock

@@ -1,4 +1,4 @@
-#include "trace/msr_trace.h"
+#include "trace/trace_file.h"
 
 #include <gtest/gtest.h>
 

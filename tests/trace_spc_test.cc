@@ -1,4 +1,4 @@
-#include "trace/spc_trace.h"
+#include "trace/trace_file.h"
 
 #include <gtest/gtest.h>
 
@@ -73,6 +73,20 @@ TEST(SpcTraceTest, StreamParsingRebasesAndNumbers) {
   EXPECT_EQ(reqs[1].arrival, 500'000'000);
   EXPECT_EQ(reqs[0].id, 0u);
   EXPECT_EQ(reqs[1].id, 1u);
+}
+
+// Out-of-order stamps earlier than the base clamp to zero rather than
+// going negative, as in the MSR format.
+TEST(SpcTraceTest, PreBaseTimestampClampsToZero) {
+  std::istringstream in(
+      "0,100,4096,w,5.0\n"
+      "0,200,4096,w,2.0\n"
+      "0,300,4096,r,6.0\n");
+  const auto reqs = parse_spc_stream(in, opts());
+  ASSERT_EQ(reqs.size(), 3u);
+  EXPECT_EQ(reqs[0].arrival, 0);
+  EXPECT_EQ(reqs[1].arrival, 0);
+  EXPECT_EQ(reqs[2].arrival, 1'000'000'000);
 }
 
 TEST(SpcTraceTest, StrictModeThrows) {

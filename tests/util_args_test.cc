@@ -37,6 +37,29 @@ TEST(ArgParserTest, SwitchFollowedByFlag) {
   EXPECT_EQ(args.get_or("policy", "x"), "lru");
 }
 
+TEST(ArgParserTest, BareValueFlagIsRefused) {
+  // A value flag last in argv, or followed by another flag, has no value:
+  // every value reader refuses it, naming the flag, and a bare switch
+  // reads true.
+  const auto args = parse({"prog", "--policies", "--occupancy", "--csv"});
+  for (const char* flag : {"policies", "csv"}) {
+    try {
+      args.get(flag);
+      FAIL() << "expected std::invalid_argument for --" << flag;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "--" + std::string(flag) +
+                                           ": needs a value");
+    }
+  }
+  EXPECT_THROW(args.get_or("csv", "out.csv"), std::invalid_argument);
+  EXPECT_THROW(args.get_u64_strict("csv", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double_strict("csv", 0), std::invalid_argument);
+  EXPECT_TRUE(args.get_switch("occupancy"));
+  EXPECT_TRUE(args.has("policies"));
+  EXPECT_FALSE(args.get_switch("quiet"));
+  EXPECT_NO_THROW(args.reject_unread());
+}
+
 TEST(ArgParserTest, Positional) {
   const auto args = parse({"prog", "input.csv", "--policy", "lru", "more"});
   ASSERT_EQ(args.positional().size(), 2u);
