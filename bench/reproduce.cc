@@ -93,6 +93,7 @@ int run(const ArgParser& args) {
   CheckpointOptions ckpt;
   ckpt.apply_cli(args);
   args.reject_unread();
+  check_env_levels();
   const std::vector<const Artifact*> selected = select(args.positional());
 
   // One case per distinct cell; each artifact's view maps its labels to

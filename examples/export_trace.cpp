@@ -8,6 +8,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "sim/simulator.h"
 #include "trace/profiles.h"
 #include "trace/trace_file.h"
 #include "trace/trace_stats.h"
@@ -39,6 +40,7 @@ int main(int argc, char** argv) try {
   const std::string path =
       switches.to_stdout ? "" : args.get_or("out", "/tmp/" + name + ".csv");
   args.reject_unread();
+  check_env_levels();
 
   SyntheticTraceSource src(profiles::by_name(name).capped(cap));
   const auto requests = src.collect();

@@ -24,6 +24,7 @@ int main(int argc, char** argv) try {
   CacheChoice cache{.cache_mb = 16};
   apply_knobs(kCacheChoiceKnobs, cache, args);
   args.reject_unread();
+  check_env_levels();
 
   // 1. Describe the workload: a hot set of small write requests (high
   //    reuse) plus cold sequential streams of large writes — the exact

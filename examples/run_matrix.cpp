@@ -99,6 +99,7 @@ int main(int argc, char** argv) try {
   const auto tenant_csv = args.get("tenant-csv");
   const auto attribution_csv = args.get("attribution-csv");
   args.reject_unread();
+  check_env_levels();
 
   const std::vector<RunResult> results = run_cases(cases, 0, ckpt);
 

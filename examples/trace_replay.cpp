@@ -123,6 +123,7 @@ int main(int argc, char** argv) try {
   const auto tenant_csv = args.get("tenant-csv");
   const auto attribution_csv = args.get("attribution-csv");
   args.reject_unread();
+  check_env_levels();
   const std::unique_ptr<TraceSource> trace = open_trace();
 
   if (switches.stats_only) {

@@ -100,6 +100,7 @@ int main(int argc, char** argv) try {
   options.overload.apply_cli(args);
   const std::string out_dir = args.get_or("out-dir", "trace_viz_out");
   args.reject_unread();
+  check_env_levels();
 
   Simulator sim(options);
   const RunResult result = sim.run(trace);

@@ -51,6 +51,11 @@ void CacheManager::retire_entry(const PageEntry& entry) {
   if (entry.reused) ++metrics_.pages_reused_by_req_size[b];
 }
 
+CacheManager::PageEntry& CacheManager::admit(Lpn lpn) {
+  present_.set(lpn, 1);
+  return pages_[pages_.try_emplace(lpn).first];
+}
+
 CacheManager::PageEntry CacheManager::release(Lpn lpn) {
   const Slot slot = pages_.find(lpn);
   REQB_CHECK_MSG(slot != kNoSlot,
@@ -59,6 +64,7 @@ CacheManager::PageEntry CacheManager::release(Lpn lpn) {
   if (entry.dirty) --dirty_pages_;
   retire_entry(entry);
   pages_.erase_slot(slot);
+  present_.erase(lpn);
   return entry;
 }
 
@@ -91,7 +97,7 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
   OpAttribution padding_crit;
   OpAttribution read_attr;
   for (const Lpn lpn : victim.padding_reads) {
-    if (!ftl_.is_mapped(lpn) || pages_.contains(lpn)) continue;
+    if (!ftl_.is_mapped(lpn) || present_.contains(lpn)) continue;
     const auto rr = ftl_.read_page(lpn, now, &read_attr);
     if (rr.complete > padding_done) {
       padding_done = rr.complete;
@@ -186,7 +192,7 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
     const std::uint64_t version = expected_version(lpn) + 1;
     last_version_.set(lpn, version);
 
-    const Slot slot = pages_.find(lpn);
+    const Slot slot = find_resident(lpn);
     if (slot != kNoSlot) {
       PageEntry& entry = pages_[slot];
       ++metrics_.page_hits;
@@ -246,7 +252,7 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
       }
       continue;
     }
-    PageEntry& entry = pages_[pages_.try_emplace(lpn).first];
+    PageEntry& entry = admit(lpn);
     entry.version = version;
     entry.dirty = true;
     entry.insert_req_pages = req.pages;
@@ -286,7 +292,7 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
     ++metrics_.page_lookups;
     sample_metadata();
 
-    const Slot slot = pages_.find(lpn);
+    const Slot slot = find_resident(lpn);
     if (slot != kNoSlot) {
       PageEntry& entry = pages_[slot];
       ++metrics_.page_hits;
@@ -342,7 +348,7 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
         chain.fault += evict_span.fault;
       }
       if (admitted) {
-        PageEntry& entry = pages_[pages_.try_emplace(lpn).first];
+        PageEntry& entry = admit(lpn);
         entry.version = rr.version;
         entry.dirty = false;
         entry.insert_req_pages = req.pages;
@@ -403,6 +409,9 @@ void CacheManager::audit(AuditReport& report, AuditLevel depth) const {
   REQB_AUDIT_MSG(report, policy_->occupied_pages() >= policy_->pages(),
                  "occupancy " + std::to_string(policy_->occupied_pages()) +
                      " below page count " + std::to_string(policy_->pages()));
+  REQB_AUDIT_MSG(report, present_.size() == pages_.size(),
+                 "presence map holds " + std::to_string(present_.size()) +
+                     " pages, manager holds " + std::to_string(pages_.size()));
   REQB_AUDIT_MSG(report, pages_.size() <= options_.capacity_pages,
                  "resident " + std::to_string(pages_.size()) +
                      " pages exceed capacity " +
@@ -438,7 +447,12 @@ void CacheManager::audit(AuditReport& report, AuditLevel depth) const {
   // Every resident entry must agree with the write oracle: a dirty page
   // holds the newest version outright; a clean page was admitted from
   // flash and every later write would have flipped it dirty in place.
+  // With the counts equal, a present byte for every resident key makes
+  // the presence map exactly the resident set.
   pages_.for_each_unordered([&](Lpn lpn, const PageEntry& entry) {
+    REQB_AUDIT_MSG(report, present_.contains(lpn),
+                   "resident page " + std::to_string(lpn) +
+                       " is missing from the presence map");
     REQB_AUDIT_MSG(report, entry.version == expected_version(lpn),
                    "page " + std::to_string(lpn) + " cached at version " +
                        std::to_string(entry.version) + ", oracle says " +
@@ -455,7 +469,7 @@ void CacheManager::audit(AuditReport& report, AuditLevel depth) const {
   bool mismatch_logged = false;
   const bool enumerable = policy_->enumerate_pages([&](Lpn lpn) {
     ++policy_pages;
-    if (!pages_.contains(lpn) && !mismatch_logged) {
+    if (find_resident(lpn) == kNoSlot && !mismatch_logged) {
       report.fail("policy page resident in manager",
                   "policy tracks page " + std::to_string(lpn) +
                       " the manager does not hold");
@@ -489,7 +503,7 @@ SimTime CacheManager::power_loss(SimTime at, FaultInjector& fault) {
       }
     }
   }
-  REQB_CHECK(pages_.empty());
+  REQB_CHECK(pages_.empty() && present_.empty());
   REQB_CHECK_MSG(dirty_pages_ == 0,
                  "dirty-page counter nonzero after a full drain");
 
@@ -570,25 +584,20 @@ void CacheMetrics::deserialize(SnapshotReader& r) {
 
 void CacheManager::serialize(SnapshotWriter& w) const {
   w.tag("cache");
-  // Page table in sorted LPN order: slab order depends on which slots
-  // were freed when (a restored run holds the same pages in other slots),
-  // but equal logical state must produce equal bytes.
-  std::vector<std::pair<Lpn, const PageEntry*>> resident;
-  resident.reserve(pages_.size());
-  pages_.for_each_unordered([&](Lpn lpn, const PageEntry& e) {
-    resident.emplace_back(lpn, &e);
-  });
-  std::sort(resident.begin(), resident.end());
-  w.u64(resident.size());
-  for (const auto& [lpn, entry] : resident) {
-    const PageEntry& e = *entry;
+  // Page table in the presence map's ascending LPN order: slab order
+  // depends on which slots were freed when (a restored run holds the same
+  // pages in other slots), but equal logical state must produce equal
+  // bytes.
+  w.u64(pages_.size());
+  present_.for_each([&](Lpn lpn, std::uint8_t) {
+    const PageEntry& e = pages_[pages_.find(lpn)];
     w.u64(lpn);
     w.u64(e.version);
     w.u32(e.insert_req_pages);
     w.b(e.dirty);
     w.b(e.reused);
-  }
-  // The write oracle iterates in ascending LPN order already.
+  });
+  // The write oracle iterates in ascending LPN order too.
   w.u64(last_version_.size());
   last_version_.for_each([&](Lpn lpn, std::uint64_t version) {
     w.u64(lpn);
@@ -601,17 +610,23 @@ void CacheManager::serialize(SnapshotWriter& w) const {
 
 void CacheManager::deserialize(SnapshotReader& r) {
   r.tag("cache");
-  REQB_CHECK_MSG(pages_.empty() && last_version_.empty(),
+  REQB_CHECK_MSG(pages_.empty() && present_.empty() && last_version_.empty(),
                  "deserialize into a non-fresh cache manager");
   const std::uint64_t resident = r.count(22);
   pages_.reserve(resident);
   for (std::uint64_t i = 0; i < resident; ++i) {
     const Lpn lpn = r.u64();
-    const auto [slot, inserted] = pages_.try_emplace(lpn);
-    if (!inserted) {
-      throw SnapshotError("cache snapshot repeats a resident page");
+    const auto refuse = [lpn](const char* why) {
+      return SnapshotError("cache snapshot's page table entry for lpn " +
+                           std::to_string(lpn) + why);
+    };
+    // The write oracle, the L2P and the flash array stop at the same
+    // limit, and the presence map cannot hold an LPN beyond it.
+    if (lpn > decltype(present_)::kMaxLpn) {
+      throw refuse(" is beyond the 32-bit logical page space");
     }
-    PageEntry& e = pages_[slot];
+    if (present_.contains(lpn)) throw refuse(" is repeated");
+    PageEntry& e = admit(lpn);
     e.version = r.u64();
     e.insert_req_pages = r.u32();
     e.dirty = r.b();

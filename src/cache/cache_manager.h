@@ -186,7 +186,7 @@ class CacheManager {
   void audit(AuditReport& report,
              AuditLevel depth = AuditLevel::kFull) const;
 
-  /// Checkpoint: page table (sorted by LPN), write oracle (in table
+  /// Checkpoint: page table and write oracle (each in ascending LPN
   /// order), metrics, and the policy's own replacement state.
   /// deserialize() restores into a freshly constructed manager wired to
   /// the same policy type and FTL configuration.
@@ -218,6 +218,14 @@ class CacheManager {
   /// flush latency lands on the device timelines but the current request
   /// does not wait for it — that is the whole point.
   void maybe_background_flush(SimTime now);
+  /// The slot of a resident page, or kNoSlot. A miss reads one presence
+  /// byte; only a resident page probes the slot map.
+  Slot find_resident(Lpn lpn) const {
+    return present_.contains(lpn) ? pages_.find(lpn) : kNoSlot;
+  }
+  /// Admits `lpn` into the resident set; returns its value-initialized
+  /// entry (valid until the next admission).
+  PageEntry& admit(Lpn lpn);
   /// Takes a victim page out of the resident set (evicted or dropped by a
   /// power loss): checks that the cache holds it, keeps the dirty count
   /// and retires it into the Fig. 3 reuse counters. Returns its entry.
@@ -233,8 +241,13 @@ class CacheManager {
   std::unique_ptr<WriteBufferPolicy> policy_;
   Ftl& ftl_;
   // The resident set: its memory follows the cache capacity, not the LPN
-  // range, and its slab order is history-dependent (serialize sorts).
+  // range, and its slab order is history-dependent.
   SlotMap<PageEntry> pages_;
+  // The presence map: 1 for every LPN in pages_, so a miss is decided by
+  // one byte that consecutive LPNs share, and serialize walks it for LPN
+  // order. Its memory (1 KB per 1024-LPN range) follows the LPN ranges the
+  // cache has held.
+  LpnTable<std::uint8_t, 0> present_;
   // The write oracle: last written version per LPN, independent of the
   // FTL's page versions. Absent reads as version 0; an entry rolled back
   // to 0 (power loss, uncorrectable read) stays present.

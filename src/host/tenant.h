@@ -89,10 +89,15 @@ struct TenantOptions {
   void apply_cli(const ArgParser& args);
 };
 
+/// Tenant ids are stamped into queue events as 16 bits
+/// (HostAdmissionQueue::set_tenant), so a run holds at most 2^16 tenants.
+inline constexpr Range kTenantCount{1.0, 65536.0, false, false,
+                                    "in [1, 65536]"};
+
 /// TenantOptions' own knobs, in fingerprint order (src/util/knobs.h); the
 /// per-tenant specs follow them in kTenantSpecKnobs.
 inline constexpr auto kTenantKnobs = std::tuple{
-    Knob{"tenants", REQB_KNOB_FIELD(count), kInteger, kAtLeastOne},
+    Knob{"tenants", REQB_KNOB_FIELD(count), kInteger, kTenantCount},
     Knob{"arbiter", REQB_KNOB_FIELD(arbiter),
          Choice<ArbiterKind>{"rr|wrr|drr", arbiter_kind_from_name}},
     Knob{"drr-quantum", REQB_KNOB_FIELD(drr_quantum_pages), kInteger,

@@ -26,6 +26,11 @@ void prepare_sim_options(SimOptions& options) {
   check_knobs(kTelemetryKnobs, options.telemetry);
 }
 
+void check_env_levels() {
+  static_cast<void>(audit_level());
+  static_cast<void>(trace_level_from_env());
+}
+
 Simulator::Simulator(SimOptions options) : options_(std::move(options)) {
   prepare_sim_options(options_);
 }

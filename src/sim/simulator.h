@@ -138,6 +138,13 @@ inline constexpr auto kRunRequestFields = std::tuple{
 /// both call it, so a bad option fails either one at construction.
 void prepare_sim_options(SimOptions& options);
 
+/// Reads REQBLOCK_AUDIT and REQBLOCK_TRACE, throwing std::invalid_argument
+/// naming the variable when either holds a value that names no level.
+/// The examples and reproduce call it beside ArgParser::reject_unread,
+/// before any work, so a bad value fails the run once instead of once per
+/// case.
+void check_env_levels();
+
 class Simulator {
  public:
   explicit Simulator(SimOptions options);

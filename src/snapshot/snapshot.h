@@ -21,9 +21,10 @@
 // the same bytes, so snapshot bytes themselves can be compared in tests.
 // LPN-indexed tables (util/lpn_table.h: the FTL's L2P and version tables,
 // the cache's write oracle) iterate in ascending LPN order and are written
-// as they iterate; containers with nondeterministic iteration order (the
-// cache's page table, the policies' node maps) are written in sorted key
-// order.
+// as they iterate. The cache's page table is written in the order of its
+// presence map, an LPN table, so it is in ascending LPN order without a
+// sort. Containers with nondeterministic iteration order (the policies'
+// node maps) are written in list order or sorted key order.
 #pragma once
 
 #include <cstdint>

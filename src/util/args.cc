@@ -41,7 +41,9 @@ bool ArgParser::has(const std::string& key) const {
 std::optional<std::string> ArgParser::get(const std::string& key) const {
   const Flag* flag = find(key);
   if (flag == nullptr) return std::nullopt;
-  if (!flag->value) throw std::invalid_argument("--" + key + ": needs a value");
+  if (!flag->value || flag->value->empty()) {
+    throw std::invalid_argument("--" + key + ": needs a value");
+  }
   return flag->value;
 }
 

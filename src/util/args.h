@@ -3,6 +3,7 @@
 // Supports "--key value" and "--key=value" forms plus boolean switches. A
 // flag followed by another flag or by nothing is bare: it has no value, so
 // every value reader refuses it and only has() and get_switch() accept it.
+// An empty value ("--key=" or "--key ''") is refused the same way.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +20,9 @@ class ArgParser {
 
   /// Every accessor also marks the flag as read (see reject_unread).
   bool has(const std::string& key) const;
-  /// The flag's value, or nullopt when it is absent. A bare flag throws
-  /// std::invalid_argument ("--key: needs a value"), and so does every
-  /// value reader below.
+  /// The flag's value, or nullopt when it is absent. A bare flag or an
+  /// empty value throws std::invalid_argument ("--key: needs a value"),
+  /// and so does every value reader below.
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, std::string fallback) const;
 

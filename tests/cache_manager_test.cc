@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault.h"
+#include "snapshot/snapshot.h"
 #include "test_util.h"
+#include "util/audit.h"
 
 namespace reqblock {
 namespace {
@@ -198,6 +201,63 @@ TEST(CacheManagerTest, FlushedPagesMatchFlashWrites) {
   const auto& m = h.cache->metrics();
   EXPECT_EQ(m.flushed_pages + m.bypass_pages + m.padding_pages,
             h.ftl.metrics().host_page_writes);
+}
+
+::testing::AssertionResult AuditsClean(const CacheManager& cache) {
+  AuditReport report("CacheManager");
+  cache.audit(report, AuditLevel::kFull);
+  if (report.ok()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << report.to_string();
+}
+
+// A miss is decided by the presence map, so the map must follow every way
+// into the resident set (write, read admission, restore) and every way out
+// (eviction, power loss); the full audit compares the two after each.
+TEST(CacheManagerTest, PresenceMapFollowsEveryAdmissionAndRelease) {
+  CacheOptions opts;
+  opts.cache_reads = true;
+  Harness h(policy_config("lru", 4), testing::tiny_ssd(), opts);
+  h.serve(write_req(0, 0, 4));
+  ASSERT_TRUE(AuditsClean(*h.cache));
+  h.serve(write_req(1, 0, 4, kSecond));
+  EXPECT_EQ(h.cache->metrics().write_hits, 4u);
+
+  h.serve(write_req(2, 10, 1, 2 * kSecond));  // evicts lpn 0
+  ASSERT_TRUE(AuditsClean(*h.cache));
+  h.serve(read_req(3, 0, 1, 3 * kSecond));  // miss, admitted clean
+  EXPECT_EQ(h.cache->metrics().read_misses, 1u);
+  ASSERT_TRUE(AuditsClean(*h.cache));
+  h.serve(read_req(4, 0, 1, 4 * kSecond));
+  EXPECT_EQ(h.cache->metrics().read_hits, 1u);
+  h.serve(read_req(5, 1, 1, 5 * kSecond));  // lpn 1 made room for lpn 0
+  EXPECT_EQ(h.cache->metrics().read_misses, 2u);
+  ASSERT_TRUE(AuditsClean(*h.cache));
+
+  // A restored manager finds exactly the pages the saved one held.
+  SnapshotWriter w;
+  h.cache->serialize(w);
+  const std::string bytes = w.take();
+  Harness restored(policy_config("lru", 4), testing::tiny_ssd(), opts);
+  SnapshotReader r(bytes);
+  restored.cache->deserialize(r);
+  ASSERT_TRUE(AuditsClean(*restored.cache));
+  SnapshotWriter again;
+  restored.cache->serialize(again);
+  EXPECT_EQ(again.take(), bytes);
+  const std::uint64_t hits = restored.cache->metrics().page_hits;
+  restored.serve(read_req(6, 0, 1, 6 * kSecond));
+  EXPECT_EQ(restored.cache->metrics().page_hits, hits + 1);
+
+  // Power loss empties the map with the resident set: lpn 0 (clean, so
+  // flash still holds its version) misses again.
+  FaultPlan plan;
+  plan.power_loss_every_requests = 1;  // any schedule; fired manually
+  FaultInjector injector(plan);
+  const SimTime up = h.cache->power_loss(7 * kSecond, injector);
+  EXPECT_EQ(h.cache->cached_pages(), 0u);
+  ASSERT_TRUE(AuditsClean(*h.cache));
+  h.serve(read_req(7, 0, 1, up));
+  EXPECT_EQ(h.cache->metrics().read_misses, 3u);
 }
 
 }  // namespace

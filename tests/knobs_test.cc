@@ -120,6 +120,8 @@ TEST(KnobCliTest, RangesAreCheckedAtParseTimeNamingTheFlag) {
       o.apply_cli(parse(words));
       TelemetryOptions t;
       t.apply_cli(parse(words));
+      TenantOptions n;
+      n.apply_cli(parse(words));
       ADD_FAILURE() << flag << " accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
@@ -135,6 +137,13 @@ TEST(KnobCliTest, RangesAreCheckedAtParseTimeNamingTheFlag) {
   refused({"--trace", "alll"}, "--trace");
   refused({"--integrity-retry-steps", "4294967295"}, "--integrity-retry-steps");
   refused({"--snapshot-every-ms", "5ms"}, "--snapshot-every-ms");
+  // Tenant ids are 16 bits: a larger count is refused before any tenant
+  // state is allocated.
+  refused({"--tenants", "65537"}, "--tenants");
+  refused({"--tenants", "4000000000"}, "--tenants");
+  TenantOptions widest;
+  widest.apply_cli(parse({"--tenants", "65536"}));
+  EXPECT_EQ(widest.count, 65536u);
 }
 
 TEST(KnobCliTest, ScaledDurationsKeepTheirConversion) {

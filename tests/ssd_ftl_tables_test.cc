@@ -1,5 +1,5 @@
 // The FTL's paged L2P table with versions stored on the flash pages, and
-// the cache manager's paged write oracle:
+// the cache manager's paged write oracle and page table:
 //   * a page's version moves with it through GC copyback, read-disturb
 //     migration and patrol-scrub refresh, and leaves with the mapping on
 //     an uncorrectable loss;
@@ -273,11 +273,19 @@ TEST_F(FtlRestoreRefusalTest, VersionTableMissingAnEntry) {
       Names(refusal(image.join()), "version table is missing mapped lpn 14"));
 }
 
-// --- The cache manager's write oracle --------------------------------------
+// --- The cache manager's page table and write oracle ------------------------
 
-/// A cache snapshot split around its write-oracle table.
+/// A cache snapshot split into its page table, its write-oracle table and
+/// the bytes after them.
 struct CacheImage {
-  std::string head;  // tag and page table
+  struct Page {
+    Lpn lpn;
+    std::uint64_t version;
+    std::uint32_t insert_req_pages;
+    bool dirty;
+    bool reused;
+  };
+  std::vector<Page> pages;
   Entries oracle;
   std::string rest;
 
@@ -286,21 +294,26 @@ struct CacheImage {
     r.tag("cache");
     const std::uint64_t resident = r.u64();
     for (std::uint64_t i = 0; i < resident; ++i) {
-      r.u64();
-      r.u64();
-      r.u32();
-      r.b();
-      r.b();
+      // Braced initializers evaluate left to right.
+      pages.push_back(Page{r.u64(), r.u64(), r.u32(), r.b(), r.b()});
     }
-    head = bytes.substr(0, bytes.size() - r.remaining());
     oracle = read_entries(r);
     rest = bytes.substr(bytes.size() - r.remaining());
   }
 
   std::string join() const {
     SnapshotWriter w;
+    w.tag("cache");
+    w.u64(pages.size());
+    for (const Page& p : pages) {
+      w.u64(p.lpn);
+      w.u64(p.version);
+      w.u32(p.insert_req_pages);
+      w.b(p.dirty);
+      w.b(p.reused);
+    }
     write_entries(w, oracle);
-    return head + w.take() + rest;
+    return w.take() + rest;
   }
 };
 
@@ -338,8 +351,39 @@ TEST_F(OracleRestoreRefusalTest, UnmodifiedImageRestores) {
   CacheImage image(bytes_);
   ASSERT_EQ(image.oracle.size(), 5u);
   EXPECT_EQ(image.oracle[1], (std::pair<Lpn, std::uint64_t>{31, 2}));
+  // The page table is written in ascending LPN order.
+  ASSERT_EQ(image.pages.size(), 4u);
+  for (std::size_t i = 0; i < image.pages.size(); ++i) {
+    EXPECT_EQ(image.pages[i].lpn, 31 + i);
+  }
   EXPECT_EQ(image.join(), bytes_);
   EXPECT_EQ(refusal(bytes_), "");
+}
+
+TEST_F(OracleRestoreRefusalTest, PageTableLpnBeyondThe32BitSpace) {
+  // Accepted, this page would fail FlashArray's 32-bit check when flushed.
+  CacheImage image(bytes_);
+  image.pages.back().lpn = 1ULL << 32;
+  EXPECT_TRUE(Names(refusal(image.join()), "page table entry for lpn "
+                                           "4294967296"));
+  EXPECT_TRUE(Names(refusal(image.join()), "32-bit"));
+}
+
+TEST_F(OracleRestoreRefusalTest, PageTableLpnAtTheTopOfThe64BitSpace) {
+  // 2^64 - 1 is also the slot map's free-slot key: refused before it
+  // reaches either map.
+  CacheImage image(bytes_);
+  image.pages.front().lpn = ~Lpn{0};
+  EXPECT_TRUE(Names(refusal(image.join()), "page table entry for lpn "
+                                           "18446744073709551615"));
+  EXPECT_TRUE(Names(refusal(image.join()), "32-bit"));
+}
+
+TEST_F(OracleRestoreRefusalTest, PageTableRepeatedLpn) {
+  CacheImage image(bytes_);
+  image.pages[2].lpn = image.pages[1].lpn;
+  EXPECT_TRUE(
+      Names(refusal(image.join()), "page table entry for lpn 32 is repeated"));
 }
 
 TEST_F(OracleRestoreRefusalTest, AbsentSentinelAsAVersion) {

@@ -38,11 +38,13 @@ TEST(ArgParserTest, SwitchFollowedByFlag) {
 }
 
 TEST(ArgParserTest, BareValueFlagIsRefused) {
-  // A value flag last in argv, or followed by another flag, has no value:
-  // every value reader refuses it, naming the flag, and a bare switch
-  // reads true.
-  const auto args = parse({"prog", "--policies", "--occupancy", "--csv"});
-  for (const char* flag : {"policies", "csv"}) {
+  // A value flag last in argv, followed by another flag, or given an empty
+  // value ("--key=" or "--key ''") has no value: every value reader
+  // refuses it, naming the flag, and a bare switch reads true.
+  const auto args =
+      parse({"prog", "--policies", "--occupancy", "--resume-from", "",
+             "--requests=", "--csv"});
+  for (const char* flag : {"policies", "resume-from", "requests", "csv"}) {
     try {
       args.get(flag);
       FAIL() << "expected std::invalid_argument for --" << flag;
@@ -54,6 +56,8 @@ TEST(ArgParserTest, BareValueFlagIsRefused) {
   EXPECT_THROW(args.get_or("csv", "out.csv"), std::invalid_argument);
   EXPECT_THROW(args.get_u64_strict("csv", 0), std::invalid_argument);
   EXPECT_THROW(args.get_double_strict("csv", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_or("resume-from", ""), std::invalid_argument);
+  EXPECT_THROW(args.get_u64_strict("requests", 0), std::invalid_argument);
   EXPECT_TRUE(args.get_switch("occupancy"));
   EXPECT_TRUE(args.has("policies"));
   EXPECT_FALSE(args.get_switch("quiet"));

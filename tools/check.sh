@@ -1,8 +1,11 @@
 #!/usr/bin/env sh
 # One-command local gate mirroring CI: determinism lint -> clang-tidy ->
-# build -> ctest. Stops at the first failure. clang-tidy is skipped with
-# a notice when not installed (the custom lint and the test suite still
-# run); CI always runs it.
+# build -> ctest -> benchmark self-test. Stops at the first failure.
+# clang-tidy is skipped with a notice when not installed (the custom lint
+# and the test suite still run); CI always runs it. The last step builds
+# bench_rep from benchmark/ into build-bench/ and runs
+# benchmark/selftest.sh, as CI's perf-smoke job does, so a src/ change
+# that breaks the benchmark's build or any results digest fails here.
 #
 # Usage: tools/check.sh [build-dir]      (default: build)
 set -eu
@@ -35,5 +38,10 @@ cmake --build "$build" -j "$jobs"
 
 echo "== ctest =="
 ctest --test-dir "$build" --output-on-failure -j "$jobs"
+
+echo "== benchmark (build-bench, selftest) =="
+cmake -S benchmark -B build-bench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build build-bench -j "$jobs" --target bench_rep
+bash benchmark/selftest.sh
 
 echo "check.sh: all gates passed"
