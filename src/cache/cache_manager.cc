@@ -1,6 +1,7 @@
 #include "cache/cache_manager.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "snapshot/snapshot.h"
@@ -57,15 +58,13 @@ CacheManager::PageEntry& CacheManager::admit(Lpn lpn) {
 }
 
 CacheManager::PageEntry CacheManager::release(Lpn lpn) {
-  const Slot slot = pages_.find(lpn);
-  REQB_CHECK_MSG(slot != kNoSlot,
+  const std::optional<PageEntry> entry = pages_.extract(lpn);
+  REQB_CHECK_MSG(entry.has_value(),
                  "policy evicted a page the cache does not hold");
-  const PageEntry entry = pages_[slot];
-  if (entry.dirty) --dirty_pages_;
-  retire_entry(entry);
-  pages_.erase_slot(slot);
+  if (entry->dirty) --dirty_pages_;
+  retire_entry(*entry);
   present_.erase(lpn);
-  return entry;
+  return *entry;
 }
 
 SimTime CacheManager::evict_once(SimTime now, bool& evicted,
@@ -577,9 +576,24 @@ void CacheMetrics::serialize(SnapshotWriter& w) const {
   write_fields(kCacheMetricsFields, *this, w);
 }
 
+std::size_t CacheMetrics::snapshot_bytes() const {
+  return SnapshotWriter::tag_bytes("cache_metrics") +
+         fields_bytes(kCacheMetricsFields, *this);
+}
+
 void CacheMetrics::deserialize(SnapshotReader& r) {
   r.tag("cache_metrics");
   read_fields(kCacheMetricsFields, *this, r);
+}
+
+std::size_t CacheManager::snapshot_bytes() const {
+  // A page-table entry is the LPN, version, request size, dirty and
+  // reused flags; a write-oracle entry the LPN and version.
+  const std::size_t pages = pages_.size();
+  return SnapshotWriter::tag_bytes("cache") + 8 + (8 + 8 + 4 + 1 + 1) * pages +
+         8 + (8 + 8) * last_version_.size() + metrics_.snapshot_bytes() + 8 +
+         WriteBufferPolicy::kSnapshotHeaderBytes +
+         WriteBufferPolicy::kSnapshotBytesPerPage * pages;
 }
 
 void CacheManager::serialize(SnapshotWriter& w) const {

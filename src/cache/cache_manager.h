@@ -97,6 +97,8 @@ struct CacheMetrics {
 
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+  /// The bytes serialize() writes.
+  std::size_t snapshot_bytes() const;
 };
 
 /// CacheMetrics' fields in snapshot order (src/util/fields.h).
@@ -192,6 +194,10 @@ class CacheManager {
   /// the same policy type and FTL configuration.
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+  /// An upper bound on the bytes serialize() writes, from the entry
+  /// counts of its tables: exact but for the policy's section, which is
+  /// bounded per resident page (WriteBufferPolicy::serialize).
+  std::size_t snapshot_bytes() const;
 
  private:
   struct PageEntry {

@@ -100,7 +100,15 @@ class WriteBufferPolicy {
   /// in-flight guards) so that deserialize() on a *freshly constructed*
   /// policy with the same configuration continues bit-identically.
   /// Deterministic: equal logical state always produces equal bytes.
+  /// A policy holding N pages writes at most kSnapshotHeaderBytes +
+  /// N * kSnapshotBytesPerPage bytes; CacheManager makes room for the
+  /// payload by that bound.
   virtual void serialize(SnapshotWriter& w) const = 0;
+  /// The largest per-page record is a Req-block block of one page: five
+  /// counters, the page count and the LPN.
+  static constexpr std::size_t kSnapshotBytesPerPage = 7 * 8;
+  /// The tag, the counters and the list lengths.
+  static constexpr std::size_t kSnapshotHeaderBytes = 128;
 
   /// Restores state written by serialize(). Must only be called on a fresh
   /// instance; throws SnapshotError on malformed input.

@@ -114,6 +114,11 @@ void FaultMetrics::serialize(SnapshotWriter& w) const {
   write_fields(kFaultMetricsFields, *this, w);
 }
 
+std::size_t FaultMetrics::snapshot_bytes() const {
+  return SnapshotWriter::tag_bytes("fault_metrics") +
+         fields_bytes(kFaultMetricsFields, *this);
+}
+
 void FaultMetrics::deserialize(SnapshotReader& r) {
   r.tag("fault_metrics");
   read_fields(kFaultMetricsFields, *this, r);
@@ -124,6 +129,11 @@ void FaultInjector::serialize(SnapshotWriter& w) const {
   reqblock::serialize(w, rng_);
   w.vec_u32(chip_fail_streak_);
   metrics_.serialize(w);
+}
+
+std::size_t FaultInjector::snapshot_bytes() const {
+  return SnapshotWriter::tag_bytes("fault_injector") + 4 * 8 + 8 +
+         4 * chip_fail_streak_.size() + metrics_.snapshot_bytes();
 }
 
 void FaultInjector::deserialize(SnapshotReader& r) {

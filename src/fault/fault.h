@@ -155,6 +155,8 @@ struct FaultMetrics {
 
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+  /// The bytes serialize() writes.
+  std::size_t snapshot_bytes() const;
 };
 
 /// FaultMetrics' fields in snapshot order (src/util/fields.h).
@@ -241,6 +243,8 @@ class FaultInjector {
   /// fingerprint covers the plan, so a mismatch is refused upstream).
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+  /// The bytes serialize() writes.
+  std::size_t snapshot_bytes() const;
 
  private:
   FaultPlan plan_;

@@ -120,6 +120,11 @@ void IntegrityMetrics::serialize(SnapshotWriter& w) const {
   write_fields(kIntegrityMetricsFields, *this, w);
 }
 
+std::size_t IntegrityMetrics::snapshot_bytes() const {
+  return SnapshotWriter::tag_bytes("integrity_metrics") +
+         fields_bytes(kIntegrityMetricsFields, *this);
+}
+
 void IntegrityMetrics::deserialize(SnapshotReader& r) {
   r.tag("integrity_metrics");
   read_fields(kIntegrityMetricsFields, *this, r);

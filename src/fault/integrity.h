@@ -259,6 +259,8 @@ struct IntegrityMetrics {
 
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+  /// The bytes serialize() writes.
+  std::size_t snapshot_bytes() const;
 };
 
 /// IntegrityMetrics' fields in snapshot order (src/util/fields.h).

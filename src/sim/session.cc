@@ -595,12 +595,21 @@ void SimulationSession::serialize(SnapshotWriter& w) const {
   }
   arbiter_->serialize(w);
 
-  // Layers, outermost first.
+  // Layers, outermost first. Their tables grow with the run, to most of a
+  // long run's payload: room for all of them is made in one allocation,
+  // so the buffer is not reallocated (and copied) while they are written.
+  w.reserve(layer_snapshot_bytes());
   cache_->serialize(w);
   ftl_->serialize(w);
   w.b(fault_ != nullptr);
   if (fault_ != nullptr) fault_->serialize(w);
   telemetry_->trace().serialize(w);
+}
+
+std::size_t SimulationSession::layer_snapshot_bytes() const {
+  return cache_->snapshot_bytes() + ftl_->snapshot_bytes() + 1 +
+         (fault_ != nullptr ? fault_->snapshot_bytes() : 0) +
+         telemetry_->trace().snapshot_bytes();
 }
 
 void SimulationSession::deserialize(SnapshotReader& r) {

@@ -111,6 +111,11 @@ class SimulationSession {
   /// sim/checkpoint.h).
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+  /// An upper bound on the bytes serialize() writes from the cache
+  /// section on (cache, FTL, fault injector, event ring), the sections
+  /// whose tables grow with the run; serialize() reserves it before
+  /// writing them.
+  std::size_t layer_snapshot_bytes() const;
 
  private:
   /// One submission queue: its trace source, namespace slice, admission

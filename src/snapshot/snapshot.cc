@@ -1,5 +1,6 @@
 #include "snapshot/snapshot.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <fstream>
@@ -17,31 +18,24 @@ namespace {
 // 8-byte magic: identifies the container and its byte order in one read.
 constexpr char kMagic[8] = {'R', 'Q', 'B', 'S', 'N', 'A', 'P', '1'};
 
-// The one little-endian codec of every integer the snapshot stores: the
-// container header, the payload writer and reader, and Fingerprint.
-template <typename T>
-std::array<char, sizeof(T)> le_bytes(T v) {
-  std::array<char, sizeof(T)> buf;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf[i] = static_cast<char>(v >> (8 * i));
-  }
-  return buf;
-}
-
+// The container header's and Fingerprint's integers, little-endian like
+// the payload's (the header asserts a little-endian host).
 template <typename T>
 T load_le(const char* p) {
-  T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v = static_cast<T>(v | static_cast<T>(static_cast<unsigned char>(p[i]))
-                               << (8 * i));
-  }
+  T v;
+  std::memcpy(&v, p, sizeof(T));
   return v;
 }
 
 template <typename T>
 void append_le(std::string& out, T v) {
-  out.append(le_bytes(v).data(), sizeof(T));
+  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
+
+// How far ahead of its cursor a writer makes room at a time. Making room
+// zero-fills it, so reserved capacity is touched only this far past the
+// last byte written.
+constexpr std::size_t kRoomStep = std::size_t{64} << 10;
 
 }  // namespace
 
@@ -56,7 +50,7 @@ std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
 }
 
 Fingerprint& Fingerprint::add(std::uint64_t v) {
-  hash_ = fnv1a64(le_bytes(v).data(), sizeof(v), hash_);
+  hash_ = fnv1a64(&v, sizeof(v), hash_);
   return *this;
 }
 
@@ -72,6 +66,26 @@ Fingerprint& Fingerprint::add_string(std::string_view s) {
 
 // --- SnapshotWriter --------------------------------------------------------
 
+void SnapshotWriter::reserve(std::size_t bytes) {
+  if (buf_.capacity() - pos_ < bytes) buf_.reserve(pos_ + bytes);
+}
+
+void SnapshotWriter::extend(std::size_t bytes) {
+  // Past the capacity the buffer doubles; within it, the room grows a
+  // step at a time, so untouched capacity never becomes resident.
+  if (buf_.capacity() - pos_ < bytes) {
+    buf_.reserve(std::max(pos_ + bytes, 2 * buf_.capacity()));
+  }
+  buf_.resize(std::min(buf_.capacity(), pos_ + std::max(bytes, kRoomStep)));
+}
+
+void SnapshotWriter::raw(const void* data, std::size_t size) {
+  if (size == 0) return;  // `data` may be null
+  if (buf_.size() - pos_ < size) extend(size);
+  std::memcpy(buf_.data() + pos_, data, size);
+  pos_ += size;
+}
+
 void SnapshotWriter::tag(std::string_view name) {
   // Tag = sentinel byte + length-prefixed name. The sentinel makes a tag
   // visually greppable in hex dumps and very unlikely to match a value the
@@ -80,12 +94,6 @@ void SnapshotWriter::tag(std::string_view name) {
   str(name);
 }
 
-void SnapshotWriter::u16(std::uint16_t v) { append_le(buffer_, v); }
-void SnapshotWriter::u32(std::uint32_t v) { append_le(buffer_, v); }
-void SnapshotWriter::u64(std::uint64_t v) { append_le(buffer_, v); }
-
-void SnapshotWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
 void SnapshotWriter::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
   raw(s.data(), s.size());
@@ -93,23 +101,25 @@ void SnapshotWriter::str(std::string_view s) {
 
 void SnapshotWriter::vec_u64(const std::vector<std::uint64_t>& v) {
   u64(v.size());
-  for (const auto x : v) u64(x);
+  raw(v.data(), v.size() * sizeof(std::uint64_t));
 }
 
 void SnapshotWriter::vec_u32(const std::vector<std::uint32_t>& v) {
   u64(v.size());
-  for (const auto x : v) u32(x);
+  raw(v.data(), v.size() * sizeof(std::uint32_t));
 }
 
 // --- SnapshotReader --------------------------------------------------------
 
+void SnapshotReader::truncated(std::size_t size) const {
+  std::ostringstream os;
+  os << "snapshot payload truncated: need " << size << " bytes at offset "
+     << pos_ << ", have " << (data_.size() - pos_);
+  throw SnapshotError(os.str());
+}
+
 const char* SnapshotReader::need(std::size_t size) {
-  if (data_.size() - pos_ < size) {
-    std::ostringstream os;
-    os << "snapshot payload truncated: need " << size << " bytes at offset "
-       << pos_ << ", have " << (data_.size() - pos_);
-    throw SnapshotError(os.str());
-  }
+  if (data_.size() - pos_ < size) truncated(size);
   const char* p = data_.data() + pos_;
   pos_ += size;
   return p;
@@ -132,24 +142,6 @@ void SnapshotReader::tag(std::string_view name) {
   }
 }
 
-std::uint8_t SnapshotReader::u8() {
-  return static_cast<std::uint8_t>(*need(1));
-}
-
-std::uint16_t SnapshotReader::u16() {
-  return load_le<std::uint16_t>(need(2));
-}
-
-std::uint32_t SnapshotReader::u32() {
-  return load_le<std::uint32_t>(need(4));
-}
-
-std::uint64_t SnapshotReader::u64() {
-  return load_le<std::uint64_t>(need(8));
-}
-
-double SnapshotReader::f64() { return std::bit_cast<double>(u64()); }
-
 std::string SnapshotReader::str() {
   const std::uint32_t size = u32();
   const char* p = need(size);
@@ -168,21 +160,21 @@ std::uint64_t SnapshotReader::count(std::size_t min_item_bytes) {
 std::vector<std::uint64_t> SnapshotReader::vec_u64() {
   const std::uint64_t size = u64();
   // Bound before allocating: a corrupt length must not trigger a bad_alloc.
-  if (size > (data_.size() - pos_) / 8) {
+  if (size > remaining() / 8) {
     throw SnapshotError("snapshot vector length exceeds remaining payload");
   }
   std::vector<std::uint64_t> v(size);
-  for (auto& x : v) x = u64();
+  if (size > 0) std::memcpy(v.data(), need(size * 8), size * 8);
   return v;
 }
 
 std::vector<std::uint32_t> SnapshotReader::vec_u32() {
   const std::uint64_t size = u64();
-  if (size > (data_.size() - pos_) / 4) {
+  if (size > remaining() / 4) {
     throw SnapshotError("snapshot vector length exceeds remaining payload");
   }
   std::vector<std::uint32_t> v(size);
-  for (auto& x : v) x = u32();
+  if (size > 0) std::memcpy(v.data(), need(size * 4), size * 4);
   return v;
 }
 
@@ -367,6 +359,10 @@ void deserialize(SnapshotReader& r, CountHistogram& h) {
   h.restore(std::move(counts), count, sum);
 }
 
+std::size_t snapshot_bytes(const CountHistogram& h) {
+  return 8 + 8 * h.raw_counts().size() + 8 + 8;
+}
+
 void serialize(SnapshotWriter& w, const RunningStat& s) {
   w.u64(s.count());
   w.f64(s.raw_mean());
@@ -379,6 +375,8 @@ void deserialize(SnapshotReader& r, RunningStat& s) {
   const auto m2 = r.f64();
   s.restore(n, mean, m2);
 }
+
+std::size_t snapshot_bytes(const RunningStat&) { return 3 * 8; }
 
 void serialize(SnapshotWriter& w, const Rng& rng) {
   const auto s = rng.state();

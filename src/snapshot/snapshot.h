@@ -7,6 +7,17 @@
 // reader fail loudly ("expected section 'ftl', found 'cache'") instead of
 // silently misinterpreting bytes when writer and reader drift apart.
 //
+// Both ends run at memory speed on multi-megabyte payloads:
+//   * the writer is an inline cursor over one std::string. A caller that
+//     knows how many bytes are coming reserves them (SimulationSession
+//     reserves its layers' bound, from the entry counts of their tables),
+//     so the buffer is not reallocated while they are written, and take()
+//     moves the string out;
+//   * the reader loads each fixed-width value inline behind one bounds
+//     check, and count() bounds every element count before it allocates;
+//   * values are stored by copying their bytes, so the build asserts a
+//     little-endian host.
+//
 // On disk a snapshot is wrapped in a container: magic + format version +
 // identity hashes (config fingerprint, trace identity) + payload length +
 // FNV-1a-64 checksum chained over the header prefix and the payload (v6:
@@ -27,6 +38,7 @@
 // node maps) are written in list order or sorted key order.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -40,6 +52,10 @@ class LogHistogram;
 class CountHistogram;
 class RunningStat;
 class Rng;
+
+static_assert(std::endian::native == std::endian::little,
+              "snapshot values are stored by copying their bytes, which "
+              "gives the little-endian format only on a little-endian host");
 
 /// Every malformed-snapshot condition (truncation, checksum mismatch,
 /// version/identity mismatch, section-tag drift) throws this.
@@ -73,30 +89,58 @@ class Fingerprint {
 
 class SnapshotWriter {
  public:
+  /// Makes room for `bytes` more payload bytes in one allocation, so
+  /// writing them never reallocates (and copies) the buffer. Only
+  /// capacity: bytes not yet written are not touched, so an over-estimate
+  /// costs address space, not memory.
+  void reserve(std::size_t bytes);
+
   /// Named section marker; the reader must consume the same tag at the
   /// same position. Cheap structure validation for long payloads.
   void tag(std::string_view name);
+  /// The bytes tag(name) writes: sentinel, length and name.
+  static constexpr std::size_t tag_bytes(std::string_view name) {
+    return 1 + 4 + name.size();
+  }
 
-  void u8(std::uint8_t v) { raw(&v, 1); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
+  void u8(std::uint8_t v) { put(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i64(std::int64_t v) { put(v); }
+  void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
   void b(bool v) { u8(v ? 1 : 0); }
   void str(std::string_view s);
 
   void vec_u64(const std::vector<std::uint64_t>& v);
   void vec_u32(const std::vector<std::uint32_t>& v);
 
-  const std::string& buffer() const { return buffer_; }
-  std::string take() { return std::move(buffer_); }
+  /// The bytes written so far.
+  const std::string& buffer() const {
+    buf_.resize(pos_);
+    return buf_;
+  }
+  std::string take() {
+    buf_.resize(pos_);
+    pos_ = 0;
+    return std::move(buf_);
+  }
 
  private:
-  void raw(const void* data, std::size_t size) {
-    buffer_.append(static_cast<const char*>(data), size);
+  template <typename T>
+  void put(T v) {
+    if (buf_.size() - pos_ < sizeof(T)) extend(sizeof(T));
+    std::memcpy(buf_.data() + pos_, &v, sizeof(T));
+    pos_ += sizeof(T);
   }
-  std::string buffer_;
+  void raw(const void* data, std::size_t size);
+  /// Makes at least `bytes` bytes writable at the cursor.
+  void extend(std::size_t bytes);
+
+  // [0, pos_) is written; [pos_, size()) is room made writable ahead of
+  // the cursor, trimmed off whenever the bytes are handed out.
+  mutable std::string buf_;
+  std::size_t pos_ = 0;
 };
 
 class SnapshotReader {
@@ -107,12 +151,12 @@ class SnapshotReader {
   /// found tags on mismatch.
   void tag(std::string_view name);
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
+  std::uint8_t u8() { return take<std::uint8_t>(); }
+  std::uint16_t u16() { return take<std::uint16_t>(); }
+  std::uint32_t u32() { return take<std::uint32_t>(); }
+  std::uint64_t u64() { return take<std::uint64_t>(); }
+  std::int64_t i64() { return take<std::int64_t>(); }
+  double f64() { return std::bit_cast<double>(u64()); }
   bool b() { return u8() != 0; }
   std::string str();
 
@@ -131,7 +175,16 @@ class SnapshotReader {
   void expect_end() const;
 
  private:
+  template <typename T>
+  T take() {
+    if (data_.size() - pos_ < sizeof(T)) truncated(sizeof(T));
+    T v;
+    std::memcpy(&v, data_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
   const char* need(std::size_t size);
+  [[noreturn]] void truncated(std::size_t size) const;
   std::string_view data_;
   std::size_t pos_ = 0;
 };
@@ -207,8 +260,10 @@ void serialize(SnapshotWriter& w, const LogHistogram& h);
 void deserialize(SnapshotReader& r, LogHistogram& h);
 void serialize(SnapshotWriter& w, const CountHistogram& h);
 void deserialize(SnapshotReader& r, CountHistogram& h);
+std::size_t snapshot_bytes(const CountHistogram& h);
 void serialize(SnapshotWriter& w, const RunningStat& s);
 void deserialize(SnapshotReader& r, RunningStat& s);
+std::size_t snapshot_bytes(const RunningStat& s);
 void serialize(SnapshotWriter& w, const Rng& rng);
 void deserialize(SnapshotReader& r, Rng& rng);
 

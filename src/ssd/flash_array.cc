@@ -1,6 +1,7 @@
 #include "ssd/flash_array.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <numeric>
 #include <string>
@@ -135,6 +136,23 @@ Lpn FlashArray::lpn_at(Ppn ppn) const { return valid_slot(ppn).lpn; }
 
 std::uint64_t FlashArray::version_at(Ppn ppn) const {
   return valid_slot(ppn).version;
+}
+
+void FlashArray::versions_at(std::span<const Ppn> ppns,
+                             std::span<std::uint64_t> out) const {
+  REQB_CHECK(out.size() == ppns.size() && ppns.size() <= kVersionRun);
+  std::array<const PageSlot*, kVersionRun> slots;
+  for (std::size_t i = 0; i < ppns.size(); ++i) {
+    const PageLoc loc = amap_.locate(ppns[i]);
+    const Block& b = block_at(loc);
+    slots[i] = b.slots ? &b.slots[loc.page] : nullptr;
+    __builtin_prefetch(slots[i]);
+  }
+  for (std::size_t i = 0; i < ppns.size(); ++i) {
+    REQB_CHECK_MSG(slots[i] && slots[i]->state == PageState::kValid,
+                   "page access on a non-valid page");
+    out[i] = slots[i]->version;
+  }
 }
 
 void FlashArray::set_version(Ppn ppn, std::uint64_t version) {
@@ -829,6 +847,23 @@ void FlashArray::serialize(SnapshotWriter& w) const {
       }
     }
   }
+}
+
+std::size_t FlashArray::snapshot_bytes() const {
+  // Per plane: the two block lists, the counters, the candidate entries
+  // and the block count. Per block: 24 fixed bytes, 5 per programmed page
+  // (state, LPN), the two entry counts, at most one 3-byte error entry
+  // per programmed page and one 2-byte parity entry per stripe.
+  std::size_t bytes = SnapshotWriter::tag_bytes("flash_array") + 3 * 8;
+  for (const Plane& pl : planes_) {
+    bytes += 8 + 4 * pl.free_list.size() + 8 + 4 * pl.spare_list.size() +
+             8 + 8 + 1 + 4 + 8 + 8 + 8 * pl.candidates.entries + 8;
+    for (const Block& b : pl.blocks) {
+      bytes += 24 + (5 + 3) * std::size_t{b.write_ptr} + 2 + 2 +
+               (b.stripe_parity ? 2 * stripes_per_block() : 0);
+    }
+  }
+  return bytes;
 }
 
 void FlashArray::deserialize(SnapshotReader& r) {

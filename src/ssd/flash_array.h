@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ssd/address.h"
@@ -57,6 +58,13 @@ class FlashArray {
   /// Sets a valid page's version (snapshot restore: the FTL writes its
   /// version table back onto the pages).
   void set_version(Ppn ppn, std::uint64_t version);
+  /// Largest run of pages versions_at takes.
+  static constexpr std::size_t kVersionRun = 64;
+  /// Versions of a run of valid pages: out[i] = version_at(ppns[i]). Every
+  /// page's slot load is issued before any is read, so a run of scattered
+  /// pages waits about one memory latency instead of one per page.
+  void versions_at(std::span<const Ppn> ppns,
+                   std::span<std::uint64_t> out) const;
 
   std::uint64_t free_blocks(std::uint32_t plane) const;
   /// Free blocks per plane at/below which GC runs
@@ -244,6 +252,11 @@ class FlashArray {
   /// candidate entries outside the plane's blocks and 1..pages_per_block.
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+  /// An upper bound on the bytes serialize() writes, from the blocks'
+  /// write pointers and the planes' list and candidate counts (error and
+  /// parity entries are bounded by the pages and stripes that could hold
+  /// them).
+  std::size_t snapshot_bytes() const;
 
  private:
   /// One physical page. The error counter (integrity; saturates at 255)

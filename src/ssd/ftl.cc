@@ -1,6 +1,7 @@
 #include "ssd/ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <string>
 #include <utility>
@@ -690,9 +691,24 @@ void FlashMetrics::serialize(SnapshotWriter& w) const {
   write_fields(kFlashMetricsFields, *this, w);
 }
 
+std::size_t FlashMetrics::snapshot_bytes() const {
+  return SnapshotWriter::tag_bytes("flash_metrics") +
+         fields_bytes(kFlashMetricsFields, *this);
+}
+
 void FlashMetrics::deserialize(SnapshotReader& r) {
   r.tag("flash_metrics");
   read_fields(kFlashMetricsFields, *this, r);
+}
+
+std::size_t Ftl::snapshot_bytes() const {
+  // The L2P and version tables (16-byte entries, each table after its
+  // count), the pre-existing ranges, the cursors, the metrics, the
+  // channel and chip timelines, then the flash array.
+  return SnapshotWriter::tag_bytes("ftl") + 2 * (8 + 16 * l2p_.size()) + 8 +
+         16 * preexisting_.size() + 8 + 1 + 4 + 4 + metrics_.snapshot_bytes() +
+         8 + 16 * channels_.size() + 8 + 16 * chips_.size() +
+         array_.snapshot_bytes();
 }
 
 void Ftl::serialize(SnapshotWriter& w) const {
@@ -704,11 +720,29 @@ void Ftl::serialize(SnapshotWriter& w) const {
     w.u64(lpn);
     w.u64(ppn);
   });
+  // The versions sit on the pages, scattered across the array: they are
+  // read a run of mapped pages at a time (FlashArray::versions_at), so the
+  // walk overlaps its cache misses instead of waiting on one per LPN.
   w.u64(l2p_.size());
+  constexpr std::size_t kRun = FlashArray::kVersionRun;
+  std::array<Lpn, kRun> lpns;
+  std::array<Ppn, kRun> ppns;
+  std::array<std::uint64_t, kRun> versions;
+  std::size_t n = 0;
+  const auto write_run = [&] {
+    array_.versions_at({ppns.data(), n}, {versions.data(), n});
+    for (std::size_t i = 0; i < n; ++i) {
+      w.u64(lpns[i]);
+      w.u64(versions[i]);
+    }
+    n = 0;
+  };
   l2p_.for_each([&](Lpn lpn, std::uint32_t ppn) {
-    w.u64(lpn);
-    w.u64(array_.version_at(ppn));
+    lpns[n] = lpn;
+    ppns[n] = ppn;
+    if (++n == kRun) write_run();
   });
+  if (n > 0) write_run();
   w.u64(preexisting_.size());
   for (const auto& [begin, end] : preexisting_) {
     w.u64(begin);

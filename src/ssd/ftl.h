@@ -59,6 +59,8 @@ struct FlashMetrics {
 
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+  /// The bytes serialize() writes.
+  std::size_t snapshot_bytes() const;
 };
 
 /// FlashMetrics' fields in snapshot order (src/util/fields.h).
@@ -206,6 +208,9 @@ class Ftl {
   /// geometry, or with the pages they map.
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+  /// An upper bound on the bytes serialize() writes, from the entry
+  /// counts of its tables and FlashArray::snapshot_bytes.
+  std::size_t snapshot_bytes() const;
 
  private:
   /// Next plane in channel-major round-robin (consecutive pages land on

@@ -119,6 +119,11 @@ void TraceBuffer::serialize(SnapshotWriter& w) const {
   w.i64(now_);
 }
 
+std::size_t TraceBuffer::snapshot_bytes() const {
+  return SnapshotWriter::tag_bytes("trace_buffer") + 8 +
+         kEventSnapshotBytes * size_ + 5 * 8;
+}
+
 void TraceBuffer::deserialize(SnapshotReader& r) {
   r.tag("trace_buffer");
   REQB_CHECK_MSG(size_ == 0 && emitted_ == 0,

@@ -65,6 +65,7 @@ TraceLevel trace_level_from_env(TraceLevel fallback = TraceLevel::kOff);
 /// One event's snapshot encoding: its seven fields at fixed widths, 37
 /// bytes. The trace-buffer section and stored run results both use it.
 /// Reading refuses a kind past kLastEventKind.
+inline constexpr std::size_t kEventSnapshotBytes = 8 + 8 + 8 + 8 + 1 + 2 + 2;
 void serialize(SnapshotWriter& w, const TraceEvent& e);
 void deserialize(SnapshotReader& r, TraceEvent& e);
 
@@ -123,6 +124,8 @@ class TraceBuffer {
   /// identical TraceConfig (the config is part of the run fingerprint).
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
+  /// The bytes serialize() writes.
+  std::size_t snapshot_bytes() const;
 
  private:
   TraceConfig config_;

@@ -35,18 +35,24 @@ SimTime ticks_to_ns_saturating(std::uint64_t ticks) {
   return static_cast<SimTime>(ticks) * kTicksToNs;
 }
 
-// Sets the page extent of the byte range [offset, offset + size); a
-// zero-byte request still touches the page holding the offset. A range
-// that wraps the 64-bit byte space or a page count that does not fit the
-// request is corrupt input, not a giant request: false.
+// Largest page a request may touch: the 32-bit logical page space that
+// the write oracle, the L2P table and the flash array hold.
+constexpr Lpn kMaxTraceLpn = std::numeric_limits<std::uint32_t>::max();
+
+// Sets the page extent of the byte range [offset, offset + size), moved up
+// by `base_lpn` pages; a zero-byte request still touches the page holding
+// the offset. A range that wraps the 64-bit byte space, a page count that
+// does not fit the request, or a last page beyond kMaxTraceLpn is corrupt
+// input, not a giant request: false.
 bool set_extent(IoRequest& req, std::uint64_t offset, std::uint64_t size,
-                std::uint64_t page_size) {
+                std::uint64_t page_size, Lpn base_lpn = 0) {
   const std::uint64_t span = size == 0 ? 1 : size;
   if (offset > std::numeric_limits<std::uint64_t>::max() - span) return false;
   const Lpn first = offset / page_size;
   const Lpn last = (offset + span - 1) / page_size;
   if (last - first >= std::numeric_limits<std::uint32_t>::max()) return false;
-  req.lpn = first;
+  if (base_lpn > kMaxTraceLpn || last > kMaxTraceLpn - base_lpn) return false;
+  req.lpn = base_lpn + first;
   req.pages = static_cast<std::uint32_t>(last - first + 1);
   return true;
 }
@@ -186,11 +192,18 @@ std::optional<IoRequest> parse_spc_line(std::string_view line,
       *lba > std::numeric_limits<std::uint64_t>::max() / opts.sector_size) {
     return std::nullopt;
   }
-  if (!set_extent(req, *lba * opts.sector_size, *size, opts.page_size)) {
+  // Without a filter every ASU gets its own stride of the page space; an
+  // ASU whose stride starts past the page space is corrupt input.
+  Lpn base_lpn = 0;
+  if (opts.asu_filter < 0 && opts.asu_stride_pages != 0) {
+    if (*asu > kMaxTraceLpn / opts.asu_stride_pages) return std::nullopt;
+    base_lpn = *asu * opts.asu_stride_pages;
+  }
+  if (!set_extent(req, *lba * opts.sector_size, *size, opts.page_size,
+                  base_lpn)) {
     return std::nullopt;
   }
   req.arrival = static_cast<SimTime>(std::llround(*ts * 1e9));
-  if (opts.asu_filter < 0) req.lpn += *asu * opts.asu_stride_pages;
   return req;
 }
 

@@ -9,6 +9,7 @@
 //   write_fields  one writer call per row, in table order, picked by the
 //                 field's type;
 //   read_fields   the matching reader calls, in the same order;
+//   fields_bytes  the bytes write_fields writes;
 //   add_fields    sums the counter rows of one record into another.
 #pragma once
 
@@ -86,6 +87,33 @@ void read_fields(const Table& table, S& owner, Reader& r) {
       deserialize(r, v);
     }
   });
+}
+
+/// The bytes write_fields writes for `owner`, row by row as it picks its
+/// writer call: a field with its own serialize counts its snapshot_bytes.
+template <typename Table, typename S>
+std::size_t fields_bytes(const Table& table, const S& owner) {
+  std::size_t bytes = 0;
+  knob_detail::for_each(table, [&](const auto& row) {
+    const auto& v = row.get(owner);
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      bytes += 1;
+    } else if constexpr (std::is_integral_v<T>) {
+      bytes += 8;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      bytes += 4 + v.size();
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
+      bytes += 8 + 8 * v.size();
+    } else if constexpr (kIsU64Array<T>) {
+      bytes += 8 * v.size();
+    } else if constexpr (requires { v.snapshot_bytes(); }) {
+      bytes += v.snapshot_bytes();
+    } else {
+      bytes += snapshot_bytes(v);
+    }
+  });
+  return bytes;
 }
 
 /// Adds every integer row of `from` into `into`; bool rows keep `into`'s

@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -115,12 +116,38 @@ class SlotMap {
     }
   }
 
-  /// Removes the entry at a live slot.
+  /// Removes `key` and returns its value, or nullopt when it is absent:
+  /// one probe walk, where find() then erase_slot() would make two.
+  std::optional<T> extract(std::uint64_t key) {
+    if (size_ == 0) return std::nullopt;
+    const std::uint64_t h = hash(key);
+    const auto tag = static_cast<std::uint32_t>(h >> 32);
+    for (std::size_t i = h >> shift_;; i = (i + 1) & mask()) {
+      const Slot s = cells_[i].slot;
+      if (s == kNoSlot) return std::nullopt;
+      if (cells_[i].hash == tag && slab_[s].key == key) {
+        std::optional<T> value(std::move(slab_[s].value));
+        release(s);
+        remove_cell(i);
+        --size_;
+        return value;
+      }
+    }
+  }
+
+  /// Removes the entry at a live slot. Its cell is found by slot id from
+  /// the home of the slot's key, so the walk reads no other slab entry.
   void erase_slot(Slot s) {
     REQB_DCHECK(live(s));
-    const bool erased = erase(slab_[s].key);
-    REQB_DCHECK(erased);
-    (void)erased;
+    std::size_t i = hash(slab_[s].key) >> shift_;
+    while (cells_[i].slot != s) {
+      REQB_CHECK_MSG(cells_[i].slot != kNoSlot,
+                     "slot-map index has no cell for a live slot");
+      i = (i + 1) & mask();
+    }
+    release(s);
+    remove_cell(i);
+    --size_;
   }
 
   T& operator[](Slot s) { return slab_[s].value; }

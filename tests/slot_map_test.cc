@@ -1,5 +1,6 @@
 // SlotMap and SlotList: a differential run against std::unordered_map over
-// keys that collide on purpose, slot stability and last-in first-out slot
+// keys that collide on purpose (insert, find, and erase by key, by
+// extract and by slot), slot stability and last-in first-out slot
 // reuse, the no-allocation guarantees of a fresh map, random list surgery
 // against a std::deque model, each SlotList operation on a short list,
 // validate() catching deliberate corruption, and SlotList's misuse guards.
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <deque>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -103,9 +105,35 @@ TEST(SlotMapTest, MatchesUnorderedMapOverWrappingClusters) {
       }
       ASSERT_EQ(map[slot], it->second) << "op " << op;
     } else if (dice < 9) {
+      // Three ways out: erase by key, extract (one walk that hands the
+      // value back), and erase_slot (the cell found by slot id).
       const bool wrapped_before = cluster_wraps();
-      const bool erased = map.erase(key);
-      ASSERT_EQ(erased, ref.erase(key) == 1) << "op " << op;
+      const auto it = ref.find(key);
+      const bool present = it != ref.end();
+      bool erased = false;
+      switch (op % 3) {
+        case 0:
+          erased = map.erase(key);
+          break;
+        case 1: {
+          const std::optional<std::uint64_t> value = map.extract(key);
+          erased = value.has_value();
+          if (erased && present) {
+            ASSERT_EQ(*value, it->second) << "op " << op;
+          }
+          break;
+        }
+        default: {
+          const Slot slot = map.find(key);
+          if (slot != kNoSlot) {
+            map.erase_slot(slot);
+            erased = true;
+          }
+          break;
+        }
+      }
+      ASSERT_EQ(erased, present) << "op " << op;
+      if (present) ref.erase(it);
       if (erased && is_clustered(key)) {
         --live_clustered;
         if (wrapped_before) ++wrapped_erases;

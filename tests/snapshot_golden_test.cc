@@ -13,16 +13,29 @@
 // makes a version bump revisit this file. A change that moves a digest
 // without a version bump changed the bytes of an existing format — that is
 // the regression this test exists to catch.
+//
+// The every-subsystem payload also feeds a truncation sweep: no prefix of
+// it may restore. The same sessions check the snapshot_bytes() bounds
+// that SimulationSession::serialize reserves its layers by.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "cache/policy_factory.h"
 #include "host/tenant.h"
 #include "sim/session.h"
 #include "snapshot/snapshot.h"
+#include "telemetry/trace_buffer.h"
 #include "test_util.h"
 #include "trace/synthetic.h"
+#include "util/audit.h"
+#include "util/rng.h"
 
 namespace reqblock {
 namespace {
@@ -107,7 +120,7 @@ TEST(SnapshotGoldenTest, CflruWithCachedReads) {
 // Req-block behind three tenants with admission control, faults (program
 // failures, power loss), a pre-aged device, the bit-error recovery chain
 // with patrol scrub, and per-request attribution.
-TEST(SnapshotGoldenTest, ReqBlockWithEverySubsystem) {
+SimOptions every_subsystem_options() {
   SimOptions o = small_options("reqblock");
   o.tenants.count = 3;
   o.tenants.arbiter = ArbiterKind::kDeficit;
@@ -131,11 +144,95 @@ TEST(SnapshotGoldenTest, ReqBlockWithEverySubsystem) {
   o.fault.integrity.scrub_every_requests = 500;
   o.fault.integrity.scrub_rber_threshold = 0.1;
   o.telemetry.attribution = true;
+  return o;
+}
+
+WorkloadProfile every_subsystem_profile() {
   WorkloadProfile p = golden_profile(0.6);
   p.mean_interarrival_ns = 600 * kMicrosecond;
-  TenantStreams streams = make_tenant_streams(p, o.tenants);
+  return p;
+}
+
+TEST(SnapshotGoldenTest, ReqBlockWithEverySubsystem) {
+  const SimOptions o = every_subsystem_options();
+  TenantStreams streams =
+      make_tenant_streams(every_subsystem_profile(), o.tenants);
   SimulationSession session(o, streams.sources);
   EXPECT_EQ(digest_mid_run(session), 0x0f2222ab1716009dULL);
+}
+
+// Every prefix of a full-session payload is refused with SnapshotError:
+// cut at every byte of its first and last 4 KB, within 16 bytes of every
+// section tag, and at a seeded sample elsewhere. Each prefix is copied
+// into an allocation of exactly its size, so a read past the cut is an
+// AddressSanitizer report, not a read of the bytes that were cut off:
+// the oracle for the reader's bounds checks.
+TEST(SnapshotTruncationTest, EveryPrefixOfAFullSessionIsRefused) {
+  const SimOptions o = every_subsystem_options();
+  const WorkloadProfile p = every_subsystem_profile();
+  std::string payload;
+  {
+    TenantStreams streams = make_tenant_streams(p, o.tenants);
+    SimulationSession session(o, streams.sources);
+    while (session.served() < kStopAt && session.step()) {
+    }
+    SnapshotWriter w;
+    session.serialize(w);
+    payload = w.take();
+  }
+  const std::size_t size = payload.size();
+  ASSERT_GT(size, 16'384u);
+
+  std::vector<std::size_t> cuts;
+  for (std::size_t n = 0; n < 4096; ++n) {
+    cuts.push_back(n);
+    cuts.push_back(size - 1 - n);
+  }
+  // A tag is the 0xA5 sentinel, a 4-byte length and a lower-case name.
+  std::size_t tags = 0;
+  for (std::size_t at = 0; at + 5 < size; ++at) {
+    if (static_cast<unsigned char>(payload[at]) != 0xA5) continue;
+    std::uint32_t len = 0;
+    std::memcpy(&len, payload.data() + at + 1, 4);
+    if (len == 0 || len > 32 || at + 5 + len > size) continue;
+    const std::string_view name(payload.data() + at + 5, len);
+    if (name.find_first_not_of("abcdefghijklmnopqrstuvwxyz_") !=
+        std::string_view::npos) {
+      continue;
+    }
+    ++tags;
+    for (std::size_t d = 0; d <= 32; ++d) {
+      if (at + d >= 16 && at + d - 16 < size) cuts.push_back(at + d - 16);
+    }
+  }
+  EXPECT_GE(tags, 20u);
+  Rng rng(0x7c7);
+  for (int i = 0; i < 1500; ++i) cuts.push_back(rng.next_below(size));
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+  // Thousands of restores into fresh sessions: run them at the program's
+  // default audit level, whatever REQBLOCK_AUDIT asks of the suite.
+  struct LightAuditScope {
+    AuditLevel previous = set_audit_level(AuditLevel::kLight);
+    ~LightAuditScope() { set_audit_level(previous); }
+  } light_audits;
+  std::size_t refused = 0;
+  for (const std::size_t n : cuts) {
+    const auto prefix = std::make_unique<char[]>(n);
+    std::memcpy(prefix.get(), payload.data(), n);
+    TenantStreams streams = make_tenant_streams(p, o.tenants);
+    SimulationSession restored(o, streams.sources);
+    SnapshotReader reader(std::string_view(prefix.get(), n));
+    try {
+      restored.deserialize(reader);
+      ADD_FAILURE() << "a " << n << "-byte prefix of a " << size
+                    << "-byte payload was accepted";
+    } catch (const SnapshotError&) {
+      ++refused;
+    }
+  }
+  EXPECT_EQ(refused, cuts.size());
 }
 
 // The cases above run on tiny_ssd, where GC never starts. These run on
@@ -187,6 +284,92 @@ TEST(SnapshotGoldenTest, GcPressuredGreedyAndWearAware) {
 
     EXPECT_EQ(single_stream_digest(o, gc_profile()), c.digest);
   }
+}
+
+// SimulationSession::serialize reserves layer_snapshot_bytes() before its
+// cache section, so the tables that make up most of a long run's payload
+// are written without reallocating the buffer. That bound must cover the
+// bytes from the cache section's tag to the end of the payload.
+std::size_t layer_bytes_written(SimulationSession& session) {
+  while (session.served() < kStopAt && session.step()) {
+  }
+  SnapshotWriter w;
+  session.serialize(w);
+  const std::string& payload = w.buffer();
+  // The "cache" tag: the sentinel, the name's length and the name.
+  const std::string tag("\xA5\x05\0\0\0cache", 10);
+  const std::size_t at = payload.find(tag);
+  EXPECT_NE(at, std::string::npos);
+  return payload.size() - at;
+}
+
+TEST(SnapshotSizeTest, LayerReservationCoversTheLayers) {
+  {
+    SCOPED_TRACE("every subsystem, events traced");
+    SimOptions o = every_subsystem_options();
+    o.telemetry.trace.level = TraceLevel::kAll;
+    TenantStreams streams =
+        make_tenant_streams(every_subsystem_profile(), o.tenants);
+    SimulationSession session(o, streams.sources);
+    const std::size_t written = layer_bytes_written(session);
+    EXPECT_LE(written, session.layer_snapshot_bytes());
+  }
+  for (const auto policy : {SsdConfig::GcVictimPolicy::kGreedy,
+                            SsdConfig::GcVictimPolicy::kWearAware}) {
+    SCOPED_TRACE("GC active");
+    SyntheticTraceSource trace(gc_profile());
+    SimulationSession session(gc_options(policy), trace);
+    const std::size_t written = layer_bytes_written(session);
+    EXPECT_LE(written, session.layer_snapshot_bytes());
+  }
+  for (const std::string& policy : known_policy_names()) {
+    SCOPED_TRACE(policy);
+    SyntheticTraceSource trace(golden_profile(0.7));
+    SimulationSession session(small_options(policy), trace);
+    const std::size_t written = layer_bytes_written(session);
+    EXPECT_LE(written, session.layer_snapshot_bytes());
+  }
+}
+
+// Each layer's bound against its own section alone, where no slack in
+// another layer's bound can hide an overrun: every policy holding mostly
+// one-page requests (a Req-block block of one page is the largest
+// per-page record a policy writes) on an FTL that has collected, and an
+// event ring. The cache's bound is exact but for the policy's section,
+// and the event ring's is exact.
+TEST(SnapshotSizeTest, EachLayerBoundsItsOwnSection) {
+  for (const std::string& policy : known_policy_names()) {
+    SCOPED_TRACE(policy);
+    testing::Harness h(testing::policy_config(policy, 96, 8),
+                       testing::micro_ssd());
+    Rng rng(11);
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+      const std::uint32_t pages = i % 5 == 0 ? 3 : 1;
+      h.serve(testing::write_req(i, rng.next_below(1200), pages,
+                                 static_cast<SimTime>(i) * kMillisecond));
+    }
+    EXPECT_GT(h.ftl.metrics().gc_page_moves, 0u);
+    SnapshotWriter cache;
+    h.cache->serialize(cache);
+    SnapshotWriter policy_section;
+    h.cache->policy().serialize(policy_section);
+    const std::size_t policy_bound =
+        WriteBufferPolicy::kSnapshotHeaderBytes +
+        WriteBufferPolicy::kSnapshotBytesPerPage * h.cache->cached_pages();
+    EXPECT_LE(policy_section.buffer().size(), policy_bound);
+    EXPECT_EQ(cache.buffer().size() - policy_section.buffer().size(),
+              h.cache->snapshot_bytes() - policy_bound);
+    SnapshotWriter ftl;
+    h.ftl.serialize(ftl);
+    EXPECT_LE(ftl.buffer().size(), h.ftl.snapshot_bytes());
+  }
+  TraceBuffer events({TraceLevel::kAll, 64, 1});
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    events.emit(TraceEvent{.at = static_cast<SimTime>(i), .lpn = i});
+  }
+  SnapshotWriter w;
+  events.serialize(w);
+  EXPECT_EQ(w.buffer().size(), events.snapshot_bytes());
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -95,6 +97,127 @@ TEST(SnapshotPrimitivesTest, CountGuardRejectsOversizedCount) {
   ok.u64(2);
   SnapshotReader r2(ok.buffer());
   EXPECT_EQ(r2.count(8), 2u);
+}
+
+// An encoder written apart from SnapshotWriter: each integer byte by byte,
+// least significant first, by shifts.
+class ReferenceEncoder {
+ public:
+  void le(std::uint64_t v, std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  }
+  void str(const std::string& s) {
+    le(s.size(), 4);
+    out += s;
+  }
+  std::string out;
+};
+
+// Seeded random write sequences, across a reserved size and through every
+// growth step of the buffer (its doublings, the room made writable ahead
+// of the cursor, reserves made mid-stream), with the bytes read
+// mid-stream: the writer must produce exactly what the reference encoder
+// does.
+TEST(SnapshotPrimitivesTest, WriterMatchesAReferenceEncoderByteForByte) {
+  // Nothing reserved, sizes the stream crosses early and late, and more
+  // than it writes.
+  const std::size_t reserved[] = {0, 1000, std::size_t{1} << 20,
+                                  std::size_t{5} << 20};
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed + 1);
+    SnapshotWriter w;
+    ReferenceEncoder ref;
+    w.reserve(reserved[seed]);
+    std::size_t checks = 0;
+    while (ref.out.size() < (std::size_t{3} << 20)) {
+      const std::uint64_t v = rng.next_u64();
+      switch (rng.next_below(12)) {
+        case 0:
+          w.u8(static_cast<std::uint8_t>(v));
+          ref.le(v, 1);
+          break;
+        case 1:
+          w.u16(static_cast<std::uint16_t>(v));
+          ref.le(v, 2);
+          break;
+        case 2:
+          w.u32(static_cast<std::uint32_t>(v));
+          ref.le(v, 4);
+          break;
+        case 3:
+          w.u64(v);
+          ref.le(v, 8);
+          break;
+        case 4:
+          w.i64(static_cast<std::int64_t>(v));
+          ref.le(v, 8);
+          break;
+        case 5: {
+          const double d = rng.next_double() * 1e9 - 5e8;
+          w.f64(d);
+          ref.le(std::bit_cast<std::uint64_t>(d), 8);
+          break;
+        }
+        case 6:
+          w.b((v & 1) != 0);
+          ref.le(v & 1, 1);
+          break;
+        case 7: {
+          std::string text(rng.next_below(40), ' ');
+          for (char& c : text) c = static_cast<char>('a' + rng.next_below(26));
+          w.str(text);
+          ref.str(text);
+          break;
+        }
+        case 8: {
+          // Now and then long enough to cross several growth steps at once.
+          std::vector<std::uint32_t> xs(rng.next_below(40) == 0
+                                            ? 20'000 + rng.next_below(40'000)
+                                            : rng.next_below(64));
+          ref.le(xs.size(), 8);
+          for (auto& x : xs) {
+            x = static_cast<std::uint32_t>(rng.next_u64());
+            ref.le(x, 4);
+          }
+          w.vec_u32(xs);
+          break;
+        }
+        case 9: {
+          std::vector<std::uint64_t> xs(rng.next_below(64));
+          ref.le(xs.size(), 8);
+          for (auto& x : xs) {
+            x = rng.next_u64();
+            ref.le(x, 8);
+          }
+          w.vec_u64(xs);
+          break;
+        }
+        case 10:
+          // Room reserved mid-stream, as SimulationSession reserves it
+          // for its layers: sometimes past the capacity, so the written
+          // bytes move to a new buffer.
+          w.reserve(rng.next_below(rng.next_below(40) == 0
+                                        ? std::size_t{1} << 20
+                                        : 64));
+          break;
+        default:
+          ASSERT_EQ(w.buffer(), ref.out);
+          ++checks;
+          break;
+      }
+    }
+    EXPECT_GT(checks, 100u);
+    EXPECT_EQ(w.buffer(), ref.out);
+    const std::string taken = w.take();
+    EXPECT_EQ(taken, ref.out);
+    // A taken writer starts over empty.
+    EXPECT_TRUE(w.buffer().empty());
+    w.u16(0x1234);
+    EXPECT_EQ(w.take(), std::string("\x34\x12"));
+  }
 }
 
 TEST(SnapshotPrimitivesTest, RngRoundTripContinuesIdentically) {

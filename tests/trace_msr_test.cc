@@ -159,12 +159,44 @@ TEST(MsrTraceTest, OverflowingExtentsRejected) {
   // Page count does not fit the 32-bit request representation.
   EXPECT_FALSE(parse_msr_line("0,h,0,Write,0,18446744073709551615,0",
                               opts()).has_value());
-  // A huge-but-sane offset still parses.
+  // Pages beyond the 32-bit logical page space: LPN 2^33, LPN 2^51, and a
+  // request whose first page fits but whose last page is 2^32.
+  EXPECT_FALSE(parse_msr_line("0,h,0,Write,35184372088832,4096,0",
+                              opts()).has_value());
+  EXPECT_FALSE(parse_msr_line("0,h,0,Write,9223372036854775808,4096,0",
+                              opts()).has_value());
+  EXPECT_FALSE(parse_msr_line("0,h,0,Write,17592186040320,4097,0",
+                              opts()).has_value());
+  // A last page of exactly 2^32 - 1 still parses.
   const auto r =
-      parse_msr_line("0,h,0,Write,9223372036854775808,4096,0", opts());
+      parse_msr_line("0,h,0,Write,17592186040320,4096,0", opts());
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->pages, 1u);
-  EXPECT_EQ(r->lpn, 9223372036854775808ull / 4096);
+  EXPECT_EQ(r->lpn, 0xffffffffULL);
+  const auto two =
+      parse_msr_line("0,h,0,Write,17592186036224,8192,0", opts());
+  ASSERT_TRUE(two.has_value());
+  EXPECT_EQ(two->lpn, 0xfffffffeULL);
+  EXPECT_EQ(two->pages, 2u);
+
+  // Such a line is skipped and left out of the count by default, and
+  // refused with its file and line under strict parsing.
+  const std::string lines =
+      "0,h,0,Write,0,4096,0\n0,h,0,Write,35184372088832,4096,0\n"
+      "0,h,0,Write,17592186040320,4096,0\n";
+  std::istringstream lenient(lines);
+  EXPECT_EQ(parse_msr_stream(lenient, opts()).size(), 2u);
+  MsrParseOptions strict = opts();
+  strict.skip_malformed = false;
+  strict.source_name = "far.csv";
+  std::istringstream in(lines);
+  try {
+    parse_msr_stream(in, strict);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("far.csv:2"), std::string::npos) << msg;
+  }
 }
 
 // Deterministic fuzz: truncated lines, flipped characters, and random
@@ -192,6 +224,7 @@ TEST(MsrTraceTest, FuzzedLinesNeverCrashAndKeepInvariants) {
     if (r.has_value()) {
       EXPECT_GE(r->pages, 1u) << "line: " << line;
       EXPECT_GE(r->arrival, 0) << "line: " << line;
+      EXPECT_LE(r->lpn + r->pages - 1, 0xffffffffULL) << "line: " << line;
     }
   }
 }

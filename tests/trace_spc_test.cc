@@ -124,6 +124,48 @@ TEST(SpcTraceTest, OverflowingFieldsRejected) {
   // A large-but-sane line still parses.
   EXPECT_TRUE(parse_spc_line("0,1000000000,4096,w,1000000.5",
                              opts()).has_value());
+
+  // Pages beyond the 32-bit logical page space. With 512-byte sectors
+  // and 4 KiB pages, LBA 34359738360 starts page 2^32 - 1: one page still
+  // parses, a page more does not, and neither does LBA 2^36 (page 2^33).
+  const auto last = parse_spc_line("0,34359738360,4096,w,0", opts());
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->lpn, 0xffffffffULL);
+  EXPECT_EQ(last->pages, 1u);
+  EXPECT_FALSE(parse_spc_line("0,34359738360,4097,w,0", opts()).has_value());
+  EXPECT_FALSE(parse_spc_line("0,68719476736,4096,w,0", opts()).has_value());
+  // The ASU stride (2^26 pages) counts toward the last page: ASU 63 plus
+  // page 2^26 - 1 is page 2^32 - 1; one page further, or ASU 64, is not.
+  const auto top = parse_spc_line("63,536870904,4096,w,0", opts());
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(top->lpn, 0xffffffffULL);
+  EXPECT_FALSE(parse_spc_line("63,536870912,4096,w,0", opts()).has_value());
+  EXPECT_FALSE(parse_spc_line("64,0,4096,w,0", opts()).has_value());
+  // An ASU whose stride product would wrap 64 bits is refused, not wrapped.
+  EXPECT_FALSE(
+      parse_spc_line("274877906944,0,4096,w,0", opts()).has_value());
+  // Filtered to one ASU, the stride is not added, so the bound is the
+  // request's own page.
+  SpcParseOptions only = opts();
+  only.asu_filter = 64;
+  EXPECT_TRUE(parse_spc_line("64,0,4096,w,0", only).has_value());
+
+  // Such a line is skipped and left out of the count by default, and
+  // refused with its file and line under strict parsing.
+  const std::string lines = "0,0,4096,w,0.0\n64,0,4096,w,0.1\n";
+  std::istringstream lenient(lines);
+  EXPECT_EQ(parse_spc_stream(lenient, opts()).size(), 1u);
+  SpcParseOptions strict = opts();
+  strict.skip_malformed = false;
+  strict.source_name = "far.spc";
+  std::istringstream in(lines);
+  try {
+    parse_spc_stream(in, strict);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("far.spc:2"), std::string::npos) << msg;
+  }
 }
 
 // Deterministic fuzz: truncated lines, flipped characters, and random
@@ -151,6 +193,7 @@ TEST(SpcTraceTest, FuzzedLinesNeverCrashAndKeepInvariants) {
     if (r.has_value()) {
       EXPECT_GE(r->pages, 1u) << "line: " << line;
       EXPECT_GE(r->arrival, 0) << "line: " << line;
+      EXPECT_LE(r->lpn + r->pages - 1, 0xffffffffULL) << "line: " << line;
     }
   }
 }
