@@ -53,28 +53,28 @@ void BplruPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
 }
 
 VictimBatch BplruPolicy::select_victim() {
-  VictimBatch batch;
   const Slot slot = lru_.pop_back();
-  if (slot == kNoSlot) return batch;
-  Block& victim = blocks_[slot];
-  batch.pages = std::move(victim.pages);
-  batch.colocate = true;
+  if (slot == kNoSlot) return {};
+  const Block& victim = blocks_[slot];
+  victim_pages_.assign(victim.pages.begin(), victim.pages.end());
+  padding_reads_.clear();
   if (options_.page_padding) {
     // Page padding: request the block's other pages; the manager reads the
     // ones that exist on flash and rewrites the whole block together.
     const Lpn first = victim.block_id * pages_per_block_;
-    batch.padding_reads.reserve(pages_per_block_ - batch.pages.size());
-    std::vector<bool> cached(pages_per_block_, false);
-    for (const Lpn lpn : batch.pages) {
-      cached[static_cast<std::size_t>(lpn - first)] = true;
+    victim_cached_.assign(pages_per_block_, false);
+    for (const Lpn lpn : victim_pages_) {
+      victim_cached_[static_cast<std::size_t>(lpn - first)] = true;
     }
     for (std::uint32_t i = 0; i < pages_per_block_; ++i) {
-      if (!cached[i]) batch.padding_reads.push_back(first + i);
+      if (!victim_cached_[i]) padding_reads_.push_back(first + i);
     }
   }
-  total_pages_ -= batch.pages.size();
+  total_pages_ -= victim_pages_.size();
   blocks_.erase_slot(slot);
-  return batch;
+  return {.pages = victim_pages_,
+          .colocate = true,
+          .padding_reads = padding_reads_};
 }
 
 bool BplruPolicy::is_sequential_demoted(Lpn block_id) const {

@@ -83,6 +83,11 @@ class BplruPolicy final : public WriteBufferPolicy {
   SlotMap<Block> blocks_;
   SlotList<Block, &Block::link> lru_{blocks_};
   std::size_t total_pages_ = 0;
+  // The last victim batch, which select_victim's batch views, and the
+  // padding scratch: which of the victim block's pages are cached.
+  std::vector<Lpn> victim_pages_;
+  std::vector<Lpn> padding_reads_;
+  std::vector<bool> victim_cached_;
 };
 
 }  // namespace reqblock

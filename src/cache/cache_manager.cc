@@ -71,7 +71,7 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
                                  OpAttribution* span) {
   const ScopedTimer timer(profiler_, Profiler::Section::kEvictFlush);
   if (span != nullptr) *span = OpAttribution{};
-  VictimBatch victim = policy_->select_victim();
+  const VictimBatch victim = policy_->select_victim();
   if (victim.empty()) {
     evicted = false;
     return now;
@@ -79,14 +79,13 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
   evicted = true;
   ++metrics_.evictions;
 
-  std::vector<FlushPage> flush;
-  flush.reserve(victim.pages.size() + victim.padding_reads.size());
+  flush_.clear();
   for (const Lpn lpn : victim.pages) {
     const PageEntry entry = release(lpn);
-    if (entry.dirty) flush.push_back(FlushPage{lpn, entry.version});
+    if (entry.dirty) flush_.push_back(FlushPage{lpn, entry.version});
   }
   metrics_.evicted_pages += victim.pages.size();
-  metrics_.flushed_pages += flush.size();  // dirty victim pages only
+  metrics_.flushed_pages += flush_.size();  // dirty victim pages only
 
   // BPLRU page padding: read the block's missing (but previously written)
   // pages from flash and rewrite them together with the victim batch.
@@ -110,20 +109,20 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
       last_version_.set(lpn, ftl_.version_of(lpn));
       continue;
     }
-    flush.push_back(FlushPage{lpn, rr.version});
+    flush_.push_back(FlushPage{lpn, rr.version});
     ++metrics_.padding_pages;
   }
 
   // Fig. 10's "page number of each eviction" counts the pages the eviction
   // pushes to flash in one batch (victim pages + BPLRU padding).
-  metrics_.eviction_batch.record(flush.size());
+  metrics_.eviction_batch.record(flush_.size());
 
   OpAttribution batch_attr;
-  const SimTime done = flush.empty()
+  const SimTime done = flush_.empty()
                            ? now  // all-clean victim: space is free at once
-                           : ftl_.program_batch(flush, padding_done,
+                           : ftl_.program_batch(flush_, padding_done,
                                                 victim.colocate, &batch_attr);
-  if (span != nullptr && !flush.empty()) {
+  if (span != nullptr && !flush_.empty()) {
     // [now, padding_done] carries the critical padding read's fault share;
     // [padding_done, done] carries the batch's critical-page GC/fault.
     // The sub-intervals tile [now, done], so the sums stay inside it.
@@ -132,8 +131,8 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
   }
   const Lpn first = victim.pages.empty() ? 0 : victim.pages.front();
   emit(EventKind::kCacheEvict, now, done - now, first, victim.pages.size());
-  if (!flush.empty()) {
-    emit(EventKind::kCacheFlush, now, done - now, first, flush.size());
+  if (!flush_.empty()) {
+    emit(EventKind::kCacheFlush, now, done - now, first, flush_.size());
   }
   return done;
 }
@@ -489,7 +488,7 @@ SimTime CacheManager::power_loss(SimTime at, FaultInjector& fault) {
   policy_->on_power_loss();  // release in-flight eviction guards
   std::uint64_t lost_dirty = 0;
   while (policy_->pages() > 0) {
-    VictimBatch victim = policy_->select_victim();
+    const VictimBatch victim = policy_->select_victim();
     REQB_CHECK_MSG(!victim.empty(),
                    "policy withheld pages while draining after power loss");
     for (const Lpn lpn : victim.pages) {

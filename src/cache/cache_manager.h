@@ -260,6 +260,9 @@ class CacheManager {
   static constexpr std::uint64_t kNoVersion = ~std::uint64_t{0};
   LpnTable<std::uint64_t, kNoVersion> last_version_;
   std::uint64_t dirty_pages_ = 0;  // resident entries with dirty == true
+  // evict_once's batch for the FTL, reused so that an eviction allocates
+  // nothing once it has held the largest batch.
+  std::vector<FlushPage> flush_;
   CacheMetrics metrics_;
   std::uint64_t lookup_since_sample_ = 0;
   TraceBuffer* trace_ = nullptr;  // non-null only when cache events are on

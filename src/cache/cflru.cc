@@ -38,8 +38,7 @@ void CflruPolicy::on_insert(Lpn lpn, const IoRequest&, bool is_write) {
 }
 
 VictimBatch CflruPolicy::select_victim() {
-  VictimBatch batch;
-  if (list_.empty()) return batch;
+  if (list_.empty()) return {};
   // The LRU tail, unless the clean-first window holds a clean page. With
   // no clean page resident the walk could only fall back to the tail, so
   // it is skipped.
@@ -55,10 +54,12 @@ VictimBatch CflruPolicy::select_victim() {
     }
   }
   const Node& node = nodes_[victim];
-  batch.pages.push_back(node.lpn);
+  victim_ = node.lpn;
   if (!node.dirty) --clean_;
   list_.erase(victim);
   nodes_.erase_slot(victim);
+  VictimBatch batch;
+  batch.pages = {&victim_, 1};
   return batch;
 }
 

@@ -55,6 +55,7 @@ class CflruPolicy final : public WriteBufferPolicy {
   SlotList<Node, &Node::link> list_{nodes_};
   std::size_t window_;
   std::size_t clean_ = 0;  // nodes with dirty == false
+  Lpn victim_ = 0;         // the last victim, which select_victim's batch views
 };
 
 }  // namespace reqblock

@@ -38,17 +38,19 @@ void FabPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
 }
 
 VictimBatch FabPolicy::select_victim() {
-  VictimBatch batch;
-  if (by_count_.empty()) return batch;
+  if (by_count_.empty()) return {};
   const auto largest = std::prev(by_count_.end());
   REQB_DCHECK(!largest->second.empty());
   const Lpn block_id = *largest->second.begin();
   const Slot slot = groups_.find(block_id);
   REQB_DCHECK(slot != kNoSlot);
-  batch.pages = std::move(groups_[slot].pages);
-  reindex(block_id, batch.pages.size(), 0);
+  const std::vector<Lpn>& pages = groups_[slot].pages;
+  victim_pages_.assign(pages.begin(), pages.end());
+  reindex(block_id, pages.size(), 0);
   groups_.erase_slot(slot);
-  total_pages_ -= batch.pages.size();
+  total_pages_ -= victim_pages_.size();
+  VictimBatch batch;
+  batch.pages = victim_pages_;
   return batch;
 }
 

@@ -51,6 +51,7 @@ class FabPolicy final : public WriteBufferPolicy {
   // deterministic tie-break: the smallest block id is evicted first).
   std::map<std::size_t, std::set<Lpn>> by_count_;
   std::size_t total_pages_ = 0;
+  std::vector<Lpn> victim_pages_;  // the last victim batch's pages
 };
 
 }  // namespace reqblock

@@ -37,14 +37,15 @@ void LfuPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
 }
 
 VictimBatch LfuPolicy::select_victim() {
-  VictimBatch batch;
-  if (by_freq_.empty()) return batch;
+  if (by_freq_.empty()) return {};
   const auto lowest = by_freq_.begin();
   REQB_DCHECK(!lowest->second.empty());
   const Slot victim = lowest->second.pop_back();  // least recent in class
   if (lowest->second.empty()) by_freq_.erase(lowest);
-  batch.pages.push_back(index_[victim].lpn);
+  victim_ = index_[victim].lpn;
   index_.erase_slot(victim);
+  VictimBatch batch;
+  batch.pages = {&victim_, 1};
   return batch;
 }
 

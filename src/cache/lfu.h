@@ -47,6 +47,7 @@ class LfuPolicy final : public WriteBufferPolicy {
   SlotMap<Page> index_;
   // freq -> pages at that frequency, most recent at front.
   std::map<std::uint64_t, FreqClass> by_freq_;
+  Lpn victim_ = 0;  // the last victim, which select_victim's batch views
 };
 
 }  // namespace reqblock

@@ -24,11 +24,12 @@ void PageListPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
 }
 
 VictimBatch PageListPolicy::select_victim() {
-  VictimBatch batch;
   const Slot tail = list_.pop_back();
-  if (tail == kNoSlot) return batch;
-  batch.pages.push_back(nodes_[tail].lpn);
+  if (tail == kNoSlot) return {};
+  victim_ = nodes_[tail].lpn;
   nodes_.erase_slot(tail);
+  VictimBatch batch;
+  batch.pages = {&victim_, 1};
   return batch;
 }
 

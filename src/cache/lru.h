@@ -40,6 +40,8 @@ class PageListPolicy : public WriteBufferPolicy {
   SlotList<Node, &Node::link> list_{nodes_};
 
  private:
+  Lpn victim_ = 0;  // the last victim, which select_victim's batch views
+
   const char* label_;
   const char* tag_;
 };

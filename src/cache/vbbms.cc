@@ -59,26 +59,16 @@ void VbbmsPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
   }
 }
 
-VictimBatch VbbmsPolicy::evict_random() {
-  VictimBatch batch;
-  const Slot victim = random_lru_.pop_back();
-  if (victim == kNoSlot) return batch;
-  batch.pages = std::move(random_vbs_[victim].pages);
-  random_pages_ -= batch.pages.size();
-  for (const Lpn lpn : batch.pages) page_is_seq_.erase(lpn);
-  random_vbs_.erase_slot(victim);
-  return batch;
-}
-
-VictimBatch VbbmsPolicy::evict_sequential() {
-  VictimBatch batch;
-  const Slot victim = seq_fifo_.pop_back();  // FIFO: oldest out
-  if (victim == kNoSlot) return batch;
-  batch.pages = std::move(seq_vbs_[victim].pages);
-  seq_pages_ -= batch.pages.size();
-  for (const Lpn lpn : batch.pages) page_is_seq_.erase(lpn);
-  seq_vbs_.erase_slot(victim);
-  return batch;
+bool VbbmsPolicy::evict_region(SlotMap<VBlock>& vbs, VBlockList& list,
+                               std::size_t& region_pages) {
+  const Slot victim = list.pop_back();  // LRU tail / FIFO oldest
+  if (victim == kNoSlot) return false;
+  const std::vector<Lpn>& pages = vbs[victim].pages;
+  victim_pages_.assign(pages.begin(), pages.end());
+  region_pages -= pages.size();
+  for (const Lpn lpn : pages) page_is_seq_.erase(lpn);
+  vbs.erase_slot(victim);
+  return true;
 }
 
 void VbbmsPolicy::audit(AuditReport& report) const {
@@ -207,14 +197,20 @@ VictimBatch VbbmsPolicy::select_victim() {
       static_cast<double>(random_pages_) / static_cast<double>(random_quota_);
   const double seq_load =
       static_cast<double>(seq_pages_) / static_cast<double>(seq_quota_);
-  VictimBatch batch;
+  const auto evict_seq = [this] {
+    return evict_region(seq_vbs_, seq_fifo_, seq_pages_);
+  };
+  const auto evict_random = [this] {
+    return evict_region(random_vbs_, random_lru_, random_pages_);
+  };
+  victim_pages_.clear();
   if (seq_load >= random_load) {
-    batch = evict_sequential();
-    if (batch.empty()) batch = evict_random();
+    if (!evict_seq()) evict_random();
   } else {
-    batch = evict_random();
-    if (batch.empty()) batch = evict_sequential();
+    if (!evict_random()) evict_seq();
   }
+  VictimBatch batch;
+  batch.pages = victim_pages_;
   return batch;
 }
 

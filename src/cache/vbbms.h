@@ -55,8 +55,10 @@ class VbbmsPolicy final : public WriteBufferPolicy {
   };
   using VBlockList = SlotList<VBlock, &VBlock::link>;
 
-  VictimBatch evict_random();
-  VictimBatch evict_sequential();
+  /// Evicts the virtual block at the tail of `list` (LRU or FIFO order)
+  /// into victim_pages_; false when the region is empty.
+  bool evict_region(SlotMap<VBlock>& vbs, VBlockList& list,
+                    std::size_t& region_pages);
 
   VbbmsOptions opt_;
   std::uint64_t random_quota_;
@@ -69,6 +71,7 @@ class VbbmsPolicy final : public WriteBufferPolicy {
   SlotMap<bool> page_is_seq_;
   std::size_t random_pages_ = 0;
   std::size_t seq_pages_ = 0;
+  std::vector<Lpn> victim_pages_;  // the last victim batch's pages
 };
 
 }  // namespace reqblock

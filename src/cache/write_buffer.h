@@ -9,8 +9,8 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "telemetry/metrics_registry.h"
 #include "telemetry/trace_buffer.h"
@@ -24,8 +24,14 @@ class SnapshotReader;
 class SnapshotWriter;
 
 /// What the policy wants evicted. All pages must currently be cached.
+///
+/// The two page lists are views of buffers the policy owns and refills on
+/// every select_victim(), so a steady-state eviction allocates nothing.
+/// A view is valid until the next call on the policy: the caller consumes
+/// the batch (or copies it) before it calls the policy again.
 struct VictimBatch {
-  std::vector<Lpn> pages;
+  /// In flush order.
+  std::span<const Lpn> pages;
   /// Flush the whole batch to a single plane derived from the first page's
   /// logical block (BPLRU whole-block semantics); otherwise the batch is
   /// striped round-robin across channels.
@@ -33,7 +39,7 @@ struct VictimBatch {
   /// Pages the policy wants read from flash and written back together with
   /// the batch (BPLRU page padding). The manager drops entries that were
   /// never written to the device.
-  std::vector<Lpn> padding_reads;
+  std::span<const Lpn> padding_reads;
 
   bool empty() const { return pages.empty(); }
 };
@@ -55,9 +61,11 @@ class WriteBufferPolicy {
   /// `lpn` was just admitted (the manager guarantees free space).
   virtual void on_insert(Lpn lpn, const IoRequest& req, bool is_write) = 0;
 
-  /// Chooses pages to evict. Returning an empty batch means "nothing is
-  /// evictable right now" (e.g. everything belongs to the in-flight
-  /// request); the manager then bypasses the cache for the pending page.
+  /// Chooses pages to evict and stops tracking them. Returning an empty
+  /// batch means "nothing is evictable right now" (e.g. everything belongs
+  /// to the in-flight request); the manager then bypasses the cache for
+  /// the pending page. The batch views the policy's own buffers (see
+  /// VictimBatch), valid until the next call on the policy.
   virtual VictimBatch select_victim() = 0;
 
   /// The volatile buffer is about to be dropped (injected power loss).

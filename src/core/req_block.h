@@ -10,11 +10,12 @@
 //                                  blocks.
 //
 // The policy keeps blocks by value in a SlotMap and threads each list
-// through the blocks' `link` members.
+// through the blocks' `link` members. A block's pages are a second chain,
+// threaded through the page table's entries, so adding, splitting off and
+// evicting a page touches no heap.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "util/fields.h"
 #include "util/slot_map.h"
@@ -38,10 +39,6 @@ struct ReqBlock {
   std::uint64_t block_id = 0;
   /// The host request this block belongs to (groups pages per request).
   std::uint64_t req_id = 0;
-  /// Which of the three lists currently holds the block.
-  ReqList level = ReqList::kIRL;
-  /// Pages currently in the block (unordered; blocks are small).
-  std::vector<Lpn> pages;
   /// Paper Eq. 1: access count since buffering, initialized to 1.
   std::uint64_t access_cnt = 1;
   /// Paper Eq. 1: T_insert, in policy ticks (one tick per page access).
@@ -49,22 +46,28 @@ struct ReqBlock {
   /// For DRL blocks: the block this one was split from (0 = none). Used by
   /// the downgraded-merge eviction path (paper Fig. 6).
   std::uint64_t origin_id = 0;
+  /// The block's pages, threaded through the policy's page table
+  /// (ReqPageNode links): the first and last page's slot there, kNoSlot
+  /// when the block is empty. Chain order is the victim batch's flush
+  /// order.
+  Slot first_page = kNoSlot;
+  Slot last_page = kNoSlot;
+  /// Pages on the chain (Eq. 1's Page_num).
+  std::uint32_t page_num = 0;
+  /// Which of the three lists currently holds the block.
+  ReqList level = ReqList::kIRL;
   /// Links on the list named by `level`.
   SlotLink link;
 
-  std::size_t page_count() const { return pages.size(); }
+  std::size_t page_count() const { return page_num; }
+};
 
-  /// Removes one page; returns false if absent. O(block size).
-  bool remove_page(Lpn lpn) {
-    for (auto& p : pages) {
-      if (p == lpn) {
-        p = pages.back();
-        pages.pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
+/// A cached page's entry in Req-block's page table: the slot of its block
+/// and its neighbours on that block's page chain (kNoSlot at either end).
+struct ReqPageNode {
+  Slot block = kNoSlot;
+  Slot prev = kNoSlot;
+  Slot next = kNoSlot;
 };
 
 /// Page counts per list, logged for the paper's Fig. 13.

@@ -1,9 +1,9 @@
 #include "core/req_block_policy.h"
 
-#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "snapshot/snapshot.h"
 #include "util/check.h"
@@ -46,12 +46,53 @@ void ReqBlockPolicy::destroy_block(Slot blk) {
   blocks_.erase_slot(blk);
 }
 
-void ReqBlockPolicy::consume_block(Slot blk, std::vector<Lpn>& out) {
-  for (const Lpn lpn : blocks_[blk].pages) {
-    const bool erased = page_to_block_.erase(lpn);
-    REQB_DCHECK(erased);
-    (void)erased;
-    out.push_back(lpn);
+void ReqBlockPolicy::append_page(Slot blk, Slot page) {
+  ReqBlock& b = blocks_[blk];
+  ReqPageNode& node = page_to_block_[page];
+  node.block = blk;
+  node.prev = b.last_page;
+  node.next = kNoSlot;
+  if (b.last_page != kNoSlot) {
+    page_to_block_[b.last_page].next = page;
+  } else {
+    b.first_page = page;
+  }
+  b.last_page = page;
+  ++b.page_num;
+}
+
+void ReqBlockPolicy::remove_page(Slot page) {
+  ReqPageNode& node = page_to_block_[page];
+  ReqBlock& b = blocks_[node.block];
+  // Pop the last page off the chain...
+  const Slot last = b.last_page;
+  ReqPageNode& moved = page_to_block_[last];
+  b.last_page = moved.prev;
+  if (moved.prev != kNoSlot) {
+    page_to_block_[moved.prev].next = kNoSlot;
+  } else {
+    b.first_page = kNoSlot;
+  }
+  --b.page_num;
+  // ...and, unless it was the removed page, relink it in that page's place.
+  if (last != page) {
+    moved.prev = node.prev;
+    moved.next = node.next;
+    (moved.prev != kNoSlot ? page_to_block_[moved.prev].next : b.first_page) =
+        last;
+    (moved.next != kNoSlot ? page_to_block_[moved.next].prev : b.last_page) =
+        last;
+  }
+  node.prev = kNoSlot;
+  node.next = kNoSlot;
+}
+
+void ReqBlockPolicy::consume_block(Slot blk) {
+  for (Slot page = blocks_[blk].first_page; page != kNoSlot;) {
+    const Slot next = page_to_block_[page].next;
+    victim_pages_.push_back(page_to_block_.key_at(page));
+    page_to_block_.erase_slot(page);
+    page = next;
   }
   destroy_block(blk);
 }
@@ -79,15 +120,16 @@ void ReqBlockPolicy::begin_request(const IoRequest& req) {
 void ReqBlockPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
   ++tick_;
   ++mutations_;
-  REQB_DCHECK(!page_to_block_.contains(lpn));
   // create_req_blk(IRL, R): reuse the request's block at the IRL head.
   Slot target = guard_target(guard_insert_block_, req.id);
   if (target == kNoSlot) {
     target = create_block(req.id, ReqList::kIRL, /*origin_id=*/0);
     guard_insert_block_ = blocks_[target].block_id;
   }
-  blocks_[target].pages.push_back(lpn);
-  page_to_block_[page_to_block_.try_emplace(lpn).first] = target;
+  const auto [page, fresh] = page_to_block_.try_emplace(lpn);
+  REQB_DCHECK(fresh);
+  (void)fresh;
+  append_page(target, page);
 }
 
 void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
@@ -97,7 +139,7 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
   REQB_CHECK_MSG(page_slot != kNoSlot, "Req-block hit on untracked page");
   // The hit block is held by slot: creating the split target below may
   // grow the slab and move every block.
-  const Slot source = page_to_block_[page_slot];
+  const Slot source = page_to_block_[page_slot].block;
   ReqBlock& blk = blocks_[source];
 
   if (blk.page_count() <= opt_.delta) {
@@ -113,9 +155,7 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
 
   // Large request block: split the hit page into the request's block at
   // the DRL head (creating it on the first split of this request).
-  const bool removed = blk.remove_page(lpn);
-  REQB_DCHECK(removed);
-  (void)removed;
+  remove_page(page_slot);
 
   Slot target = guard_target(guard_split_block_, req.id);
   if (target == kNoSlot) {
@@ -123,8 +163,7 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
     guard_split_block_ = blocks_[target].block_id;
   }
   REQB_DCHECK(target != source);
-  blocks_[target].pages.push_back(lpn);
-  page_to_block_[page_slot] = target;
+  append_page(target, page_slot);
   const std::size_t left = blocks_[source].page_count();
   if (trace_ != nullptr) {
     trace_->emit({trace_->time(), 0, lpn, left, EventKind::kReqBlockSplit,
@@ -155,8 +194,8 @@ VictimBatch ReqBlockPolicy::select_victim() {
     }
   }
 
-  VictimBatch batch;
-  if (victim == kNoSlot) return batch;
+  victim_pages_.clear();
+  if (victim == kNoSlot) return {};
 
   // Downgraded merging (Fig. 6): a split victim drags its origin block out
   // of IRL so the request is evicted as one spatially-contiguous batch.
@@ -172,21 +211,24 @@ VictimBatch ReqBlockPolicy::select_victim() {
   ++mutations_;
   const auto victim_track =
       static_cast<std::uint16_t>(static_cast<std::size_t>(v.level) + 1);
-  const Lpn first_lpn = v.pages.empty() ? 0 : v.pages.front();
-  consume_block(victim, batch.pages);
+  const Lpn first_lpn =
+      v.first_page == kNoSlot ? 0 : page_to_block_.key_at(v.first_page);
+  consume_block(victim);
   if (origin != kNoSlot) {
-    const std::uint64_t before = batch.pages.size();
-    consume_block(origin, batch.pages);
+    const std::uint64_t before = victim_pages_.size();
+    consume_block(origin);
     if (trace_ != nullptr) {
       trace_->emit({trace_->time(), 0, first_lpn,
-                    batch.pages.size() - before, EventKind::kReqBlockMerge,
+                    victim_pages_.size() - before, EventKind::kReqBlockMerge,
                     kTrackIrl, 0});
     }
   }
   if (trace_ != nullptr) {
-    trace_->emit({trace_->time(), 0, first_lpn, batch.pages.size(),
+    trace_->emit({trace_->time(), 0, first_lpn, victim_pages_.size(),
                   EventKind::kReqBlockBatchEvict, victim_track, 0});
   }
+  VictimBatch batch;
+  batch.pages = victim_pages_;
   batch.colocate = opt_.colocate_flush;
   return batch;
 }
@@ -248,7 +290,16 @@ void ReqBlockPolicy::register_metrics(MetricsRegistry& registry) const {
 
 const ReqBlock* ReqBlockPolicy::block_of(Lpn lpn) const {
   const Slot slot = page_to_block_.find(lpn);
-  return slot == kNoSlot ? nullptr : &blocks_[page_to_block_[slot]];
+  return slot == kNoSlot ? nullptr : &blocks_[page_to_block_[slot].block];
+}
+
+std::vector<Lpn> ReqBlockPolicy::pages_of(const ReqBlock& blk) const {
+  std::vector<Lpn> pages;
+  pages.reserve(blk.page_count());
+  for (Slot p = blk.first_page; p != kNoSlot; p = page_to_block_[p].next) {
+    pages.push_back(page_to_block_.key_at(p));
+  }
+  return pages;
 }
 
 const ReqBlock* ReqBlockPolicy::tail_of(ReqList list) const {
@@ -262,12 +313,18 @@ const ReqBlock* ReqBlockPolicy::prev_in_list(const ReqBlock* blk) const {
 
 ReqBlock* ReqBlockPolicy::mutable_block_for_tests(Lpn lpn) {
   const Slot slot = page_to_block_.find(lpn);
-  return slot == kNoSlot ? nullptr : &blocks_[page_to_block_[slot]];
+  return slot == kNoSlot ? nullptr : &blocks_[page_to_block_[slot].block];
+}
+
+ReqPageNode* ReqBlockPolicy::mutable_page_for_tests(Lpn lpn) {
+  const Slot slot = page_to_block_.find(lpn);
+  return slot == kNoSlot ? nullptr : &page_to_block_[slot];
 }
 
 bool ReqBlockPolicy::enumerate_pages(
     const std::function<void(Lpn)>& fn) const {
-  page_to_block_.for_each_unordered([&](Lpn lpn, Slot) { fn(lpn); });
+  page_to_block_.for_each_unordered(
+      [&](Lpn lpn, const ReqPageNode&) { fn(lpn); });
   return true;
 }
 
@@ -335,8 +392,11 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
                  "lists link " + std::to_string(listed) +
                      " blocks, table owns " + std::to_string(blocks_.size()));
 
-  // Pass 2 — every owned block: page-table cross-consistency, Eq. 1
-  // counter bounds, δ-membership per list, origin backpointers.
+  // Pass 2 — every owned block: its page chain against the page table,
+  // Eq. 1 counter bounds, δ-membership per list, origin backpointers.
+  // `chained` marks each page-table slot a chain visits, so a page linked
+  // twice (on one chain or two) is caught and no cycle is walked forever.
+  std::vector<bool> chained(page_to_block_.slab_size(), false);
   std::size_t block_pages = 0;
   blocks_.for_each_unordered([&](std::uint64_t id, const ReqBlock& b) {
     const std::string tag = "block " + std::to_string(id);
@@ -346,7 +406,7 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
     REQB_AUDIT_MSG(report, id < next_block_id_,
                    tag + " at/above the id allocator " +
                        std::to_string(next_block_id_));
-    REQB_AUDIT_MSG(report, !b.pages.empty(), tag + " is empty yet live");
+    REQB_AUDIT_MSG(report, b.page_num != 0, tag + " is empty yet live");
     REQB_AUDIT_MSG(report, b.insert_tick <= tick_,
                    tag + " inserted at tick " +
                        std::to_string(b.insert_tick) + " > now " +
@@ -390,24 +450,47 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
                          std::to_string(b.origin_id) +
                          " created after it");
     }
-    std::vector<Lpn> sorted = b.pages;
-    std::sort(sorted.begin(), sorted.end());
-    REQB_AUDIT_MSG(
-        report,
-        std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-        tag + " holds a duplicate page");
-    block_pages += b.pages.size();
+    // The chain: each link names a live page-table entry, visited once,
+    // that names this block and links back to its predecessor; the walk
+    // ends at last_page after page_num pages.
     const Slot self = blocks_.find(id);
-    for (const Lpn lpn : b.pages) {
-      const Slot page_slot = page_to_block_.find(lpn);
-      REQB_AUDIT_MSG(report,
-                     page_slot != kNoSlot && page_to_block_[page_slot] == self,
+    std::size_t walked = 0;
+    Slot before = kNoSlot;
+    bool intact = true;
+    for (Slot p = b.first_page; p != kNoSlot; p = page_to_block_[p].next) {
+      if (!REQB_AUDIT_MSG(report, page_to_block_.live(p),
+                          tag + " chains page-table slot " +
+                              std::to_string(p) + ", which holds no page") ||
+          !REQB_AUDIT_MSG(report, !chained[p],
+                          tag + " holds a duplicate page " +
+                              std::to_string(page_to_block_.key_at(p)) +
+                              " (linked twice)")) {
+        intact = false;
+        break;
+      }
+      chained[p] = true;
+      ++walked;
+      const Lpn lpn = page_to_block_.key_at(p);
+      const ReqPageNode& node = page_to_block_[p];
+      REQB_AUDIT_MSG(report, node.block == self,
                      tag + " holds page " + std::to_string(lpn) +
                          " but the page table disagrees");
+      REQB_AUDIT_MSG(report, node.prev == before,
+                     tag + " page " + std::to_string(lpn) +
+                         " links back to the wrong page");
+      before = p;
     }
+    if (intact) {
+      REQB_AUDIT_MSG(report, before == b.last_page && walked == b.page_num,
+                     tag + " chain walks " + std::to_string(walked) +
+                         " pages, block says " + std::to_string(b.page_num) +
+                         (before == b.last_page ? "" : ", ending elsewhere"));
+    }
+    block_pages += walked;
   });
-  // Combined with the per-page check above, size equality makes the page
-  // table and the union of block pages the *same* set.
+  // Each chained page was visited once and names its block, so size
+  // equality makes the page table and the union of the chains the *same*
+  // set.
   REQB_AUDIT_MSG(report, block_pages == page_to_block_.size(),
                  "blocks hold " + std::to_string(block_pages) +
                      " pages, page table tracks " +
@@ -433,8 +516,10 @@ void ReqBlockPolicy::serialize(SnapshotWriter& w) const {
       w.u64(b.access_cnt);
       w.u64(b.insert_tick);
       w.u64(b.origin_id);
-      w.u64(b.pages.size());
-      for (const Lpn lpn : b.pages) w.u64(lpn);
+      w.u64(b.page_num);
+      for (Slot p = b.first_page; p != kNoSlot; p = page_to_block_[p].next) {
+        w.u64(page_to_block_.key_at(p));
+      }
     });
   }
 }
@@ -483,13 +568,10 @@ void ReqBlockPolicy::deserialize(SnapshotReader& r) {
       if (pages == 0) {
         throw SnapshotError("Req-block snapshot has an empty block");
       }
-      blk.pages.reserve(pages);
       for (std::uint64_t p = 0; p < pages; ++p) {
-        const Lpn lpn = r.u64();
-        blk.pages.push_back(lpn);
-        const auto [page_slot, fresh] = page_to_block_.try_emplace(lpn);
+        const auto [page_slot, fresh] = page_to_block_.try_emplace(r.u64());
         if (!fresh) throw SnapshotError("Req-block snapshot repeats a page");
-        page_to_block_[page_slot] = slot;
+        append_page(slot, page_slot);
       }
       lists_[level].push_back(slot);
     }

@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "cache/write_buffer.h"
 #include "core/freq.h"
@@ -112,9 +113,15 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   /// Full structural dump (lists, blocks, guards) attached to failed
   /// audits.
   std::string dump_structure() const;
+  /// A block's pages in chain order: the order the block's victim batch
+  /// flushes them and the snapshot stores them.
+  std::vector<Lpn> pages_of(const ReqBlock& blk) const;
   /// Test-only: mutable access to the block holding `lpn`, so negative
   /// tests can corrupt one field and assert the audit reports it.
   ReqBlock* mutable_block_for_tests(Lpn lpn);
+  /// Test-only: mutable access to `lpn`'s page-table node (its block and
+  /// chain links), for the same purpose; nullptr when it is not cached.
+  ReqPageNode* mutable_page_for_tests(Lpn lpn);
 
  private:
   using BlockList = SlotList<ReqBlock, &ReqBlock::link>;
@@ -124,9 +131,16 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   void move_block(Slot blk, ReqList level);
   /// Unlinks and frees a block whose pages are no longer mapped to it.
   void destroy_block(Slot blk);
-  /// Removes every page mapping of `blk` and destroys it, appending its
-  /// pages to `out`.
-  void consume_block(Slot blk, std::vector<Lpn>& out);
+  /// Links the page-table entry at `page` onto the end of `blk`'s chain.
+  void append_page(Slot blk, Slot page);
+  /// Takes the page-table entry at `page` off its block's chain in O(1):
+  /// the block's last page moves into its place (the swap-with-back of a
+  /// page vector, so chain order, flush order and snapshot bytes stay
+  /// what that vector gave).
+  void remove_page(Slot page);
+  /// Removes every page of `blk` from the page table in chain order,
+  /// appending each to victim_pages_, and destroys the block.
+  void consume_block(Slot blk);
   /// Creates a block at the head of `level`. May grow the block slab, so
   /// it invalidates references to other blocks (not their slots).
   Slot create_block(std::uint64_t req_id, ReqList level,
@@ -142,8 +156,8 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   }
 
   ReqBlockOptions opt_;
-  SlotMap<ReqBlock> blocks_;     // block id -> block
-  SlotMap<Slot> page_to_block_;  // page -> its block's slot in blocks_
+  SlotMap<ReqBlock> blocks_;            // block id -> block
+  SlotMap<ReqPageNode> page_to_block_;  // page -> its block and chain links
   std::array<BlockList, 3> lists_{BlockList(blocks_), BlockList(blocks_),
                                   BlockList(blocks_)};
   Tick tick_ = 0;
@@ -152,6 +166,8 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   std::uint64_t current_req_id_ = ~0ULL;
   std::uint64_t guard_insert_block_ = 0;
   std::uint64_t guard_split_block_ = 0;
+  /// The last victim batch's pages, which select_victim's batch views.
+  std::vector<Lpn> victim_pages_;
 
   /// occupancy() memo for the snapshot gauges, keyed on mutations_.
   const ListOccupancy& occupancy_memo() const;

@@ -189,10 +189,14 @@ void SnapshotReader::expect_end() const {
 
 // --- Container -------------------------------------------------------------
 
-std::string encode_snapshot(const SnapshotHeader& header,
-                            std::string_view payload) {
+namespace {
+
+/// The container up to the payload: magic, version, header fields, the
+/// payload's length and the checksum over all of it.
+std::string encode_header(const SnapshotHeader& header,
+                          std::string_view payload) {
   std::string out;
-  out.reserve(payload.size() + 96);
+  out.reserve(sizeof(kMagic) + 2 * 4 + header.kind.size() + 5 * 8);
   out.append(kMagic, sizeof(kMagic));
   append_le<std::uint32_t>(out, header.format_version);
   append_le(out, static_cast<std::uint32_t>(header.kind.size()));
@@ -207,6 +211,15 @@ std::string encode_snapshot(const SnapshotHeader& header,
   // later (or never) by whatever consumes the fields.
   append_le<std::uint64_t>(out, fnv1a64(payload.data(), payload.size(),
                                         fnv1a64(out.data(), out.size())));
+  return out;
+}
+
+}  // namespace
+
+std::string encode_snapshot(const SnapshotHeader& header,
+                            std::string_view payload) {
+  std::string out = encode_header(header, payload);
+  out.reserve(out.size() + payload.size());
   out.append(payload);
   return out;
 }
@@ -280,7 +293,9 @@ std::string decode_snapshot(std::string_view file_bytes,
 
 void save_snapshot_file(const std::string& path, const SnapshotHeader& header,
                         std::string_view payload) {
-  write_file_atomic(path, encode_snapshot(header, payload));
+  const std::string head = encode_header(header, payload);
+  const std::string_view pieces[] = {head, payload};
+  write_file_atomic(path, pieces);
 }
 
 std::string load_snapshot_file(const std::string& path,

@@ -235,7 +235,8 @@ std::string decode_snapshot(std::string_view file_bytes,
                             SnapshotHeader& header);
 
 /// Writes encode_snapshot() output crash-consistently (temp file + fsync +
-/// atomic rename). Throws std::runtime_error on I/O failure.
+/// atomic rename), the header and the payload as two pieces with no joined
+/// copy. Throws std::runtime_error on I/O failure.
 void save_snapshot_file(const std::string& path, const SnapshotHeader& header,
                         std::string_view payload);
 

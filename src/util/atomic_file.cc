@@ -40,6 +40,11 @@ void fsync_dir(const std::string& dir) {
 }  // namespace
 
 void write_file_atomic(const std::string& path, std::string_view contents) {
+  write_file_atomic(path, std::span<const std::string_view>(&contents, 1));
+}
+
+void write_file_atomic(const std::string& path,
+                       std::span<const std::string_view> pieces) {
   // Unique within the process even when experiment threads write into the
   // same directory concurrently.
   static std::atomic<std::uint64_t> counter{0};
@@ -51,19 +56,21 @@ void write_file_atomic(const std::string& path, std::string_view contents) {
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail(path, "create temp file", errno);
 
-  const char* data = contents.data();
-  std::size_t left = contents.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, data, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      fail(path, "write", err);
+  for (const std::string_view piece : pieces) {
+    const char* data = piece.data();
+    std::size_t left = piece.size();
+    while (left > 0) {
+      const ssize_t n = ::write(fd, data, left);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        const int err = errno;
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        fail(path, "write", err);
+      }
+      data += n;
+      left -= static_cast<std::size_t>(n);
     }
-    data += n;
-    left -= static_cast<std::size_t>(n);
   }
   if (::fsync(fd) != 0) {
     const int err = errno;

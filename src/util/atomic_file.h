@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -20,6 +21,11 @@ namespace reqblock {
 /// (message includes the path and errno text) on any failure; on failure
 /// the destination is left untouched and the temp file is removed.
 void write_file_atomic(const std::string& path, std::string_view contents);
+
+/// The same for contents in pieces: they are written one after another
+/// into the one temp file, so the caller never joins them into a copy.
+void write_file_atomic(const std::string& path,
+                       std::span<const std::string_view> pieces);
 
 /// Convenience for text writers: `fill` receives an ostream, and the
 /// accumulated bytes are written atomically as above. The stream's failbit

@@ -11,7 +11,8 @@
 //     homed by a multiplicative hash, probed linearly and kept at most half
 //     full. It doubles on insert and deletes by backward shift, so it never
 //     holds tombstones;
-//   * a fresh map allocates nothing, and neither does a find on it.
+//   * a fresh map allocates nothing, and neither does a find on it; the
+//     free list has room for the whole slab, so no erase ever allocates.
 //
 // Slab order depends on history (which slots were freed, and when), so
 // two maps holding the same entries can walk them in different orders.
@@ -152,6 +153,12 @@ class SlotMap {
 
   T& operator[](Slot s) { return slab_[s].value; }
   const T& operator[](Slot s) const { return slab_[s].value; }
+  /// The key of the entry at a live slot, so a walk that holds slots (a
+  /// chain threaded through the values) can name them and erase_slot them.
+  std::uint64_t key_at(Slot s) const {
+    REQB_DCHECK(live(s));
+    return slab_[s].key;
+  }
   bool live(Slot s) const {
     return s < slab_.size() && slab_[s].key != kNoKey;
   }
@@ -160,6 +167,7 @@ class SlotMap {
   /// of known size inserts without rehashing.
   void reserve(std::size_t n) {
     slab_.reserve(n);
+    free_.reserve(slab_.capacity());
     std::size_t cells = cells_.empty() ? kMinCells : cells_.size();
     while (n * 2 > cells) cells *= 2;
     if (cells != cells_.size()) rehash(cells);
@@ -267,6 +275,8 @@ class SlotMap {
       REQB_CHECK_MSG(slab_.size() < kMaxSlots, "slot map is full");
       s = static_cast<Slot>(slab_.size());
       slab_.emplace_back();
+      // Grow the free list with the slab, so release() never allocates.
+      free_.reserve(slab_.capacity());
     }
     slab_[s].key = key;
     return s;

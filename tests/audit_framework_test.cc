@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/req_block_policy.h"
 #include "test_util.h"
@@ -219,7 +220,12 @@ TEST_F(ReqBlockAuditDetection, CatchesLevelTagMismatch) {
 TEST_F(ReqBlockAuditDetection, CatchesDuplicatePage) {
   ReqBlock* blk = policy_->mutable_block_for_tests(0);
   ASSERT_NE(blk, nullptr);
-  blk->pages.push_back(blk->pages.front());
+  // The split moved page 3 into page 2's place on the chain.
+  ASSERT_EQ(policy_->pages_of(*blk), (std::vector<Lpn>{0, 1, 3}));
+  ReqPageNode* last = policy_->mutable_page_for_tests(3);
+  ASSERT_NE(last, nullptr);
+  ASSERT_EQ(last->next, kNoSlot);
+  last->next = blk->first_page;  // page 0 is linked a second time
   const std::string text = audit_text();
   EXPECT_NE(text.find("duplicate page"), std::string::npos);
 }
@@ -240,9 +246,13 @@ TEST_F(ReqBlockAuditDetection, CatchesBrokenOriginBackpointer) {
 }
 
 TEST_F(ReqBlockAuditDetection, CatchesPageTableDesync) {
-  ReqBlock* blk = policy_->mutable_block_for_tests(0);
-  ASSERT_NE(blk, nullptr);
-  blk->pages.push_back(9999);  // page the table has never heard of
+  ReqPageNode* page = policy_->mutable_page_for_tests(0);
+  const ReqPageNode* split = policy_->mutable_page_for_tests(2);
+  ASSERT_NE(page, nullptr);
+  ASSERT_NE(split, nullptr);
+  ASSERT_NE(page->block, split->block);
+  // Page 0 stays on its block's chain but its node names the DRL block.
+  page->block = split->block;
   EXPECT_NE(audit_text().find("page table disagrees"), std::string::npos);
 }
 

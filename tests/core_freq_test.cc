@@ -10,7 +10,7 @@ namespace {
 ReqBlock make_block(std::uint64_t access, std::size_t pages, Tick insert) {
   ReqBlock b;
   b.access_cnt = access;
-  b.pages.assign(pages, 0);
+  b.page_num = static_cast<std::uint32_t>(pages);
   b.insert_tick = insert;
   return b;
 }

@@ -75,7 +75,7 @@ TEST_P(ReqBlockSweep, StructuralInvariantsUnderChurn) {
     const ReqBlock* b = policy.block_of(lpn);
     ASSERT_NE(b, nullptr);
     bool found = false;
-    for (const Lpn p : b->pages) found = found || p == lpn;
+    for (const Lpn p : policy.pages_of(*b)) found = found || p == lpn;
     ASSERT_TRUE(found);
   }
 }

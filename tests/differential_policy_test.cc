@@ -170,7 +170,8 @@ void run_request_differential(const Make& make, Reference reference,
           observe(*policy, reference);
           const std::vector<Lpn> expected = reference.victim();
           const VictimBatch batch = policy->select_victim();
-          ASSERT_EQ(batch.pages, expected)
+          ASSERT_EQ(std::vector<Lpn>(batch.pages.begin(), batch.pages.end()),
+                    expected)
               << policy->name() << " diverged from its reference after "
               << pages_processed << " pages";
           ++evictions;
@@ -325,9 +326,9 @@ TEST(DifferentialPolicy, ReqBlockMatchesBruteForceEq1Over100kOps) {
         const bool victim_was_split =
             expected_victim != nullptr && expected_victim->origin_id != 0;
         const std::size_t victim_own_pages =
-            expected_victim == nullptr ? 0 : expected_victim->pages.size();
+            expected_victim == nullptr ? 0 : expected_victim->page_count();
         VictimBatch batch = policy.select_victim();
-        std::vector<Lpn> got = batch.pages;
+        std::vector<Lpn> got(batch.pages.begin(), batch.pages.end());
         std::sort(got.begin(), got.end());
         ASSERT_EQ(got, expected)
             << "Req-block eviction diverged from brute-force Eq.1 after "
@@ -377,7 +378,7 @@ TEST(DifferentialPolicy, ReqBlockBruteForceAgreesUnderFreqModes) {
           const std::vector<Lpn> expected =
               expected_victim_pages(policy, brute_force_victim(policy));
           VictimBatch batch = policy.select_victim();
-          std::vector<Lpn> got = batch.pages;
+          std::vector<Lpn> got(batch.pages.begin(), batch.pages.end());
           std::sort(got.begin(), got.end());
           ASSERT_EQ(got, expected) << "mode " << static_cast<int>(mode);
         }

@@ -471,7 +471,7 @@ inline std::vector<Lpn> expected_victim_pages(const ReqBlockPolicy& policy,
                                               const ReqBlock* victim) {
   std::vector<Lpn> pages;
   if (victim == nullptr) return pages;
-  pages = victim->pages;
+  pages = policy.pages_of(*victim);
   if (policy.options().merge_on_evict && victim->origin_id != 0) {
     // The origin is merged only if it still exists, still sits in IRL, and
     // is not shielded by the in-flight request.
@@ -484,7 +484,8 @@ inline std::vector<Lpn> expected_victim_pages(const ReqBlockPolicy& policy,
       }
     }
     if (origin != nullptr && !policy.is_guarded(origin)) {
-      pages.insert(pages.end(), origin->pages.begin(), origin->pages.end());
+      const std::vector<Lpn> merged = policy.pages_of(*origin);
+      pages.insert(pages.end(), merged.begin(), merged.end());
     }
   }
   std::sort(pages.begin(), pages.end());

@@ -1,46 +1,28 @@
 // SlotMap and SlotList: a differential run against std::unordered_map over
 // keys that collide on purpose (insert, find, and erase by key, by
 // extract and by slot), slot stability and last-in first-out slot
-// reuse, the no-allocation guarantees of a fresh map, random list surgery
-// against a std::deque model, each SlotList operation on a short list,
-// validate() catching deliberate corruption, and SlotList's misuse guards.
+// reuse, the no-allocation guarantees of a fresh map and of erasing,
+// random list surgery against a std::deque model, each SlotList operation
+// on a short list, validate() catching deliberate corruption, and
+// SlotList's misuse guards.
 //
-// This file replaces the global operator new with a counting one, so it
-// builds into its own test binary.
+// This file replaces the global operator new with a counting one
+// (alloc_counter.h), so it builds into its own test binary.
 #include "util/slot_map.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
-#include <new>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "util/check.h"
 #include "util/rng.h"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// GCC flags free() on memory from a replaced operator new even when that
-// operator new is the malloc just above.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace reqblock {
 namespace {
@@ -216,7 +198,7 @@ TEST(SlotMapTest, FreshMapAllocatesNothing) {
   // Results are collected first and checked after the count is taken, so
   // nothing but the code under test runs while it is measured.
   bool ok = true;
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = testing::allocations();
   {
     SlotMap<Node> map;
     SlotList<Node, &Node::link> list(map);
@@ -227,15 +209,37 @@ TEST(SlotMapTest, FreshMapAllocatesNothing) {
     ok = ok && map.validate() && list.validate();
     ok = ok && list.pop_back() == kNoSlot;
   }
-  const std::uint64_t allocations = g_allocations.load() - before;
+  const std::uint64_t allocations = testing::allocations() - before;
   EXPECT_TRUE(ok);
   EXPECT_EQ(allocations, 0u);
 
   // The counter does see the allocations of a first insert.
-  const std::uint64_t before_insert = g_allocations.load();
+  const std::uint64_t before_insert = testing::allocations();
   SlotMap<int> map;
   map.try_emplace(1);
-  EXPECT_GT(g_allocations.load() - before_insert, 0u);
+  EXPECT_GT(testing::allocations() - before_insert, 0u);
+}
+
+// The free list grows with the slab, so erasing allocates nothing, even
+// when it frees more slots than the map has ever held free at once.
+TEST(SlotMapTest, EraseNeverAllocates) {
+  SlotMap<std::uint64_t> map;
+  for (std::uint64_t k = 0; k < 1000; ++k) map.try_emplace(k);
+  bool ok = true;
+  const std::uint64_t before = testing::allocations();
+  for (std::uint64_t k = 0; k < 1000; k += 3) ok = ok && map.erase(k);
+  for (std::uint64_t k = 1; k < 1000; k += 3) {
+    ok = ok && map.extract(k).has_value();
+  }
+  for (std::uint64_t k = 2; k < 1000; k += 3) {
+    const Slot s = map.find(k);
+    ok = ok && s != kNoSlot;
+    map.erase_slot(s);
+  }
+  const std::uint64_t allocations = testing::allocations() - before;
+  EXPECT_TRUE(ok);
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(allocations, 0u);
 }
 
 struct ListNode {

@@ -8,6 +8,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -253,6 +256,21 @@ TEST(SnapshotContainerTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.config_hash, 0x1111u);
   EXPECT_EQ(decoded.trace_hash, 0x2222u);
   EXPECT_EQ(decoded.sequence, 42u);
+}
+
+// save_snapshot_file writes the header and the payload as two pieces; the
+// file must hold exactly the bytes of the joined container.
+TEST(SnapshotContainerTest, SavedFileEqualsEncodedBytes) {
+  std::string payload;
+  for (int i = 0; i < 70'000; ++i) payload.push_back(static_cast<char>(i));
+  const SnapshotHeader h = header_for_test();
+  const std::string path = ::testing::TempDir() + "/pieces.ckpt";
+  save_snapshot_file(path, h, payload);
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_EQ(written, encode_snapshot(h, payload));
 }
 
 TEST(SnapshotContainerTest, RejectsBadMagic) {
